@@ -13,11 +13,35 @@ import os
 from dataclasses import asdict
 from typing import Dict, List, Optional
 
+import numpy as np
 import pytest
 
 from repro.eval import AggregateResult, BackdoorMetrics, BenchmarkRunner
 
 OUT_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "out")
+
+
+def host_info() -> Dict:
+    """Host facts needed to interpret a BENCH file: cores, BLAS, thread env."""
+    info = {
+        "cpu_count": os.cpu_count(),
+        "thread_env": {
+            key: os.environ.get(key)
+            for key in (
+                "OMP_NUM_THREADS",
+                "OPENBLAS_NUM_THREADS",
+                "MKL_NUM_THREADS",
+                "NUMEXPR_NUM_THREADS",
+            )
+        },
+    }
+    try:
+        deps = np.show_config(mode="dicts").get("Build Dependencies", {})
+        blas = deps.get("blas", {})
+        info["blas"] = {"name": blas.get("name"), "version": blas.get("version")}
+    except TypeError:  # older numpy: show_config has no mode kwarg
+        info["blas"] = {"name": "unknown", "version": None}
+    return info
 
 
 @pytest.fixture(scope="session")

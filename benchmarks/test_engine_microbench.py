@@ -133,38 +133,13 @@ import time
 
 from repro.core import GradientPruner
 from repro.nn import no_grad
-from repro.nn.engine import WORKERS_ENV, engine, reset_engine
 from repro.nn.functional import FAST_PATH_ENV
 from repro.nn.inference import compile_for_inference
 from repro.utils.timing import best_of_seconds
 
-from conftest import OUT_DIR
+from conftest import OUT_DIR, host_info
 
 _FASTPATH_RESULTS = {}
-_SCALING_SERIES = []
-
-
-def _host_info():
-    """Host facts needed to interpret the numbers: cores, BLAS, thread env."""
-    info = {
-        "cpu_count": os.cpu_count(),
-        "thread_env": {
-            key: os.environ.get(key)
-            for key in (
-                "OMP_NUM_THREADS",
-                "OPENBLAS_NUM_THREADS",
-                "MKL_NUM_THREADS",
-                "NUMEXPR_NUM_THREADS",
-            )
-        },
-    }
-    try:
-        deps = np.show_config(mode="dicts").get("Build Dependencies", {})
-        blas = deps.get("blas", {})
-        info["blas"] = {"name": blas.get("name"), "version": blas.get("version")}
-    except TypeError:  # older numpy: show_config has no mode kwarg
-        info["blas"] = {"name": "unknown", "version": None}
-    return info
 
 
 @contextlib.contextmanager
@@ -311,58 +286,6 @@ def test_fastpath_full_pruning_round():
     )
 
 
-def test_engine_scaling_cores_vs_throughput():
-    """Cores-vs-throughput series: batch-64 folded inference at 1/2/4 workers.
-
-    Every worker setting is equivalence-checked against the reference path.
-    The ≥1.5x scaling assertion only applies on a multicore host — on 1-2
-    core boxes the series is still recorded (extra workers just document the
-    dispatch overhead) but the inline path is the expected winner there.
-    """
-    model = build_model("preact_resnet18")
-    model.eval()
-    x = Tensor(RNG.uniform(0, 1, (64, 3, 32, 32)).astype(np.float32))
-
-    with _reference_path():
-        with no_grad():
-            reference_out = model(x).data
-
-    compiled = compile_for_inference(model, Tensor(x.data[:1]))
-    saved = os.environ.get(WORKERS_ENV)
-    try:
-        for workers in (1, 2, 4):
-            os.environ[WORKERS_ENV] = str(workers)
-            reset_engine()  # fresh pool + telemetry per worker setting
-            seconds = _best_seconds(lambda: compiled(x), repeats=3, number=2)
-            out = compiled(x).data
-            np.testing.assert_allclose(out, reference_out, rtol=1e-3, atol=1e-4)
-            telemetry = dict(engine().last)
-            if workers == 1:
-                assert telemetry == {}, "workers=1 must take the inline path"
-            else:
-                assert telemetry.get("workers") == workers
-            _SCALING_SERIES.append(
-                {
-                    "workers": workers,
-                    "seconds": seconds,
-                    "images_per_sec": 64.0 / seconds,
-                    "max_abs_err": float(np.abs(out - reference_out).max()),
-                    "engine": telemetry,
-                }
-            )
-    finally:
-        if saved is None:
-            os.environ.pop(WORKERS_ENV, None)
-        else:
-            os.environ[WORKERS_ENV] = saved
-        reset_engine()
-
-    by_workers = {entry["workers"]: entry for entry in _SCALING_SERIES}
-    if (os.cpu_count() or 1) >= 4:
-        speedup = by_workers[4]["images_per_sec"] / by_workers[1]["images_per_sec"]
-        assert speedup >= 1.5, f"4-worker scaling only {speedup:.2f}x on a multicore host"
-
-
 def test_emit_bench_engine_json():
     """Aggregate the fast-vs-reference probes into BENCH_engine.json."""
     assert set(_FASTPATH_RESULTS) == {
@@ -370,17 +293,12 @@ def test_emit_bench_engine_json():
         "folded_inference_batch64",
         "full_pruning_round",
     }, "fast-path probes must run before the JSON is emitted"
-    assert _SCALING_SERIES, "the scaling probe must run before the JSON is emitted"
     os.makedirs(OUT_DIR, exist_ok=True)
     payload = {
         "bench": "engine_fastpath",
         "reference": f"{FAST_PATH_ENV}=1 (reference kernels, two-pass evaluator)",
-        "host": _host_info(),
+        "host": host_info(),
         "entries": _FASTPATH_RESULTS,
-        "scaling": {
-            "workload": "folded_inference_batch64 (compiled preact_resnet18)",
-            "series": _SCALING_SERIES,
-        },
     }
     path = os.path.join(OUT_DIR, "BENCH_engine.json")
     with open(path, "w") as handle:
@@ -388,5 +306,4 @@ def test_emit_bench_engine_json():
     with open(path) as handle:
         written = json.load(handle)
     assert set(written["entries"]) == set(_FASTPATH_RESULTS)
-    assert [s["workers"] for s in written["scaling"]["series"]] == [1, 2, 4]
     assert written["host"]["cpu_count"] == os.cpu_count()

@@ -9,11 +9,9 @@ definition), and the batch-size histogram per mix in
 
 The headline number is **micro-batched vs batch-1**: the same request
 stream through a ``max_batch=32`` gateway and a ``max_batch=1`` gateway
-(every request pays the full batch-1 dispatch overhead).  The >=1.5x
-speedup is asserted only on boxes with ``cpu_count >= 4`` where the tiled
-engine can actually fan out; elsewhere the JSON structure is still checked
-and the measured ratio is recorded for the record (batch-32 GEMMs amortize
-Python dispatch even on one core, so the ratio is usually >1 regardless).
+(every request pays the full batch-1 dispatch overhead).  The measured
+ratio is recorded with the host's core count, BLAS and thread env; the
+JSON structure is checked.
 
 Soak-style and open-loop, so marked ``bench`` (excluded from tier-1) and
 wrapped in ``hard_timeout`` wall-clock guards.
@@ -24,7 +22,7 @@ import os
 
 import numpy as np
 import pytest
-from conftest import OUT_DIR
+from conftest import OUT_DIR, host_info
 
 from repro.data import make_synth_cifar
 from repro.models import build_model
@@ -44,8 +42,6 @@ GUARD_SECONDS = 600.0
 MAX_BATCH = 32
 MAX_WAIT_MS = 5.0
 NUM_CLASSES = 10
-SPEEDUP_FLOOR = 1.5
-MIN_CORES_FOR_SPEEDUP = 4
 
 
 @pytest.fixture(scope="module")
@@ -96,19 +92,15 @@ def test_serving_throughput_and_microbatch_speedup(registry, pool):
     batch1_ips = batch1["images_per_sec"]
     speedup = microbatched_ips / batch1_ips if batch1_ips > 0 else float("inf")
 
-    cpu_count = os.cpu_count() or 1
     payload = {
         "model": "preact_resnet18",
         "image_shape": list(pool.images.shape[1:]),
         "max_batch": MAX_BATCH,
         "max_wait_ms": MAX_WAIT_MS,
-        "cpu_count": cpu_count,
-        "engine_workers_env": os.environ.get("REPRO_ENGINE_WORKERS"),
+        "host": host_info(),
         "mixes": per_mix,
         "batch1_steady": batch1,
         "microbatch_speedup": round(speedup, 3),
-        "speedup_floor": SPEEDUP_FLOOR,
-        "speedup_asserted": cpu_count >= MIN_CORES_FOR_SPEEDUP,
     }
     os.makedirs(OUT_DIR, exist_ok=True)
     with open(os.path.join(OUT_DIR, "BENCH_serving.json"), "w") as handle:
@@ -123,13 +115,6 @@ def test_serving_throughput_and_microbatch_speedup(registry, pool):
     assert "verdict_confusion" in per_mix["adversarial"]
     # The bursty mix must have exercised batches larger than one.
     assert any(int(size) > 1 for size in per_mix["bursty"]["batch_size_histogram"])
-
-    # The throughput claim is only a host guarantee with real parallelism.
-    if cpu_count >= MIN_CORES_FOR_SPEEDUP:
-        assert speedup >= SPEEDUP_FLOOR, (
-            f"micro-batching speedup {speedup:.2f}x < {SPEEDUP_FLOOR}x "
-            f"(microbatched {microbatched_ips:.1f} vs batch-1 {batch1_ips:.1f} img/s)"
-        )
 
 
 def test_strip_serving_overhead(registry, pool):

@@ -1,19 +1,16 @@
-"""Training-path microbenchmark: engine-dispatched backward GEMMs.
+"""Training-path microbenchmark: engine-backed backward GEMMs.
 
 Times a full train step (forward + backward + SGD update) on the
-engine-dispatched training path — im2col column reuse into the dW
-``execute_tn`` reduction split, planned gradient buffers — against the
-``REPRO_DISABLE_FAST_PATH=1`` reference closures, and records a
-workers-1/2/4 scaling series in ``benchmarks/out/BENCH_training.json``
-(registered next to ``BENCH_engine.json`` / ``BENCH_serving.json``).
+engine-backed training path — im2col column reuse into the dW
+``execute_tn`` GEMM, planned gradient buffers — against the
+``REPRO_DISABLE_FAST_PATH=1`` reference closures, and records both in
+``benchmarks/out/BENCH_training.json`` (registered next to
+``BENCH_engine.json`` / ``BENCH_serving.json``) with the host's core count,
+BLAS and thread env.
 
-Two host guarantees, both gated on what the box can actually show:
-
-* **No single-core regression**: the workers-1 fast path must stay within
-  ``SINGLE_CORE_FLOOR`` of the reference path (it issues the same BLAS
-  calls minus per-layer temporaries, so parity is the worst case).
-* **Scaling**: >=1.5x samples/sec at 4 workers over 1 worker, asserted
-  only when ``cpu_count >= 4``; elsewhere the series is still recorded.
+Host guarantee: the fast path must stay within ``PARITY_FLOOR`` of the
+reference path (it issues the same BLAS calls minus per-layer temporaries,
+so parity is the worst case).
 
 Soak-style timing loops, so marked ``bench`` (excluded from tier-1) and
 wrapped in ``hard_timeout`` wall-clock guards.
@@ -24,12 +21,11 @@ import os
 
 import numpy as np
 import pytest
-from conftest import OUT_DIR
+from conftest import OUT_DIR, host_info
 
 from repro.data import ImageDataset
 from repro.models import build_model
 from repro.nn import SGD, Tensor, cross_entropy
-from repro.nn.engine import WORKERS_ENV, engine, reset_engine
 from repro.nn.functional import FAST_PATH_ENV
 from repro.telemetry import bus
 from repro.training import TrainConfig, train_classifier
@@ -40,14 +36,11 @@ pytestmark = pytest.mark.bench
 GUARD_SECONDS = 600.0
 BATCH = 32
 NUM_CLASSES = 10
-SINGLE_CORE_FLOOR = 0.9  # fast/reference throughput ratio tolerated at workers=1
-SCALING_FLOOR = 1.5
-MIN_CORES_FOR_SPEEDUP = 4
+PARITY_FLOOR = 0.9  # fast/reference throughput ratio tolerated
 
 RNG = np.random.default_rng(0)
 
 _RESULTS = {}
-_SCALING_SERIES = []
 
 
 @pytest.fixture(autouse=True)
@@ -55,29 +48,6 @@ def _bench_guard():
     """Wall-clock ceiling for every probe: a wedged timing loop fails loudly."""
     with hard_timeout(GUARD_SECONDS, "training microbench wedged"):
         yield
-
-
-def _host_info():
-    """Host facts needed to interpret the numbers: cores, BLAS, thread env."""
-    info = {
-        "cpu_count": os.cpu_count(),
-        "thread_env": {
-            key: os.environ.get(key)
-            for key in (
-                "OMP_NUM_THREADS",
-                "OPENBLAS_NUM_THREADS",
-                "MKL_NUM_THREADS",
-                "NUMEXPR_NUM_THREADS",
-            )
-        },
-    }
-    try:
-        deps = np.show_config(mode="dicts").get("Build Dependencies", {})
-        blas = deps.get("blas", {})
-        info["blas"] = {"name": blas.get("name"), "version": blas.get("version")}
-    except TypeError:  # older numpy: show_config has no mode kwarg
-        info["blas"] = {"name": "unknown", "version": None}
-    return info
 
 
 def _make_step(seed=0, update=True):
@@ -117,13 +87,9 @@ def _grad_snapshot(model):
 
 
 def test_train_step_fastpath_vs_reference():
-    """Workers-1 fast path vs reference: same gradients, no regression."""
-    saved_workers = os.environ.get(WORKERS_ENV)
-    saved_fast = os.environ.get(FAST_PATH_ENV)
-    os.environ[WORKERS_ENV] = "1"
-    os.environ.pop(FAST_PATH_ENV, None)
+    """Fast path vs reference: same gradients, no regression."""
+    saved_fast = os.environ.pop(FAST_PATH_ENV, None)
     try:
-        reset_engine()
         _, step = _make_step()
         step()  # warm BLAS + arenas before timing
         fast_s = best_of_seconds(step, repeats=3, number=1)
@@ -141,12 +107,10 @@ def test_train_step_fastpath_vs_reference():
         ref_eq_step()
         reference_grads = _grad_snapshot(ref_eq_model)
     finally:
-        for key, value in ((WORKERS_ENV, saved_workers), (FAST_PATH_ENV, saved_fast)):
-            if value is None:
-                os.environ.pop(key, None)
-            else:
-                os.environ[key] = value
-        reset_engine()
+        if saved_fast is None:
+            os.environ.pop(FAST_PATH_ENV, None)
+        else:
+            os.environ[FAST_PATH_ENV] = saved_fast
 
     # Identical seed, identical batch, one backward each.  Per-layer grads
     # through 18 layers of train-mode BN carry ~1e-2 relative float32 noise
@@ -170,48 +134,12 @@ def test_train_step_fastpath_vs_reference():
         "reference_samples_per_sec": BATCH / reference_s,
         "speedup": ratio,
         "max_rel_grad_err": max_err,
-        "single_core_floor": SINGLE_CORE_FLOOR,
+        "parity_floor": PARITY_FLOOR,
     }
-    assert ratio >= SINGLE_CORE_FLOOR, (
-        f"fast training path regressed at workers=1: {ratio:.2f}x of reference "
+    assert ratio >= PARITY_FLOOR, (
+        f"fast training path regressed: {ratio:.2f}x of reference "
         f"(fast {fast_s * 1e3:.1f}ms vs reference {reference_s * 1e3:.1f}ms)"
     )
-
-
-def test_training_scaling_workers():
-    """Samples/sec at 1/2/4 workers; >=1.5x at 4 asserted on multicore only."""
-    saved = os.environ.get(WORKERS_ENV)
-    try:
-        for workers in (1, 2, 4):
-            os.environ[WORKERS_ENV] = str(workers)
-            reset_engine()  # fresh pool + telemetry per worker setting
-            _, step = _make_step()
-            step()  # warm up
-            seconds = best_of_seconds(step, repeats=3, number=1)
-            telemetry = dict(engine().last)
-            if workers > 1:
-                assert telemetry.get("workers") == workers
-            _SCALING_SERIES.append(
-                {
-                    "workers": workers,
-                    "seconds": seconds,
-                    "samples_per_sec": BATCH / seconds,
-                    "engine": telemetry,
-                }
-            )
-    finally:
-        if saved is None:
-            os.environ.pop(WORKERS_ENV, None)
-        else:
-            os.environ[WORKERS_ENV] = saved
-        reset_engine()
-
-    by_workers = {entry["workers"]: entry for entry in _SCALING_SERIES}
-    if (os.cpu_count() or 1) >= MIN_CORES_FOR_SPEEDUP:
-        speedup = by_workers[4]["samples_per_sec"] / by_workers[1]["samples_per_sec"]
-        assert speedup >= SCALING_FLOOR, (
-            f"4-worker training scaling only {speedup:.2f}x on a multicore host"
-        )
 
 
 def test_training_throughput_gauge_emitted():
@@ -231,26 +159,18 @@ def test_training_throughput_gauge_emitted():
 def test_emit_bench_training_json():
     """Aggregate the training probes into BENCH_training.json."""
     assert "train_step_batch32" in _RESULTS, "probes must run before the JSON is emitted"
-    assert _SCALING_SERIES, "the scaling probe must run before the JSON is emitted"
     os.makedirs(OUT_DIR, exist_ok=True)
-    cpu_count = os.cpu_count() or 1
     payload = {
         "bench": "training_engine",
         "workload": f"preact_resnet18 train step, batch {BATCH} (fwd+bwd+SGD)",
         "reference": f"{FAST_PATH_ENV}=1 (reference autograd closures)",
-        "host": _host_info(),
+        "host": host_info(),
         "entries": _RESULTS,
-        "scaling": {
-            "series": _SCALING_SERIES,
-            "floor": SCALING_FLOOR,
-            "asserted": cpu_count >= MIN_CORES_FOR_SPEEDUP,
-        },
     }
     path = os.path.join(OUT_DIR, "BENCH_training.json")
     with open(path, "w") as handle:
         json.dump(payload, handle, indent=2)
     with open(path) as handle:
         written = json.load(handle)
-    assert [s["workers"] for s in written["scaling"]["series"]] == [1, 2, 4]
     assert written["host"]["cpu_count"] == os.cpu_count()
     assert written["entries"]["train_step_batch32"]["fast_samples_per_sec"] > 0

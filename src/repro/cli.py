@@ -155,10 +155,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="model-registry directory (default: <cache dir>/registry)",
     )
     serve.add_argument("--alias", default="default", help="registry alias to serve and follow")
-    serve.add_argument(
-        "--workers", type=int, default=None,
-        help="tiled-engine worker processes (default: engine heuristics)",
-    )
     serve.add_argument("--max-batch", type=int, default=32, help="micro-batch flush size")
     serve.add_argument(
         "--max-wait-ms", type=float, default=5.0,
@@ -363,7 +359,6 @@ def _cmd_serve(args) -> int:
 
     from .attacks import BadNetsAttack
     from .data import make_synth_cifar, make_synth_gtsrb
-    from .nn.engine import WORKERS_ENV
     from .serving import (
         STANDARD_MIXES,
         ModelRegistry,
@@ -373,9 +368,6 @@ def _cmd_serve(args) -> int:
         TrafficMix,
         serve_http,
     )
-
-    if args.workers is not None:
-        os.environ[WORKERS_ENV] = str(args.workers)
 
     registry_dir = args.registry or os.path.join(
         os.environ.get("REPRO_CACHE_DIR", os.path.expanduser("~/.cache/repro")), "registry"

@@ -1,46 +1,23 @@
-"""``repro.nn.engine`` — multicore tiled GEMM execution layer.
+"""``repro.nn.engine`` — GEMM execution layer.
 
-Splits the inference fast path's im2col GEMMs into cache-blocked tiles,
-dispatches them to a persistent worker pool (fork + shared memory, with a
-thread fallback), fuses the conv→BN→ReLU epilogue into the tile loop, and
-plans scratch memory statically per traced shape.  See DESIGN.md §10.
+Runs the fast path's im2col GEMMs as single inline BLAS calls with the
+conv→BN→ReLU epilogue fused onto the output, and plans scratch memory
+statically per traced shape.  See DESIGN.md §10.
 """
 
-from .gemm import (
-    BACKEND_ENV,
-    WORKERS_ENV,
-    TiledGemmEngine,
-    engine,
-    reset_engine,
-    resolve_backend,
-    resolve_workers,
-)
+from .gemm import TiledGemmEngine, engine, reset_engine
 from .planner import MemoryPlan, PlannedArena, SlabRequest, clear_all_arenas, plan_slabs
-from .pool import ProcessTilePool, SharedSlabs, ThreadTilePool, fork_available
-from .tiler import TILE_ENV, cache_sizes, choose_tile_shape, tile_grid
 from .training import train_step_arena, training_step
 
 __all__ = [
-    "BACKEND_ENV",
-    "TILE_ENV",
-    "WORKERS_ENV",
     "MemoryPlan",
     "PlannedArena",
-    "ProcessTilePool",
-    "SharedSlabs",
     "SlabRequest",
-    "ThreadTilePool",
     "TiledGemmEngine",
-    "cache_sizes",
-    "choose_tile_shape",
     "clear_all_arenas",
     "engine",
-    "fork_available",
     "plan_slabs",
     "reset_engine",
-    "resolve_backend",
-    "resolve_workers",
-    "tile_grid",
     "train_step_arena",
     "training_step",
 ]

@@ -1,178 +1,46 @@
-"""Cache-blocked tiled GEMM executor with a fused epilogue.
+"""Inline GEMM executor with a fused epilogue.
 
-:class:`TiledGemmEngine` is the execution layer under the inference fast
-path.  Given the im2col operand ``a = (M, K)`` and packed weights
-``b = (K, N)`` it computes ``a @ b`` plus an optional fused epilogue —
-per-column bias add (which, after conv–BN folding, *is* the batch-norm
-affine) and ReLU — without ever materializing an un-activated
-intermediate:
+:class:`TiledGemmEngine` is the execution layer under the fast path.  Given
+the im2col operand ``a = (M, K)`` and packed weights ``b = (K, N)`` it
+computes ``a @ b`` plus an optional fused epilogue — per-column bias add
+(which, after conv–BN folding, *is* the batch-norm affine) and ReLU —
+in place on the GEMM output, so no un-activated intermediate is ever
+materialized.  The backward dW shape ``a.T @ b`` goes through
+:meth:`TiledGemmEngine.execute_tn`, which can accumulate into a gradient
+buffer.
 
-- small problems (or ``workers == 1``) run inline as the single BLAS GEMM
-  the PR 2 fast path already issued, bounding the 1-core overhead of this
-  layer to a couple of dict lookups;
-- large problems are split into cache-blocked (M, N) tiles (see
-  :mod:`repro.nn.engine.tiler`) and dispatched to a persistent worker pool
-  (:mod:`repro.nn.engine.pool`): fork+shared-memory processes by default,
-  threads when ``fork`` is unavailable or forced.
+Every call is one BLAS call on the calling thread.  Parallelism comes from
+the BLAS library's own threads inside a GEMM and from orchestrator tasks
+across trials and federated clients; nothing here splits work.  (The class
+keeps its historical name: profilers and benches wrap it by that name.)
 
-Environment knobs (consulted on every call so tests can flip them live):
-
-``REPRO_ENGINE_WORKERS``
-    Worker count; default ``min(os.cpu_count(), 8)``.  ``1`` disables
-    tiling entirely.
-``REPRO_ENGINE_BACKEND``
-    ``process`` | ``thread`` | ``auto`` (default: process when ``fork``
-    exists).
-``REPRO_ENGINE_TILE``
-    Tile-shape override, e.g. ``256`` or ``256x128``.
-
-The engine is a process-wide singleton (:func:`engine`); pools and shared
-slabs are created lazily, persist across calls, and are re-created when the
-requested (workers, backend) pair changes.  A fork hook in
-:mod:`repro.nn.functional` resets the child's copy so orchestrator workers
-never talk to a pool they do not own.
+The engine is a process-wide singleton (:func:`engine`) holding only call
+counters; a fork hook in :mod:`repro.nn.functional` drops the child's copy
+so each process counts its own calls.
 """
 
 from __future__ import annotations
 
-import os
-from typing import Dict, Optional, Tuple, Union
+from typing import Dict, Optional
 
 import numpy as np
 
-from .pool import ProcessTilePool, SharedSlabs, ThreadTilePool, fork_available
-from .tiler import MIN_PARALLEL_FLOPS, choose_tile_shape, tile_grid
-
-__all__ = [
-    "WORKERS_ENV",
-    "BACKEND_ENV",
-    "TiledGemmEngine",
-    "engine",
-    "reset_engine",
-    "resolve_workers",
-    "resolve_backend",
-]
-
-WORKERS_ENV = "REPRO_ENGINE_WORKERS"
-BACKEND_ENV = "REPRO_ENGINE_BACKEND"
-
-# More workers than this oversubscribes the BLAS-threaded GEMM on big boxes.
-_MAX_DEFAULT_WORKERS = 8
-
-# Reduction-split dispatch gives each worker at least this many rows of the
-# shared R dimension; shorter chunks cost more in partial-buffer traffic and
-# the parent-side reduce than the GEMM they offload.
-_MIN_REDUCTION_ROWS = 64
-
-
-# os.cpu_count() is a syscall and the training path resolves workers on
-# every backward GEMM; the count cannot change within a process.
-_CPU_COUNT = os.cpu_count() or 1
-
-
-def resolve_workers() -> int:
-    """Worker count from ``REPRO_ENGINE_WORKERS``, default cpu-count capped."""
-    raw = os.environ.get(WORKERS_ENV, "").strip()
-    if raw:
-        try:
-            return max(1, int(raw))
-        except ValueError:
-            raise ValueError(f"{WORKERS_ENV} must be an integer, got {raw!r}") from None
-    return max(1, min(_CPU_COUNT, _MAX_DEFAULT_WORKERS))
-
-
-def resolve_backend() -> str:
-    """Pool backend: ``process`` (fork + shared memory) or ``thread``."""
-    raw = os.environ.get(BACKEND_ENV, "auto").strip().lower() or "auto"
-    if raw not in ("auto", "process", "thread"):
-        raise ValueError(f"{BACKEND_ENV} must be auto|process|thread, got {raw!r}")
-    if raw == "auto":
-        return "process" if fork_available() else "thread"
-    if raw == "process" and not fork_available():
-        return "thread"
-    return raw
-
-
-def _thread_tile(a, b, out, bias, activation, m0, m1, n0, n1) -> None:
-    sub = out[m0:m1, n0:n1]
-    np.matmul(a[m0:m1], b[:, n0:n1], out=sub)
-    if bias is not None:
-        sub += bias[n0:n1]
-    if activation == "relu":
-        np.maximum(sub, 0.0, out=sub)
-
-
-def _thread_tile_tn(a, b, parts, slot, r0, r1) -> None:
-    np.matmul(a[r0:r1].T, b[r0:r1], out=parts[slot])
-
-
-def _reduction_chunks(r: int, chunks: int):
-    """Split ``range(r)`` into ``chunks`` near-equal contiguous spans."""
-    bounds = np.linspace(0, r, chunks + 1).astype(int)
-    return [(int(bounds[i]), int(bounds[i + 1])) for i in range(chunks)]
+__all__ = ["TiledGemmEngine", "engine", "reset_engine"]
 
 
 class TiledGemmEngine:
-    """Tiled GEMM + fused epilogue over a persistent worker pool."""
+    """Inline BLAS GEMM + fused bias/ReLU epilogue, with call counters."""
 
     def __init__(self) -> None:
-        self._pool: Optional[Union[ThreadTilePool, ProcessTilePool]] = None
-        self._pool_key: Optional[Tuple[str, int]] = None
-        self._slabs: Optional[SharedSlabs] = None
-        self._parts_scratch: Optional[np.ndarray] = None
-        # Telemetry of the most recent execute(): how the work was split.
-        self.last: Dict[str, object] = {}
-        # Cumulative since construction (or forked-child reset): long-lived
-        # callers — the serving gateway's stats endpoint, soak benches —
-        # read these to see how much work actually tiled out.
-        self.totals: Dict[str, int] = {"calls": 0, "inline_calls": 0, "tiled_calls": 0, "tiles": 0}
+        # Cumulative since construction: long-lived callers (the serving
+        # gateway's stats endpoint, benches) read these.  Every call runs
+        # inline, so the two counts are equal.
+        self.totals: Dict[str, int] = {"calls": 0, "inline_calls": 0}
 
-    # ------------------------------------------------------------------
-    # Pool lifecycle
-    # ------------------------------------------------------------------
-    def _ensure_pool(self, backend: str, workers: int):
-        key = (backend, workers)
-        if self._pool is not None and self._pool_key == key:
-            if backend != "process" or self._pool.alive():
-                return self._pool
-        self.shutdown()
-        if backend == "process":
-            self._pool = ProcessTilePool(workers)
-            self._slabs = SharedSlabs()
-        else:
-            self._pool = ThreadTilePool(workers)
-        self._pool_key = key
-        return self._pool
+    def _count(self) -> None:
+        self.totals["calls"] += 1
+        self.totals["inline_calls"] += 1
 
-    def shutdown(self) -> None:
-        """Stop the pool and release shared slabs (safe to call anytime)."""
-        if self._pool is not None:
-            self._pool.shutdown()
-            self._pool = None
-            self._pool_key = None
-        if self._slabs is not None:
-            self._slabs.close()
-            self._slabs = None
-        self._parts_scratch = None
-
-    def forget_inherited_state(self) -> None:
-        """Drop pool/slab handles without teardown (forked-child hook).
-
-        The child's handles point at resources owned by the parent; closing
-        them here would tear the parent's pool down underneath it.
-        """
-        self._pool = None
-        self._pool_key = None
-        if self._slabs is not None:
-            self._slabs.close()  # pid-guarded: only clears the dict in a child
-            self._slabs = None
-        self._parts_scratch = None
-        self.last = {}
-        self.totals = {"calls": 0, "inline_calls": 0, "tiled_calls": 0, "tiles": 0}
-
-    # ------------------------------------------------------------------
-    # Execution
-    # ------------------------------------------------------------------
     def execute(
         self,
         a: np.ndarray,
@@ -181,63 +49,21 @@ class TiledGemmEngine:
         activation: Optional[str] = None,
         out: Optional[np.ndarray] = None,
     ) -> np.ndarray:
-        """``a @ b`` with the bias/activation epilogue fused into each tile.
+        """``a @ b`` with the bias/activation epilogue applied in place.
 
         ``a`` is ``(M, K)``, ``b`` is ``(K, N)``, ``bias`` broadcasts over
-        rows as ``(N,)``.  Returns ``out`` (allocated fresh when omitted);
-        the result is always private memory that escapes safely into the
-        caller's graph.
+        rows as ``(N,)``.  Returns ``out`` (allocated fresh when omitted).
         """
         if activation not in (None, "relu"):
             raise ValueError(f"unsupported fused activation: {activation!r}")
-        m, k = a.shape
-        n = b.shape[1]
         if out is None:
-            out = np.empty((m, n), dtype=a.dtype)
-
-        self.totals["calls"] += 1
-        workers = resolve_workers()
-        if workers == 1 or 2 * m * n * k < MIN_PARALLEL_FLOPS:
-            self.totals["inline_calls"] += 1
-            return self._inline(a, b, bias, activation, out)
-
-        tile_m, tile_n = choose_tile_shape(m, n, k, a.itemsize, workers)
-        tiles = tile_grid(m, n, tile_m, tile_n)
-        if len(tiles) == 1:
-            self.totals["inline_calls"] += 1
-            return self._inline(a, b, bias, activation, out)
-
-        backend = resolve_backend()
-        pool = self._ensure_pool(backend, workers)
-        self.totals["tiled_calls"] += 1
-        self.totals["tiles"] += len(tiles)
-        self.last = {
-            "backend": backend,
-            "workers": workers,
-            "tiles": len(tiles),
-            "tile_shape": (tile_m, tile_n),
-            "mnk": (m, n, k),
-        }
-        if backend == "thread":
-            pool.run(
-                _thread_tile,
-                [(a, b, out, bias, activation, *tile) for tile in tiles],
-            )
-            return out
-
-        # Process backend: stage operands into shared slabs, compute into the
-        # shared output slab, then copy once into private result memory (the
-        # slab is recycled next call, so it must never escape).
-        _, a_ref = self._slabs.stage("a", np.ascontiguousarray(a))
-        _, b_ref = self._slabs.stage("b", np.ascontiguousarray(b))
-        out_view, out_ref = self._slabs.empty("out", (m, n), a.dtype)
-        bias_bytes = (
-            None if bias is None else np.ascontiguousarray(bias, dtype=a.dtype).tobytes()
-        )
-        pool.run(
-            [("mm", a_ref, b_ref, out_ref, *tile, bias_bytes, activation) for tile in tiles]
-        )
-        np.copyto(out, out_view)
+            out = np.empty((a.shape[0], b.shape[1]), dtype=a.dtype)
+        self._count()
+        np.matmul(a, b, out=out)
+        if bias is not None:
+            out += bias
+        if activation == "relu":
+            np.maximum(out, 0.0, out=out)
         return out
 
     def execute_tn(
@@ -247,86 +73,19 @@ class TiledGemmEngine:
         out: Optional[np.ndarray] = None,
         accumulate: bool = False,
     ) -> np.ndarray:
-        """``a.T @ b`` with the *reduction* dimension split across workers.
+        """``a.T @ b``: the backward-pass dW shape.
 
         ``a`` is ``(R, M)`` and ``b`` is ``(R, N)``; the result is ``(M, N)``.
-        This is the backward-pass dW shape: the output (a weight gradient) is
-        far too small to tile as disjoint (M, N) blocks, but the shared
-        reduction dimension ``R = N*L`` is large.  Each worker computes the
-        partial product of a contiguous R-chunk into its own slot of a
-        ``(chunks, M, N)`` partials buffer — no two workers ever write the
-        same bytes — and the parent reduces the slots with one sum.
-
-        With ``accumulate=True`` the reduced product is *added* into ``out``
-        (which must be provided), matching how backward GEMMs feed shared
-        gradient buffers; otherwise ``out`` is overwritten (allocated fresh
-        when omitted).
+        With ``accumulate=True`` the product is *added* into ``out`` (which
+        must be provided), matching how backward GEMMs feed shared gradient
+        buffers; otherwise ``out`` is overwritten (allocated fresh when
+        omitted).
         """
-        r, m = a.shape
-        n = b.shape[1]
         if accumulate and out is None:
             raise ValueError("execute_tn(accumulate=True) requires an out buffer")
         if out is None:
-            out = np.empty((m, n), dtype=a.dtype)
-
-        self.totals["calls"] += 1
-        workers = resolve_workers()
-        chunks = min(workers, max(1, r // _MIN_REDUCTION_ROWS))
-        if workers == 1 or chunks < 2 or 2 * m * n * r < MIN_PARALLEL_FLOPS:
-            self.totals["inline_calls"] += 1
-            return self._inline_tn(a, b, out, accumulate)
-
-        backend = resolve_backend()
-        pool = self._ensure_pool(backend, workers)
-        spans = _reduction_chunks(r, chunks)
-        self.totals["tiled_calls"] += 1
-        self.totals["tiles"] += chunks
-        self.last = {
-            "backend": backend,
-            "workers": workers,
-            "tiles": chunks,
-            "mode": "tn",
-            "mnk": (m, n, r),
-        }
-        if backend == "thread":
-            parts = self._tn_parts((chunks, m, n), a.dtype)
-            pool.run(
-                _thread_tile_tn,
-                [(a, b, parts, slot, r0, r1) for slot, (r0, r1) in enumerate(spans)],
-            )
-        else:
-            _, a_ref = self._slabs.stage("a", np.ascontiguousarray(a))
-            _, b_ref = self._slabs.stage("b", np.ascontiguousarray(b))
-            parts, parts_ref = self._slabs.empty("parts", (chunks, m, n), a.dtype)
-            pool.run(
-                [("tn", a_ref, b_ref, parts_ref, slot, r0, r1)
-                 for slot, (r0, r1) in enumerate(spans)]
-            )
-        if accumulate:
-            out += parts.sum(axis=0)
-        else:
-            np.sum(parts, axis=0, out=out)
-        return out
-
-    def _tn_parts(self, shape, dtype) -> np.ndarray:
-        """Recycled private partial-sum buffer for the thread backend."""
-        dtype = np.dtype(dtype)
-        nbytes = int(np.prod(shape)) * dtype.itemsize
-        if self._parts_scratch is None or self._parts_scratch.nbytes < nbytes:
-            self._parts_scratch = np.empty(nbytes, dtype=np.uint8)
-        return self._parts_scratch[:nbytes].view(dtype).reshape(shape)
-
-    @staticmethod
-    def _inline(a, b, bias, activation, out) -> np.ndarray:
-        np.matmul(a, b, out=out)
-        if bias is not None:
-            out += bias
-        if activation == "relu":
-            np.maximum(out, 0.0, out=out)
-        return out
-
-    @staticmethod
-    def _inline_tn(a, b, out, accumulate) -> np.ndarray:
+            out = np.empty((a.shape[1], b.shape[1]), dtype=a.dtype)
+        self._count()
         if accumulate:
             out += a.T @ b
         else:
@@ -338,19 +97,14 @@ _ENGINE: Optional[TiledGemmEngine] = None
 
 
 def engine() -> TiledGemmEngine:
-    """The process-wide tiled GEMM engine (created lazily)."""
+    """The process-wide GEMM engine (created lazily)."""
     global _ENGINE
     if _ENGINE is None:
         _ENGINE = TiledGemmEngine()
     return _ENGINE
 
 
-def reset_engine(in_child: bool = False) -> None:
-    """Tear down (or, in a forked child, simply forget) the engine singleton."""
+def reset_engine() -> None:
+    """Drop the engine singleton; the next :func:`engine` call starts fresh."""
     global _ENGINE
-    if _ENGINE is not None:
-        if in_child:
-            _ENGINE.forget_inherited_state()
-        else:
-            _ENGINE.shutdown()
     _ENGINE = None

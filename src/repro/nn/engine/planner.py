@@ -24,17 +24,13 @@ slab's size is the maximum any of its tags ever requested.
 tags, or a request larger than recorded (e.g. an odd-sized tail batch) —
 fall back to a dynamic side arena, so a stale plan degrades to PR 2
 behavior rather than failing.
-
-``allocator`` abstracts where slab bytes live: the default is private
-``np.empty`` memory; the tiled engine passes a shared-memory allocator so
-planned slabs are visible to its worker processes by name.
 """
 
 from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Hashable, List, Optional, Tuple
+from typing import Dict, Hashable, List, Optional, Tuple
 
 import numpy as np
 
@@ -113,13 +109,6 @@ def plan_slabs(requests: List[SlabRequest]) -> MemoryPlan:
     return plan
 
 
-Allocator = Callable[[int], np.ndarray]
-
-
-def _default_allocator(nbytes: int) -> np.ndarray:
-    return np.empty(nbytes, dtype=np.uint8)
-
-
 class PlannedArena:
     """Workspace-compatible arena that compiles traces into static plans.
 
@@ -131,10 +120,9 @@ class PlannedArena:
     preallocated slabs.
     """
 
-    def __init__(self, allocator: Optional[Allocator] = None) -> None:
+    def __init__(self) -> None:
         from ..functional import Workspace  # deferred: functional imports engine
 
-        self._allocator = allocator or _default_allocator
         self._fallback = Workspace()
         self._plans: Dict[Hashable, MemoryPlan] = {}
         self._slabs: Dict[Hashable, List[np.ndarray]] = {}
@@ -156,7 +144,7 @@ class PlannedArena:
             plan = plan_slabs(_events_to_requests(self._recording))
             self._plans[self._signature] = plan
             self._slabs[self._signature] = [
-                self._allocator(size) for size in plan.slab_sizes
+                np.empty(size, dtype=np.uint8) for size in plan.slab_sizes
             ]
         self._signature = None
         self._recording = None

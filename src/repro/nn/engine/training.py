@@ -2,7 +2,7 @@
 
 The training fast path (:func:`repro.nn.functional._conv2d_train` and
 friends) allocates its backward temporaries — flattened upstream gradients,
-packed weight matrices, dW partial products, col2im scatter scratch — from
+packed weight matrices, dW products, col2im scatter scratch — from
 the *training* arena (:func:`repro.nn.functional.current_train_arena`).
 Left alone that arena is a PR 2-style dynamic :class:`Workspace`: growable
 slabs keyed by tag, re-discovered sizes every pass.

@@ -15,10 +15,9 @@ path: the im2col unfold is written into a reused, shape-keyed
 BLAS GEMM replaces N small batched matmuls.  Reusing buffers avoids the
 page-fault cost of freshly mmap'd allocations, which on this engine is
 larger than the GEMM themselves for early layers.  The GEMM itself runs
-through :mod:`repro.nn.engine` — cache-blocked (M, N) tiles on a persistent
-multicore worker pool, with the conv bias (post-folding: the BN affine) and
-an optionally fused ReLU applied inside each tile — and degrades to the
-single inline BLAS call when one worker is configured.  Set
+through :mod:`repro.nn.engine` as one inline BLAS call, with the conv bias
+(post-folding: the BN affine) and an optionally fused ReLU applied in place
+on its output.  Set
 ``REPRO_DISABLE_FAST_PATH=1`` to force the reference path (useful for
 bisecting regressions between kernel and orchestration layers).
 """
@@ -191,10 +190,9 @@ def use_train_arena(arena):
 def _after_fork_in_child() -> None:
     """Reset fast-path state inherited over ``fork``.
 
-    Orchestrator (and tile-pool) children must never serve views of a slab
-    the parent is concurrently writing, and must never talk to worker pools
-    they do not own: drop every arena buffer and forget — without tearing
-    down — the engine singleton's inherited pool handles.
+    Orchestrator children must never serve views of a slab the parent is
+    concurrently writing: drop every arena buffer, and drop the engine
+    singleton so the child counts only its own GEMM calls.
     """
     _WORKSPACE.clear()
     del _ARENA_STACK[:]
@@ -205,7 +203,7 @@ def _after_fork_in_child() -> None:
     if "repro.nn.engine.gemm" in sys.modules:
         from .engine.gemm import reset_engine
 
-        reset_engine(in_child=True)
+        reset_engine()
     if "repro.nn.engine.planner" in sys.modules:
         from .engine.planner import clear_all_arenas
 
@@ -464,7 +462,7 @@ def _conv2d_infer(
     out_w: int,
     activation: Optional[str] = None,
 ) -> np.ndarray:
-    """No-grad conv forward: arena-backed unfold + one tiled GEMM.
+    """No-grad conv forward: arena-backed unfold + one GEMM.
 
     The GEMM computes ``(N*L, K) @ (K, C_out)`` and its result is *kept* in
     channels-last (NHWC) storage: the returned array is a logically-``(N,
@@ -476,8 +474,7 @@ def _conv2d_infer(
     input, unfolded columns, transposed weights) live in the active arena;
     only the GEMM result, which escapes into the caller's graph, is freshly
     allocated.  The GEMM plus its bias/``activation`` epilogue runs through
-    the tiled multicore engine (:mod:`repro.nn.engine`), which degrades to
-    the same single inline BLAS call when one worker is configured.
+    the engine (:mod:`repro.nn.engine`) as one inline BLAS call.
     """
     from .engine.gemm import engine as _engine
 
@@ -537,7 +534,7 @@ def _conv2d_train(
     out_h: int,
     out_w: int,
 ) -> Tensor:
-    """Gradient-path conv forward+backward on the tiled GEMM engine.
+    """Gradient-path conv forward+backward on the GEMM engine.
 
     The forward is the same single-GEMM channels-last formulation as
     :func:`_conv2d_infer`, except the unfolded columns are written to fresh
@@ -545,12 +542,8 @@ def _conv2d_train(
     directly instead of re-materializing the unfold.  Backward issues three
     engine GEMMs —
 
-    - ``dW(K, C_out) = cols.T @ grad2d`` via the reduction-split
-      ``execute_tn`` dispatch (the output is too small to tile; parallelism
-      comes from chunking the shared ``N*L`` reduction into per-worker
-      partial sums);
-    - ``grad_cols(N*L, K) = grad2d @ W_packedᵀ`` via the output-tiled
-      ``execute``;
+    - ``dW(K, C_out) = cols.T @ grad2d`` via ``execute_tn``;
+    - ``grad_cols(N*L, K) = grad2d @ W_packedᵀ`` via ``execute``;
     - the channels-last col2im scatter folding ``grad_cols`` into dX.
 
     All backward temporaries (the flattened upstream gradient, packed
@@ -656,8 +649,8 @@ def conv2d(
         Channel groups; ``groups == C_in`` with ``C_out == C_in`` gives a
         depthwise convolution.
     activation:
-        Optional epilogue activation (``"relu"``) fused into the GEMM tile
-        loop.  Inference-only: set by :class:`repro.nn.inference
+        Optional epilogue activation (``"relu"``) fused onto the GEMM
+        output.  Inference-only: set by :class:`repro.nn.inference
         .CompiledInference` for traced conv→BN→ReLU chains; requesting it
         on a gradient-requiring call is an error (no backward is recorded
         for the fused activation).
@@ -835,8 +828,7 @@ def conv_transpose2d(
                 x._accumulate(grad_x.reshape(n, c_in, h, w))
             return
         # Engine path: both backward products collapse the batch into one
-        # GEMM over (N*L) rows — dW through the reduction-split dispatch,
-        # dX through the output-tiled one.
+        # GEMM over (N*L) rows — dW through execute_tn, dX through execute.
         from .engine.gemm import engine as _engine
 
         eng = _engine()
@@ -876,11 +868,9 @@ def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
 
     ``weight`` is ``(out_features, in_features)`` (the torch layout).  The
     2-D case — every classifier head in the model zoo — runs both the
-    forward product and its backward pair (dW via the reduction-split
-    ``execute_tn``, dX via the output-tiled ``execute``) through the tiled
-    GEMM engine; most heads are small enough that the engine degrades to
-    the same inline BLAS calls the reference composition issues, so the
-    dispatch costs nothing on 1 core.  Non-2-D inputs and
+    forward product and its backward pair (dW via ``execute_tn``, dX via
+    ``execute``) through the GEMM engine, which issues the same BLAS calls
+    the reference composition does.  Non-2-D inputs and
     ``REPRO_DISABLE_FAST_PATH=1`` fall back to composing
     :meth:`Tensor.matmul` + add.
     """
@@ -901,7 +891,7 @@ def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
         if bias is not None and bias.requires_grad:
             bias._accumulate(grad.sum(axis=0))
         if weight.requires_grad:
-            # dW(out, in) = grad.T @ x — exactly the reduction-split shape.
+            # dW(out, in) = grad.T @ x — exactly the execute_tn shape.
             weight._accumulate(eng.execute_tn(grad, x.data))
         if x.requires_grad:
             x._accumulate(eng.execute(grad, weight.data))

@@ -28,8 +28,8 @@ benefit from the kernel-level fast path in :mod:`repro.nn.functional`.
 
 When a folded BN's output feeds exactly one traced :class:`ReLU` module,
 the activation is *fused* as well: the conv runs with ``activation="relu"``
-so the tiled GEMM engine applies the BN affine (now the conv bias) and the
-ReLU inside each output tile, and the ReLU module becomes a passthrough —
+so the GEMM engine applies the BN affine (now the conv bias) and the ReLU
+in place on the GEMM output, and the ReLU module becomes a passthrough —
 folded inference never materializes an un-activated intermediate.
 Architectures that call the tensor-method ``.relu()`` (pre-activation
 ResNets) fold without activation fusion, which is merely the PR 2 behavior.
@@ -332,7 +332,7 @@ class CompiledInference:
             object.__setattr__(conv, "bias", Tensor(bias))
             bn._folded_passthrough = True
             if chain.relu is not None:
-                # ReLU runs inside the conv's GEMM tile loop; the module
+                # ReLU runs in the conv's GEMM epilogue; the module
                 # becomes an identity so the activated output passes through.
                 conv._fused_activation = "relu"
                 chain.relu._folded_passthrough = True

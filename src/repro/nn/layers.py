@@ -59,7 +59,7 @@ class Conv2d(Module):
     """
 
     # Set by repro.nn.inference while a traced conv→BN→ReLU chain is folded:
-    # the activation is applied inside the conv's GEMM tile loop and the
+    # the activation is applied in the conv's GEMM epilogue and the
     # downstream ReLU module becomes a passthrough.
     _fused_activation: Optional[str] = None
 

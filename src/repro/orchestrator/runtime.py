@@ -54,9 +54,12 @@ def _runner(ctx: Dict) -> BenchmarkRunner:
 
 
 def _scenario(ctx: Dict, config) -> ScenarioData:
+    # Resolve the runner first: a new model/trial dir clears the memo, so a
+    # scenario prepared against another cache is never served from it.
+    runner = _runner(ctx)
     fingerprint = config.fingerprint()
     if fingerprint not in _SCENARIOS:
-        _SCENARIOS[fingerprint] = _runner(ctx).prepare(config)
+        _SCENARIOS[fingerprint] = runner.prepare(config)
         limit = int(ctx.get("max_cached_scenarios", _MAX_CACHED_SCENARIOS))
         while len(_SCENARIOS) > limit:
             _SCENARIOS.pop(next(iter(_SCENARIOS)))

@@ -1,6 +1,6 @@
 """``repro.serving`` — the defense-serving gateway (``repro serve``).
 
-Turns the repaired-model fast path, the tiled GEMM engine, and STRIP input
+Turns the repaired-model fast path, the GEMM engine, and STRIP input
 filtering into a long-lived serving process: a content-addressed model
 registry with atomic hot-swap, an async micro-batching request queue, an
 optional per-batch STRIP pre-filter, a synthetic traffic generator, and a

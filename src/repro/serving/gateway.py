@@ -12,7 +12,7 @@ into that deployable form:
   it serves a single request;
 - requests stream through a :class:`~repro.serving.batcher.MicroBatcher`,
   so single-image callers ride the batched channels-last single-GEMM path
-  and the tiled engine instead of the batch-1 slow path;
+  instead of the batch-1 slow path;
 - an optional **STRIP pre-filter** (Gao et al., 2019) shares the same
   micro-batches: each batch is blended against a clean pool and scored in
   one stacked forward (:func:`~repro.synthesis.strip.strip_entropy_scores`),
@@ -251,7 +251,10 @@ class ServingGateway:
         example = self._example_input(registered.manifest)
         compiled = CompiledInference(registered.model, Tensor(example[:1]))
         # Warm under the model lock: the drain thread may be mid-batch on
-        # the old model, and the tiled engine serializes per thread.
+        # the old model, and a compiled forward pushes its planned arena onto
+        # the fast path's process-global arena stack (and flips the global
+        # no_grad flag), so two forwards at once would pop each other's
+        # arenas and allocate scratch from the wrong plan.
         with self._model_lock:
             compiled.warmup(Tensor(example))
         threshold = None

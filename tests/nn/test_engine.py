@@ -1,12 +1,13 @@
-"""Tests for the tiled GEMM execution engine (repro.nn.engine).
+"""Tests for the GEMM execution engine (repro.nn.engine).
 
-Covers the tiler, the static memory planner, both pool backends (the
-2-worker smoke tests double as the CI guarantee that a tiled dispatch
-completes quickly), epilogue fusion plumbing, and the fork hygiene hook.
+Covers the static memory planner, the inline GEMM and its fused epilogue
+(including inside a daemonic orchestrator-style child), epilogue fusion
+plumbing, and the fork hygiene hook.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 
 import numpy as np
@@ -24,72 +25,23 @@ from repro.nn import (
 )
 from repro.nn import functional as F
 from repro.nn.engine import (
-    BACKEND_ENV,
-    TILE_ENV,
-    WORKERS_ENV,
     PlannedArena,
     SlabRequest,
-    ThreadTilePool,
     engine,
-    fork_available,
     plan_slabs,
     reset_engine,
-    resolve_backend,
-    resolve_workers,
-    tile_grid,
 )
 from repro.nn.engine import gemm as gemm_mod
-from repro.nn.engine.tiler import choose_tile_shape
 
 RNG = np.random.default_rng(0)
 
 
 @pytest.fixture(autouse=True)
-def _engine_env(monkeypatch):
-    """Isolate engine env knobs and always tear the pool down after a test."""
-    for env in (WORKERS_ENV, BACKEND_ENV, TILE_ENV):
-        monkeypatch.delenv(env, raising=False)
-    yield monkeypatch
+def _fresh_engine():
+    """Every test starts and ends with fresh engine counters."""
     reset_engine()
-
-
-def _force_tiling(monkeypatch, workers="2", backend="thread", tile="64"):
-    monkeypatch.setenv(WORKERS_ENV, workers)
-    monkeypatch.setenv(BACKEND_ENV, backend)
-    monkeypatch.setenv(TILE_ENV, tile)
-    monkeypatch.setattr(gemm_mod, "MIN_PARALLEL_FLOPS", 0)
-
-
-# ---------------------------------------------------------------------------
-# Tiler
-# ---------------------------------------------------------------------------
-class TestTiler:
-    def test_grid_partitions_output_exactly(self):
-        tiles = tile_grid(100, 70, 32, 40)
-        covered = np.zeros((100, 70), dtype=int)
-        for m0, m1, n0, n1 in tiles:
-            covered[m0:m1, n0:n1] += 1
-        assert (covered == 1).all()
-
-    def test_env_override_forces_shape(self, monkeypatch):
-        monkeypatch.setenv(TILE_ENV, "32x16")
-        assert choose_tile_shape(1000, 64, 128, 4, workers=4) == (32, 16)
-        monkeypatch.setenv(TILE_ENV, "48")
-        assert choose_tile_shape(1000, 64, 128, 4, workers=4) == (48, 64)
-
-    def test_env_override_clamped_to_matrix(self, monkeypatch):
-        monkeypatch.setenv(TILE_ENV, "4096x4096")
-        assert choose_tile_shape(100, 30, 128, 4, workers=4) == (100, 30)
-
-    def test_bad_override_raises(self, monkeypatch):
-        monkeypatch.setenv(TILE_ENV, "banana")
-        with pytest.raises(ValueError):
-            choose_tile_shape(100, 30, 128, 4, workers=2)
-
-    def test_heuristic_exposes_enough_tiles_for_workers(self):
-        tile_m, tile_n = choose_tile_shape(65536, 64, 576, 4, workers=4)
-        tiles = tile_grid(65536, 64, tile_m, tile_n)
-        assert len(tiles) >= 8  # at least ~2 per worker
+    yield
+    reset_engine()
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +115,7 @@ class TestPlanner:
 
 
 # ---------------------------------------------------------------------------
-# Pools + engine dispatch (smoke: a 2-worker tiled GEMM completes fast)
+# Engine execution
 # ---------------------------------------------------------------------------
 def _gemm_case(m=512, k=96, n=80, seed=1):
     rng = np.random.default_rng(seed)
@@ -185,50 +137,56 @@ class TestEngineExecute:
         with pytest.raises(ValueError):
             engine().execute(a, b, activation="gelu")
 
-    def test_two_worker_thread_smoke(self, monkeypatch):
-        _force_tiling(monkeypatch, backend="thread")
-        a, b, bias = _gemm_case()
-        expected = np.maximum(a @ b + bias, 0.0)
-        got = engine().execute(a, b, bias=bias, activation="relu")
-        np.testing.assert_allclose(got, expected, rtol=1e-4, atol=1e-5)
-        assert engine().last["backend"] == "thread"
-        assert engine().last["workers"] == 2
-        assert engine().last["tiles"] > 1
+    def test_execute_tn_accumulate_requires_out(self):
+        a, _, _ = _gemm_case(m=16, k=8, n=4)
+        with pytest.raises(ValueError, match="out buffer"):
+            engine().execute_tn(a, a, accumulate=True)
 
-    @pytest.mark.skipif(not fork_available(), reason="fork start method unavailable")
-    def test_two_worker_process_smoke(self, monkeypatch):
-        _force_tiling(monkeypatch, backend="process")
-        a, b, bias = _gemm_case()
-        expected = np.maximum(a @ b + bias, 0.0)
-        got = engine().execute(a, b, bias=bias, activation="relu")
-        np.testing.assert_allclose(got, expected, rtol=1e-4, atol=1e-5)
-        assert engine().last["backend"] == "process"
-        # Pool persists and serves a second, differently-shaped call.
-        a2, b2, bias2 = _gemm_case(m=300, k=64, n=32, seed=9)
-        got2 = engine().execute(a2, b2, bias=bias2)
-        np.testing.assert_allclose(got2, a2 @ b2 + bias2, rtol=1e-4, atol=1e-5)
 
-    def test_thread_pool_propagates_worker_errors(self):
-        pool = ThreadTilePool(2)
+def _daemon_gemms(queue) -> None:
+    """Body of a daemonic fork child: big GEMMs, then report errors."""
+    rng = np.random.default_rng(5)
+    a = rng.standard_normal((4096, 576)).astype(np.float32)
+    b = rng.standard_normal((576, 64)).astype(np.float32)
+    bias = rng.standard_normal(64).astype(np.float32)
+    c = rng.standard_normal((4096, 64)).astype(np.float32)
+    base = rng.standard_normal((576, 64)).astype(np.float32)
+
+    fused = engine().execute(a, b, bias=bias, activation="relu")
+    acc = base.copy()
+    engine().execute_tn(a, c, out=acc, accumulate=True)
+    queue.put(
+        {
+            "execute_err": float(np.abs(fused - np.maximum(a @ b + bias, 0.0)).max()),
+            "execute_tn_err": float(np.abs(acc - (base + a.T @ c)).max()),
+            "children": len(multiprocessing.active_children()),
+            "totals": dict(engine().totals),
+        }
+    )
+
+
+class TestDaemonicChild:
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(), reason="fork unavailable"
+    )
+    def test_large_gemms_run_inline_in_daemonic_child(self):
+        """Orchestrator pool workers are daemonic and may not fork; GEMMs far
+        above any old dispatch threshold must still run there, in-process."""
+        engine().execute(*_gemm_case(m=8, k=4, n=4)[:2])  # parent state to forget
+        ctx = multiprocessing.get_context("fork")
+        queue = ctx.Queue()
+        proc = ctx.Process(target=_daemon_gemms, args=(queue,), daemon=True)
+        proc.start()
         try:
-            with pytest.raises(RuntimeError, match="tile worker failed"):
-                pool.run(lambda: 1 / 0, [()])
+            report = queue.get(timeout=120)
         finally:
-            pool.shutdown()
-
-    def test_workers_env_resolution(self, monkeypatch):
-        monkeypatch.setenv(WORKERS_ENV, "3")
-        assert resolve_workers() == 3
-        monkeypatch.setenv(WORKERS_ENV, "not-a-number")
-        with pytest.raises(ValueError):
-            resolve_workers()
-
-    def test_backend_env_resolution(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV, "thread")
-        assert resolve_backend() == "thread"
-        monkeypatch.setenv(BACKEND_ENV, "nonsense")
-        with pytest.raises(ValueError):
-            resolve_backend()
+            proc.join(timeout=30)
+        assert proc.exitcode == 0
+        assert report["execute_err"] <= 1e-4
+        assert report["execute_tn_err"] <= 1e-3
+        assert report["children"] == 0
+        # The fork hook dropped the parent's counters: the child saw only its own.
+        assert report["totals"] == {"calls": 2, "inline_calls": 2}
 
 
 # ---------------------------------------------------------------------------
@@ -339,8 +297,7 @@ class TestFusedActivation:
 # Fork hygiene
 # ---------------------------------------------------------------------------
 class TestForkHook:
-    def test_child_hook_clears_arenas_and_engine(self, monkeypatch):
-        _force_tiling(monkeypatch, backend="thread")
+    def test_child_hook_clears_arenas_and_engine(self):
         a, b, bias = _gemm_case()
         engine().execute(a, b, bias=bias)
         assert gemm_mod._ENGINE is not None

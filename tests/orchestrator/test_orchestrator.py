@@ -138,6 +138,24 @@ class TestSerialEquivalence:
         assert result.table_text()  # renders without the serial helper
 
 
+class TestScenarioMemo:
+    def test_same_seed_fresh_cache_dir_trains_into_it(self, tmp_path):
+        """Inline runs share the in-process scenario memo; a run against a
+        new model cache must still train (and store) its own checkpoint in
+        its train task.  No defenses: the train task is the whole DAG."""
+        spec = tiny_spec(defenses=())
+        for name in ("first", "second"):
+            result = orchestrator_for(tmp_path / name).run(spec)
+            assert result.ok and result.counts == {"done": 1}
+            stored = [
+                filename
+                for _, _, files in os.walk(tmp_path / name / "models")
+                for filename in files
+                if filename.endswith(".npz")
+            ]
+            assert stored, f"{name} run wrote no checkpoint to its model cache"
+
+
 class TestFaultInjectionAndResume:
     def test_faulted_run_resumes_without_recompute(self, tmp_path, monkeypatch):
         """Acceptance: REPRO_ORCH_FAULT_RATE>0 retries; --resume finishes the

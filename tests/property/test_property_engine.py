@@ -1,12 +1,11 @@
-"""Property-based equivalence tests for the tiled GEMM engine.
+"""Property-based equivalence tests for the GEMM engine.
 
-Mirrors ``test_property_fastpath.py`` but forces the tiled executor to
-engage (2 workers, tiny tile override, parallel-threshold zeroed) so that
-every hypothesis-drawn conv actually exercises the tile split and the fused
-bias/ReLU epilogue, then requires agreement with the reference kernels
-within the PR 2 float32 tolerances.  The thread backend is used here so
-each example stays cheap; the process backend shares the same tile kernel
-and is covered by tests/nn/test_engine.py.
+Mirrors ``test_property_fastpath.py`` for the engine-backed fast path:
+every hypothesis-drawn conv runs through :meth:`TiledGemmEngine.execute`
+and its fused bias/ReLU epilogue, and must agree with the reference kernels
+within the PR 2 float32 tolerances.  Direct engine cases draw GEMM shapes
+on both sides of 2e6 flops, where an earlier engine switched from inline
+BLAS to tiled dispatch.
 """
 
 from __future__ import annotations
@@ -15,36 +14,14 @@ import contextlib
 import os
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.models.pruning_utils import FilterRef, PruningMask
 from repro.nn import BatchNorm2d, Conv2d, Linear, Module, ReLU, Tensor, no_grad
-from repro.nn.engine import BACKEND_ENV, TILE_ENV, WORKERS_ENV, engine, reset_engine
-from repro.nn.engine import gemm as gemm_mod
+from repro.nn.engine import engine
 from repro.nn.functional import FAST_PATH_ENV
 from repro.nn.inference import compile_for_inference
-
-_FORCE_ENV = {WORKERS_ENV: "2", BACKEND_ENV: "thread", TILE_ENV: "8x8"}
-
-
-@contextlib.contextmanager
-def engine_forced():
-    """Make even tiny GEMMs take the tiled 2-worker path."""
-    saved = {key: os.environ.get(key) for key in _FORCE_ENV}
-    saved_flops = gemm_mod.MIN_PARALLEL_FLOPS
-    os.environ.update(_FORCE_ENV)
-    gemm_mod.MIN_PARALLEL_FLOPS = 0
-    try:
-        yield
-    finally:
-        gemm_mod.MIN_PARALLEL_FLOPS = saved_flops
-        for key, value in saved.items():
-            if value is None:
-                os.environ.pop(key, None)
-            else:
-                os.environ[key] = value
 
 
 @contextlib.contextmanager
@@ -59,12 +36,6 @@ def reference_path():
             os.environ.pop(FAST_PATH_ENV, None)
         else:
             os.environ[FAST_PATH_ENV] = previous
-
-
-@pytest.fixture(scope="module", autouse=True)
-def _teardown_engine():
-    yield
-    reset_engine()
 
 
 conv_cases = st.builds(
@@ -94,24 +65,24 @@ def _conv_case(case, groups):
 
 @settings(max_examples=30, deadline=None)
 @given(conv_cases)
-def test_tiled_conv_matches_reference(case):
+def test_engine_conv_matches_reference(case):
     conv, x = _conv_case(case, groups=1)
-    with engine_forced(), no_grad():
-        tiled = conv(Tensor(x)).data
+    with no_grad():
+        fast = conv(Tensor(x)).data
     with reference_path(), no_grad():
         reference = conv(Tensor(x)).data
-    np.testing.assert_allclose(tiled, reference, rtol=1e-4, atol=1e-5)
+    np.testing.assert_allclose(fast, reference, rtol=1e-4, atol=1e-5)
 
 
 @settings(max_examples=20, deadline=None)
 @given(conv_cases, st.integers(2, 4))
 def test_grouped_conv_under_engine_matches_reference(case, groups):
     conv, x = _conv_case(case, groups)
-    with engine_forced(), no_grad():
-        tiled = conv(Tensor(x)).data
+    with no_grad():
+        fast = conv(Tensor(x)).data
     with reference_path(), no_grad():
         reference = conv(Tensor(x)).data
-    np.testing.assert_allclose(tiled, reference, rtol=1e-4, atol=1e-5)
+    np.testing.assert_allclose(fast, reference, rtol=1e-4, atol=1e-5)
 
 
 @settings(max_examples=25, deadline=None)
@@ -120,7 +91,7 @@ def test_fused_relu_epilogue_matches_separate_relu(case):
     conv, x = _conv_case(case, groups=1)
     conv._fused_activation = "relu"
     try:
-        with engine_forced(), no_grad():
+        with no_grad():
             fused = conv(Tensor(x)).data
     finally:
         conv._fused_activation = None
@@ -166,8 +137,7 @@ def test_folded_fused_model_matches_reference(cin, mid, size, n, seed):
     compiled = compile_for_inference(model, Tensor(x[:1]))
     assert compiled.num_folded == 1
     assert compiled.num_fused_activations == 1
-    with engine_forced():
-        out = compiled(Tensor(x)).data
+    out = compiled(Tensor(x)).data
     np.testing.assert_allclose(out, reference, rtol=1e-3, atol=1e-4)
 
 
@@ -183,31 +153,50 @@ def test_pruned_filters_under_engine_match_reference(mid, filter_index, seed):
     rng = np.random.default_rng(seed + 1)
     x = rng.standard_normal((2, 3, 5, 5)).astype(np.float32)
     compiled = compile_for_inference(model, Tensor(x[:1]))
-    with engine_forced():
-        baseline = compiled(Tensor(x)).data.copy()
+    baseline = compiled(Tensor(x)).data.copy()
 
     mask = PruningMask(model)
     target = FilterRef("conv", filter_index % mid)
     saved = mask.prune(target)
     with reference_path(), no_grad():
         pruned_reference = model(Tensor(x)).data
-    with engine_forced():
-        pruned = compiled(Tensor(x)).data
+    pruned = compiled(Tensor(x)).data
     np.testing.assert_allclose(pruned, pruned_reference, rtol=1e-3, atol=1e-4)
     mask.unprune(target, saved)
-    with engine_forced():
-        restored = compiled(Tensor(x)).data
+    restored = compiled(Tensor(x)).data
     np.testing.assert_allclose(restored, baseline, rtol=1e-5, atol=1e-6)
 
 
-def test_large_conv_actually_tiles():
-    """Sanity guard: the forcing harness really engages the tiled path."""
+@settings(max_examples=25, deadline=None)
+@given(
+    m=st.integers(1, 2048),
+    k=st.integers(1, 256),
+    n=st.integers(1, 64),
+    bias=st.booleans(),
+    relu=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+def test_execute_epilogue_matches_reference_across_sizes(m, k, n, bias, relu, seed):
+    """Shapes from a few flops to ~67 MFLOP, spanning the old 2e6 threshold."""
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((m, k)).astype(np.float32)
+    b = rng.standard_normal((k, n)).astype(np.float32)
+    bias_vec = rng.standard_normal(n).astype(np.float32) if bias else None
+    expected = a.astype(np.float64) @ b.astype(np.float64)
+    if bias_vec is not None:
+        expected = expected + bias_vec
+    if relu:
+        expected = np.maximum(expected, 0.0)
+    out = engine().execute(a, b, bias=bias_vec, activation="relu" if relu else None)
+    np.testing.assert_allclose(out, expected.astype(np.float32), rtol=1e-4, atol=1e-4)
+
+
+def test_conv_runs_through_engine():
+    """Sanity guard: the no-grad conv fast path issues its GEMM on the engine."""
     rng = np.random.default_rng(7)
     conv = Conv2d(8, 16, 3, padding=1, rng=rng)
     x = rng.standard_normal((4, 8, 16, 16)).astype(np.float32)
-    with engine_forced(), no_grad():
+    before = engine().totals["calls"]
+    with no_grad():
         conv(Tensor(x))
-    last = engine().last
-    assert last.get("backend") == "thread"
-    assert last.get("workers") == 2
-    assert last.get("tiles", 0) > 1
+    assert engine().totals["calls"] == before + 1

@@ -59,7 +59,7 @@ class TestBasicServing:
         assert stats["latency_ms"]["count"] >= 1
         assert "p99" in stats["latency_ms"]
         assert stats["batcher"]["submitted"] >= 1
-        assert set(stats["engine_totals"]) == {"calls", "inline_calls", "tiled_calls", "tiles"}
+        assert set(stats["engine_totals"]) == {"calls", "inline_calls"}
 
 
 class TestHotSwap:

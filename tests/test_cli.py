@@ -286,7 +286,9 @@ class TestServeCommand:
         assert args.command == "serve"
         assert args.model == "preact_resnet18"
         assert args.alias == "default"
-        assert args.workers is None
+        assert not hasattr(args, "workers")  # the engine has no worker knob
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["serve", "--workers", "4"])
         assert args.max_batch == 32
         assert args.max_wait_ms == 5.0
         assert args.strip is False
@@ -298,14 +300,13 @@ class TestServeCommand:
     def test_parser_full(self):
         args = build_parser().parse_args([
             "serve", "--model", "vgg19_bn", "--registry", "/tmp/reg",
-            "--alias", "canary", "--workers", "4", "--max-batch", "16",
+            "--alias", "canary", "--max-batch", "16",
             "--max-wait-ms", "2.5", "--strip", "--no-bootstrap",
             "--http", "8080", "--traffic", "adversarial", "--requests", "48",
         ])
         assert args.model == "vgg19_bn"
         assert args.registry == "/tmp/reg"
         assert args.alias == "canary"
-        assert args.workers == 4
         assert args.max_batch == 16
         assert args.max_wait_ms == 2.5
         assert args.strip is True
