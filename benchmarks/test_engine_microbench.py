@@ -55,13 +55,6 @@ def test_conv2d_forward_backward(benchmark, conv_inputs):
     assert w.grad is not None
 
 
-def test_depthwise_conv_forward(benchmark):
-    x = Tensor(RNG.normal(size=(32, 32, 16, 16)).astype(np.float32))
-    w = Tensor(RNG.normal(size=(32, 1, 3, 3)).astype(np.float32))
-    out = benchmark(lambda: F.conv2d(x, w, None, padding=1, groups=32))
-    assert out.shape == (32, 32, 16, 16)
-
-
 def test_batch_norm_train_mode(benchmark):
     x = Tensor(RNG.normal(size=(64, 32, 16, 16)).astype(np.float32), requires_grad=True)
     weight = Tensor(np.ones(32, dtype=np.float32), requires_grad=True)
@@ -193,6 +186,34 @@ def test_fastpath_conv_forward():
     assert entry["speedup"] > 0
 
 
+def test_fastpath_depthwise_conv_train():
+    """Depthwise 3x3 forward+backward: the tap-loop kernel vs the reference
+    im2col + einsum + col2im closures, with dX and dW checked."""
+    x = Tensor(RNG.normal(size=(32, 32, 16, 16)).astype(np.float32), requires_grad=True)
+    w = Tensor(RNG.normal(size=(32, 1, 3, 3)).astype(np.float32), requires_grad=True)
+
+    def step():
+        x.zero_grad()
+        w.zero_grad()
+        out = F.conv2d(x, w, None, padding=1, groups=32)
+        (out * out).sum().backward()
+        return x.grad.copy(), w.grad.copy()
+
+    fast_s = _best_seconds(step, number=5)
+    fast_dx, fast_dw = step()
+    with _reference_path():
+        reference_s = _best_seconds(step, number=5)
+        reference_dx, reference_dw = step()
+
+    err = float(max(np.abs(fast_dx - reference_dx).max(), np.abs(fast_dw - reference_dw).max()))
+    entry = _record(
+        "depthwise_conv_train", fast_s, reference_s, err, shape=[32, 32, 16, 16], kernel=3
+    )
+    np.testing.assert_allclose(fast_dx, reference_dx, rtol=1e-4, atol=1e-3)
+    np.testing.assert_allclose(fast_dw, reference_dw, rtol=1e-4, atol=1e-2)
+    assert entry["speedup"] > 0
+
+
 def test_fastpath_folded_inference_batch64():
     model = build_model("preact_resnet18")
     model.eval()
@@ -290,6 +311,7 @@ def test_emit_bench_engine_json():
     """Aggregate the fast-vs-reference probes into BENCH_engine.json."""
     assert set(_FASTPATH_RESULTS) == {
         "conv_forward",
+        "depthwise_conv_train",
         "folded_inference_batch64",
         "full_pruning_round",
     }, "fast-path probes must run before the JSON is emitted"

@@ -1,25 +1,35 @@
 """Convolution, pooling, and padding primitives with autograd support.
 
-The convolution implementation uses im2col/col2im so that both forward and
-backward passes reduce to dense matrix multiplications, which is the fastest
-strategy available to a pure-numpy engine.  Grouped and depthwise convolution
-(needed by EfficientNet and MobileNetV3) are supported via the ``groups``
-argument.
+The reference convolution uses im2col/col2im so that both forward and
+backward passes reduce to dense matrix multiplications (an einsum over
+``(groups, ...)`` blocks for grouped convs).  Grouped and depthwise
+convolution (needed by EfficientNet and MobileNetV3) are supported via the
+``groups`` argument.
 
-Inference fast path
--------------------
-When gradients are not required (inside :class:`repro.nn.tensor.no_grad`, or
-when no conv input requires grad), :func:`conv2d` takes a dedicated no-tape
-path: the im2col unfold is written into a reused, shape-keyed
-:class:`Workspace` buffer in ``(C_in*kh*kw, N*L)`` layout so that one large
-BLAS GEMM replaces N small batched matmuls.  Reusing buffers avoids the
-page-fault cost of freshly mmap'd allocations, which on this engine is
-larger than the GEMM themselves for early layers.  The GEMM itself runs
-through :mod:`repro.nn.engine` as one inline BLAS call, with the conv bias
-(post-folding: the BN affine) and an optionally fused ReLU applied in place
-on its output.  Set
-``REPRO_DISABLE_FAST_PATH=1`` to force the reference path (useful for
-bisecting regressions between kernel and orchestration layers).
+Fast path
+---------
+With the fast path on, :func:`conv2d` picks one of two kernels by the
+weight shape, for no-grad and gradient calls alike:
+
+- ``groups == 1``: a channels-last single-GEMM conv.  The unfold is written
+  in ``(N*L, kh*kw*C_in)`` layout so one large BLAS GEMM replaces N small
+  batched matmuls, and it runs through :mod:`repro.nn.engine` as one inline
+  BLAS call, with the conv bias (post-folding: the BN affine) and an
+  optionally fused ReLU applied in place on its output.  The gradient path
+  keeps the columns for the dW GEMM.
+- ``groups == C_in`` (depthwise, with any channel multiplier
+  ``C_out = m * C_in``): a direct tap loop over the zero-padded input, one
+  strided view and one multiply-add per kernel tap, with no unfold at all.
+  The taps run in channels-last storage (the padding copy transposes an
+  NCHW input on the way), and the backward reuses the padded input the
+  forward kept.
+
+Scratch (padded inputs, unfolds, packed weights, tap products) comes from a
+reused :class:`Workspace` arena, which avoids the page-fault cost of freshly
+mmap'd allocations; only results that escape an op are fresh.  Grouped convs
+with ``C_in / groups > 1`` (no model uses them) take the reference path.
+Set ``REPRO_DISABLE_FAST_PATH=1`` to force the reference path for every conv
+(useful for bisecting regressions between kernel and orchestration layers).
 """
 
 from __future__ import annotations
@@ -239,17 +249,45 @@ def conv_output_size(size: int, kernel: int, stride: int, padding: int) -> int:
     return out
 
 
-def _pad_spatial(x: np.ndarray, ph: int, pw: int, arena: Optional[Workspace] = None) -> np.ndarray:
-    """Zero-pad (N, C, H, W) spatially; optionally into a reused arena buffer."""
+def _pad_spatial(x: np.ndarray, ph: int, pw: int) -> np.ndarray:
+    """Zero-pad (N, C, H, W) spatially."""
     if not (ph or pw):
         return x
-    if arena is None:
-        return np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
+    return np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
+
+
+def _channels_last(a: np.ndarray) -> bool:
+    """Whether a logically-(N, C, H, W) array is stored as (N, H, W, C)."""
+    return not a.flags.c_contiguous and a.transpose(0, 2, 3, 1).flags.c_contiguous
+
+
+def _channels_last_buffer(
+    shape: Tuple[int, int, int, int], dtype, arena: Optional[Workspace] = None, tag: str = ""
+) -> np.ndarray:
+    """Logical (N, C, H, W) view of an (N, H, W, C) buffer: fresh, or ``arena``'s ``tag`` slab."""
+    n, c, h, w = shape
+    storage = (n, h, w, c)
+    buf = np.empty(storage, dtype) if arena is None else arena.get(tag, storage, dtype)
+    return buf.transpose(0, 3, 1, 2)
+
+
+def _pad_channels_last(
+    x: np.ndarray, padding: Tuple[int, int], arena: Optional[Workspace] = None
+) -> np.ndarray:
+    """Zero-pad (N, C, H, W) ``x`` into channels-last storage.
+
+    The buffer is ``arena``'s ``"pad"`` slab, or fresh memory without an
+    arena.  Returns a logical (N, C, H+2ph, W+2pw) view, or ``x`` itself
+    when it is stored channels-last already and needs no padding.
+    """
+    if padding == (0, 0) and _channels_last(x):
+        return x
+    ph, pw = padding
     n, c, h, w = x.shape
-    buf = arena.get("pad", (n, c, h + 2 * ph, w + 2 * pw), x.dtype)
+    buf = _channels_last_buffer((n, c, h + 2 * ph, w + 2 * pw), x.dtype, arena, "pad")
     if ph:
-        buf[:, :, :ph, :] = 0.0
-        buf[:, :, h + ph :, :] = 0.0
+        buf[:, :, :ph] = 0.0
+        buf[:, :, h + ph :] = 0.0
     if pw:
         buf[:, :, :, :pw] = 0.0
         buf[:, :, :, w + pw :] = 0.0
@@ -275,9 +313,7 @@ def im2col(
     kernel: Tuple[int, int],
     stride: Tuple[int, int],
     padding: Tuple[int, int],
-    out: Optional[np.ndarray] = None,
     return_padded: bool = False,
-    arena: Optional[Workspace] = None,
 ):
     """Unfold ``x`` (N, C, H, W) into columns of shape (N, C*kh*kw, L).
 
@@ -288,15 +324,10 @@ def im2col(
 
     Parameters
     ----------
-    out:
-        Optional preallocated destination of shape ``(N, C*kh*kw, L)``.
     return_padded:
         When True, also return the zero-padded input so callers can recycle
         its buffer (e.g. :func:`conv2d` reuses it as col2im scratch in the
         backward pass).
-    arena:
-        Optional workspace whose ``"pad"`` slab holds the zero-padded input
-        (fast path only — the padded array must not outlive the op).
     """
     n, c, h, w = x.shape
     kh, kw = kernel
@@ -304,17 +335,13 @@ def im2col(
     ph, pw = padding
     out_h = conv_output_size(h, kh, sh, ph)
     out_w = conv_output_size(w, kw, sw, pw)
-    padded = _pad_spatial(x, ph, pw, arena=arena)
+    padded = _pad_spatial(x, ph, pw)
 
     windows = _window_view(padded, n, c, out_h, out_w, kh, kw, sh, sw)
     # (N, C, out_h, out_w, kh, kw) -> (N, C, kh, kw, out_h, out_w)
     view = windows.transpose(0, 1, 4, 5, 2, 3)
-    if out is not None:
-        np.copyto(out.reshape(n, c, kh, kw, out_h, out_w), view)
-        cols = out.reshape(n, c * kh * kw, out_h * out_w)
-    else:
-        # reshape copies only when the view is non-contiguous.
-        cols = view.reshape(n, c * kh * kw, out_h * out_w)
+    # reshape copies only when the view is non-contiguous.
+    cols = view.reshape(n, c * kh * kw, out_h * out_w)
     if return_padded:
         return cols, padded
     return cols
@@ -350,16 +377,8 @@ def _im2col_gemm(
     out_h = conv_output_size(h, kh, sh, ph)
     out_w = conv_output_size(w, kw, sw, pw)
     if ph or pw:
-        padded = arena.get("pad", (n, h + 2 * ph, w + 2 * pw, c), x.dtype)
-        if ph:
-            padded[:, :ph] = 0.0
-            padded[:, h + ph :] = 0.0
-        if pw:
-            padded[:, :, :pw] = 0.0
-            padded[:, :, w + pw :] = 0.0
-        padded[:, ph : ph + h, pw : pw + w, :] = x.transpose(0, 2, 3, 1)
-    else:
-        padded = x.transpose(0, 2, 3, 1)
+        x = _pad_channels_last(x, padding, arena)
+    padded = x.transpose(0, 2, 3, 1)
     s = padded.strides
     view = np.lib.stride_tricks.as_strided(
         padded,
@@ -457,12 +476,11 @@ def _conv2d_infer(
     bias: Optional[np.ndarray],
     stride: Tuple[int, int],
     padding: Tuple[int, int],
-    groups: int,
     out_h: int,
     out_w: int,
     activation: Optional[str] = None,
 ) -> np.ndarray:
-    """No-grad conv forward: arena-backed unfold + one GEMM.
+    """No-grad ``groups == 1`` conv forward: arena-backed unfold + one GEMM.
 
     The GEMM computes ``(N*L, K) @ (K, C_out)`` and its result is *kept* in
     channels-last (NHWC) storage: the returned array is a logically-``(N,
@@ -480,49 +498,33 @@ def _conv2d_infer(
 
     arena = current_arena()
     n, c_in = x.shape[0], x.shape[1]
-    c_out, c_in_per_group, kh, kw = weight.shape
+    c_out, _, kh, kw = weight.shape
     length = out_h * out_w
 
-    if groups == 1:
-        if kh == 1 and kw == 1 and padding == (0, 0):
-            # Pointwise conv: subsample spatially, then the channels-last
-            # view *is* the column matrix (free when storage is already
-            # channels-last; reshape copies otherwise), and the weight
-            # transpose is handled by BLAS without a copy.
-            xs = x if stride == (1, 1) else x[:, :, :: stride[0], :: stride[1]]
-            cols = xs.transpose(0, 2, 3, 1).reshape(n * length, c_in)
-            w_mat = weight.reshape(c_out, c_in).transpose()
+    if kh == 1 and kw == 1 and padding == (0, 0):
+        # Pointwise conv: subsample spatially, then the channels-last
+        # view *is* the column matrix (free when storage is already
+        # channels-last; reshape copies otherwise), and the weight
+        # transpose is handled by BLAS without a copy.
+        xs = x if stride == (1, 1) else x[:, :, :: stride[0], :: stride[1]]
+        cols = xs.transpose(0, 2, 3, 1).reshape(n * length, c_in)
+        w_mat = weight.reshape(c_out, c_in).transpose()
+    else:
+        cols = _im2col_gemm(x, (kh, kw), stride, padding, arena)  # (N*L, K)
+        k_flat = c_in * kh * kw
+        # (C_out, C, kh, kw) -> (kh, kw, C, C_out) to match unfold order.
+        # Pre-packed weights (e.g. folded by CompiledInference) already
+        # store this order physically, so the transpose is a free view.
+        wt = weight.transpose(2, 3, 1, 0)
+        if wt.flags.c_contiguous:
+            w_mat = wt.reshape(k_flat, c_out)
         else:
-            cols = _im2col_gemm(x, (kh, kw), stride, padding, arena)  # (N*L, K)
-            k_flat = c_in * kh * kw
-            # (C_out, C, kh, kw) -> (kh, kw, C, C_out) to match unfold order.
-            # Pre-packed weights (e.g. folded by CompiledInference) already
-            # store this order physically, so the transpose is a free view.
-            wt = weight.transpose(2, 3, 1, 0)
-            if wt.flags.c_contiguous:
-                w_mat = wt.reshape(k_flat, c_out)
-            else:
-                w_mat = arena.get("wmat", (k_flat, c_out), weight.dtype)
-                np.copyto(w_mat.reshape(kh, kw, c_in, c_out), wt)
-        gemm = _engine().execute(cols, w_mat, bias=bias, activation=activation)
-        arena.release("cols_gemm")
-        arena.release("wmat")
-        return gemm.reshape(n, out_h, out_w, c_out).transpose(0, 3, 1, 2)
-
-    k_per_group = c_in_per_group * kh * kw
-    buf = arena.get("cols", (n, c_in * kh * kw, length), x.dtype)
-    cols = im2col(x, (kh, kw), stride, padding, out=buf, arena=arena)
-    arena.release("pad")  # out= forces a copy, so the unfold never aliases pad
-    cols_g = cols.reshape(n, groups, k_per_group, length)
-    w_mat = weight.reshape(groups, c_out // groups, -1)
-    out = np.einsum("gok,ngkl->ngol", w_mat, cols_g, optimize=True)
-    out = np.ascontiguousarray(out).reshape(n, c_out, out_h, out_w)
-    arena.release("cols")
-    if bias is not None:
-        out += bias.reshape(1, c_out, 1, 1)
-    if activation == "relu":
-        np.maximum(out, 0.0, out=out)
-    return out
+            w_mat = arena.get("wmat", (k_flat, c_out), weight.dtype)
+            np.copyto(w_mat.reshape(kh, kw, c_in, c_out), wt)
+    gemm = _engine().execute(cols, w_mat, bias=bias, activation=activation)
+    arena.release("cols_gemm")
+    arena.release("wmat")
+    return gemm.reshape(n, out_h, out_w, c_out).transpose(0, 3, 1, 2)
 
 
 def _conv2d_train(
@@ -624,6 +626,164 @@ def _conv2d_train(
     return Tensor._make(out, parents, backward)
 
 
+def _tap(a: np.ndarray, i: int, j: int, stride: Tuple[int, int], out_h: int, out_w: int) -> np.ndarray:
+    """View of padded ``a`` at kernel tap ``(i, j)`` of every output pixel: (N, C, out_h, out_w)."""
+    sh, sw = stride
+    return a[:, :, i : i + sh * out_h : sh, j : j + sw * out_w : sw]
+
+
+def _tap_weights(weight: np.ndarray, out_w: int) -> np.ndarray:
+    """Depthwise weights ``(C, 1, kh, kw)`` as per-tap operands: ``[i, j]`` is (1, C, 1, out_w).
+
+    Each tap's ``C`` weights are repeated along the output width and stored
+    like a channels-last output row, ``(out_w, C)``.  A stride-1 tap view,
+    the channels-last output and these weights then share their ``(W, C)``
+    strides, so numpy runs each tap product as one contiguous ``out_w * C``
+    inner loop instead of ``out_w`` loops of ``C`` (a broadcast weight, with
+    stride 0 along W, would block that).
+    """
+    c, _, kh, kw = weight.shape
+    rows = np.empty((kh, kw, out_w, c), weight.dtype)
+    rows[...] = weight[:, 0].transpose(1, 2, 0)[:, :, None, :]
+    return rows.transpose(0, 1, 3, 2)[:, :, None, :, None, :]
+
+
+def _depthwise_forward(
+    xp: np.ndarray,
+    weight: np.ndarray,
+    bias: Optional[np.ndarray],
+    stride: Tuple[int, int],
+    out_h: int,
+    out_w: int,
+    arena: Workspace,
+) -> np.ndarray:
+    """Depthwise conv of the zero-padded channels-last input ``xp`` as a tap loop.
+
+    Output channel ``c*m + k`` (channel multiplier ``m = C_out / C_in``)
+    sees only input channel ``c``, so each of its ``kh*kw`` taps is one
+    strided view of ``xp`` times a per-channel weight, added into the
+    output — no unfold.  The output is fresh, channels-last like every
+    no-grad conv output; the tap products go through the arena's
+    ``"taps"`` slab.
+    """
+    n, c = xp.shape[:2]
+    c_out, _, kh, kw = weight.shape
+    m = c_out // c
+    out = _channels_last_buffer((n, c_out, out_h, out_w), xp.dtype)
+    tmp = _channels_last_buffer((n, c, out_h, out_w), xp.dtype, arena, "taps")
+    for k in range(m):
+        acc = out[:, k::m]
+        w_taps = _tap_weights(weight[k::m], out_w)
+        for i in range(kh):
+            for j in range(kw):
+                view = _tap(xp, i, j, stride, out_h, out_w)
+                if i == 0 and j == 0:
+                    np.multiply(view, w_taps[i, j], out=acc)
+                else:
+                    np.multiply(view, w_taps[i, j], out=tmp)
+                    acc += tmp
+    arena.release("taps")
+    if bias is not None:
+        out += bias.reshape(1, c_out, 1, 1)
+    return out
+
+
+def _depthwise_infer(
+    x: np.ndarray,
+    weight: np.ndarray,
+    bias: Optional[np.ndarray],
+    stride: Tuple[int, int],
+    padding: Tuple[int, int],
+    out_h: int,
+    out_w: int,
+    activation: Optional[str] = None,
+) -> np.ndarray:
+    """No-grad depthwise conv: arena-padded input, tap loop, bias/ReLU epilogue.
+
+    ``bias`` and ``activation`` are how a folded depthwise conv→BN(→ReLU)
+    from :class:`repro.nn.inference.CompiledInference` runs.
+    """
+    arena = current_arena()
+    xp = _pad_channels_last(x, padding, arena)
+    out = _depthwise_forward(xp, weight, bias, stride, out_h, out_w, arena)
+    arena.release("pad")
+    if activation == "relu":
+        np.maximum(out, 0.0, out=out)
+    return out
+
+
+def _depthwise_train(
+    x: Tensor,
+    weight: Tensor,
+    bias: Optional[Tensor],
+    stride: Tuple[int, int],
+    padding: Tuple[int, int],
+    out_h: int,
+    out_w: int,
+) -> Tensor:
+    """Gradient-path depthwise conv on the tap loop of :func:`_depthwise_forward`.
+
+    The zero-padded input is fresh memory (never an arena slab) because the
+    backward closure keeps it.  Backward walks the same taps in
+    channels-last storage: dW for tap ``(i, j)`` is one einsum of the
+    upstream gradient with that tap's view of the padded input, and dX
+    scatter-adds ``grad * w_tap`` into a zeroed padded buffer.  Backward
+    scratch comes from the training arena.
+    """
+    n, c_in, h, w = x.shape
+    c_out, _, kh, kw = weight.shape
+    m = c_out // c_in
+    ph, pw = padding
+    dtype = x.data.dtype
+    xp = _pad_channels_last(x.data, padding)
+    bias_data = None if bias is None else bias.data
+    out = _depthwise_forward(
+        xp, weight.data, bias_data, stride, out_h, out_w, current_train_arena()
+    )
+    # Contiguous NCHW, for the same reason as _conv2d_train: train-mode
+    # BatchNorm reduces over this output and is slower on channels-last.
+    out = np.ascontiguousarray(out)
+    parents = (x, weight) if bias is None else (x, weight, bias)
+    taps = [(i, j) for i in range(kh) for j in range(kw)]
+
+    def backward(grad: np.ndarray) -> None:
+        arena = current_train_arena()
+        if bias is not None and bias.requires_grad:
+            bias._accumulate(grad.sum(axis=(0, 2, 3)))
+        if _channels_last(grad):
+            g = grad
+        else:
+            g = _channels_last_buffer(grad.shape, dtype, arena, "grad2d")
+            g[...] = grad
+        if weight.requires_grad:
+            dw = np.empty((c_out, 1, kh, kw), dtype)
+            for k in range(m):
+                g_k = g[:, k::m].transpose(0, 2, 3, 1)
+                for i, j in taps:
+                    view = _tap(xp, i, j, stride, out_h, out_w).transpose(0, 2, 3, 1)
+                    # "->xc", not "->c": keeps W and C fused in the inner loop.
+                    dw[k::m, 0, i, j] = np.einsum("nyxc,nyxc->xc", g_k, view).sum(axis=0)
+            weight._accumulate(dw)
+        if x.requires_grad:
+            # Weights are read at backward time: reference semantics (pruning
+            # masks and SAM perturbations mutate them in place).
+            dxp = _channels_last_buffer((n, c_in, h + 2 * ph, w + 2 * pw), dtype, arena, "bwd_pad")
+            dxp.fill(0.0)
+            tmp = _channels_last_buffer((n, c_in, out_h, out_w), dtype, arena, "taps")
+            for k in range(m):
+                w_taps = _tap_weights(weight.data[k::m], out_w)
+                for i, j in taps:
+                    np.multiply(g[:, k::m], w_taps[i, j], out=tmp)
+                    view = _tap(dxp, i, j, stride, out_h, out_w)
+                    view += tmp
+            arena.release("taps")
+            x._accumulate(dxp[:, :, ph : ph + h, pw : pw + w])
+            arena.release("bwd_pad")
+        arena.release("grad2d")
+
+    return Tensor._make(out, parents, backward)
+
+
 def conv2d(
     x: Tensor,
     weight: Tensor,
@@ -646,10 +806,10 @@ def conv2d(
     stride, padding:
         Int or (h, w) pair.
     groups:
-        Channel groups; ``groups == C_in`` with ``C_out == C_in`` gives a
-        depthwise convolution.
+        Channel groups; ``groups == C_in`` gives a depthwise convolution
+        (``C_out = m * C_in`` for a channel multiplier ``m``).
     activation:
-        Optional epilogue activation (``"relu"``) fused onto the GEMM
+        Optional epilogue activation (``"relu"``) fused onto the conv
         output.  Inference-only: set by :class:`repro.nn.inference
         .CompiledInference` for traced conv→BN→ReLU chains; requesting it
         on a gradient-requiring call is an error (no backward is recorded
@@ -676,31 +836,29 @@ def conv2d(
         or weight.requires_grad
         or (bias is not None and bias.requires_grad)
     )
+    if activation not in (None, "relu"):
+        raise ValueError(f"unsupported fused activation: {activation!r}")
     if activation is not None and needs_grad:
         raise ValueError(
             "conv2d(activation=...) is an inference-only fusion; it cannot be "
             "used on a gradient-requiring call"
         )
-    if not needs_grad and fast_path_enabled():
-        out = _conv2d_infer(
-            x.data,
-            weight.data,
-            None if bias is None else bias.data,
-            stride,
-            padding,
-            groups,
-            out_h,
-            out_w,
-            activation,
+    # Fast path, chosen by the weight shape: groups == 1 runs the single-GEMM
+    # kernels (engine-dispatched GEMMs; the gradient path keeps the columns
+    # for dW), groups == C_in (depthwise, any channel multiplier) runs the
+    # tap loop.  Other grouped convs and REPRO_DISABLE_FAST_PATH=1 take the
+    # reference kernels below.
+    if fast_path_enabled() and (groups == 1 or c_in_per_group == 1):
+        if groups == 1:
+            train, infer = _conv2d_train, _conv2d_infer
+        else:
+            train, infer = _depthwise_train, _depthwise_infer
+        if needs_grad:
+            return train(x, weight, bias, stride, padding, out_h, out_w)
+        bias_data = None if bias is None else bias.data
+        return Tensor(
+            infer(x.data, weight.data, bias_data, stride, padding, out_h, out_w, activation)
         )
-        return Tensor(out)
-
-    if needs_grad and groups == 1 and fast_path_enabled():
-        # Training fast path: engine-dispatched forward and backward GEMMs
-        # with column reuse.  Grouped convs stay on the einsum reference
-        # path (same split as _conv2d_infer); REPRO_DISABLE_FAST_PATH=1
-        # forces the reference kernels below.
-        return _conv2d_train(x, weight, bias, stride, padding, out_h, out_w)
 
     cols, padded = im2col(x.data, (kh, kw), stride, padding, return_padded=True)
     length = out_h * out_w

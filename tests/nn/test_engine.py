@@ -2,7 +2,8 @@
 
 Covers the static memory planner, the inline GEMM and its fused epilogue
 (including inside a daemonic orchestrator-style child), epilogue fusion
-plumbing, and the fork hygiene hook.
+plumbing, the depthwise kernel's use of the planned training arena, and the
+fork hygiene hook.
 """
 
 from __future__ import annotations
@@ -236,6 +237,13 @@ class TestFusedActivation:
         with pytest.raises(ValueError, match="inference-only"):
             F.conv2d(x, w, activation="relu")
 
+    @pytest.mark.parametrize("groups", [1, 3])
+    def test_unknown_activation_raises(self, groups):
+        x = Tensor(RNG.standard_normal((1, 3, 6, 6)).astype(np.float32))
+        w = Tensor(RNG.standard_normal((3, 3 // groups, 3, 3)).astype(np.float32))
+        with no_grad(), pytest.raises(ValueError, match="unsupported fused activation"):
+            F.conv2d(x, w, groups=groups, activation="gelu")
+
     def test_fused_conv_matches_separate_relu(self):
         x = Tensor(RNG.standard_normal((2, 3, 6, 6)).astype(np.float32))
         w = Tensor(RNG.standard_normal((4, 3, 3, 3)).astype(np.float32))
@@ -291,6 +299,47 @@ class TestFusedActivation:
         assert compiled._arena.plan_for(signature) is not None
         second = compiled(Tensor(x)).data  # planned pass
         np.testing.assert_allclose(first, second, rtol=1e-6, atol=1e-7)
+
+
+# ---------------------------------------------------------------------------
+# Depthwise tap-loop kernel and the training arena
+# ---------------------------------------------------------------------------
+class TestDepthwiseArena:
+    def test_planned_steps_stay_flat_and_padded_input_never_aliases_a_slab(self, monkeypatch):
+        from repro.nn.engine.training import train_step_arena, training_step
+
+        rng = np.random.default_rng(21)
+        conv = Conv2d(6, 6, 5, stride=2, padding=2, groups=6, rng=rng)
+        x = rng.standard_normal((3, 6, 11, 11)).astype(np.float32)
+        signature = ("depthwise-arena-test", x.shape)
+
+        sizes = []
+        for _ in range(3):
+            conv.zero_grad()
+            with training_step(signature):
+                out = conv(Tensor(x, requires_grad=True))
+                (out * out).sum().backward()
+            sizes.append(train_step_arena().nbytes)
+        assert sizes[1] == sizes[2], sizes
+
+        with monkeypatch.context() as env:
+            env.setenv(F.FAST_PATH_ENV, "1")
+            conv.zero_grad()
+            out = conv(Tensor(x, requires_grad=True))
+            (out * out).sum().backward()
+            expected = conv.weight.grad.copy()
+        # Between forward and backward, unrelated depthwise convs of the same
+        # shape on other data overwrite every "pad"/"taps" slab in both the
+        # inference and the training arenas.  dW must not notice.
+        other = rng.standard_normal(x.shape).astype(np.float32)
+        conv.zero_grad()
+        with training_step(signature):
+            out = conv(Tensor(x, requires_grad=True))
+            with no_grad():
+                conv(Tensor(other))
+            conv(Tensor(other, requires_grad=True))
+            (out * out).sum().backward()
+        np.testing.assert_allclose(conv.weight.grad, expected, rtol=1e-4, atol=1e-4)
 
 
 # ---------------------------------------------------------------------------

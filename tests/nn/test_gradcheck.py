@@ -138,11 +138,21 @@ def test_max_reduction_grad():
     assert np.abs(numgrad(f, x.data) - x.grad).max() < 1e-5
 
 
-@pytest.mark.parametrize("stride,padding,groups", [(1, 0, 1), (2, 1, 1), (1, 1, 2), (1, 1, 4)])
-def test_conv2d_grads(stride, padding, groups):
-    c_in, c_out = 4, 4
+@pytest.mark.parametrize(
+    "stride,padding,groups,kernel,c_out",
+    [
+        pytest.param(1, 0, 1, 3, 4, id="1-0-1"),
+        pytest.param(2, 1, 1, 3, 4, id="2-1-1"),
+        pytest.param(1, 1, 2, 3, 4, id="1-1-2"),
+        pytest.param(1, 1, 4, 3, 4, id="1-1-4"),
+        pytest.param(2, 2, 4, 5, 4, id="depthwise-5x5-s2"),
+        pytest.param(1, 1, 4, 3, 8, id="depthwise-multiplier-2"),
+    ],
+)
+def test_conv2d_grads(stride, padding, groups, kernel, c_out):
+    c_in = 4
     x = Tensor(RNG.normal(size=(2, c_in, 6, 6)), requires_grad=True)
-    w = Tensor(RNG.normal(size=(c_out, c_in // groups, 3, 3)), requires_grad=True)
+    w = Tensor(RNG.normal(size=(c_out, c_in // groups, kernel, kernel)), requires_grad=True)
     b = Tensor(RNG.normal(size=(c_out,)), requires_grad=True)
     out = F.conv2d(x, w, b, stride=stride, padding=padding, groups=groups)
     (out * out).sum().backward()

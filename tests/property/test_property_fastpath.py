@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from repro.models.pruning_utils import FilterRef, PruningMask
 from repro.nn import BatchNorm2d, Conv2d, Linear, Module, ReLU, Tensor, no_grad
+from repro.nn import functional as F
 from repro.nn.functional import FAST_PATH_ENV, conv_output_size
 from repro.nn.inference import compile_for_inference
 
@@ -79,25 +80,44 @@ def test_grouped_conv_matches_reference(case, groups):
     np.testing.assert_allclose(fast, reference, rtol=1e-4, atol=1e-5)
 
 
-@settings(max_examples=20, deadline=None)
+@settings(max_examples=40, deadline=None)
 @given(
+    n=st.integers(1, 3),
     channels=st.integers(1, 8),
-    kernel=st.integers(1, 4),
-    stride=st.integers(1, 2),
+    multiplier=st.integers(1, 3),
+    kernel=st.integers(1, 5),
+    stride=st.integers(1, 3),
+    padding=st.integers(0, 2),
     size=st.integers(4, 9),
+    channels_last=st.booleans(),
+    bias=st.booleans(),
+    relu=st.booleans(),
     seed=st.integers(0, 2**16),
 )
-def test_depthwise_conv_matches_reference(channels, kernel, stride, size, seed):
+def test_depthwise_conv_matches_reference(
+    n, channels, multiplier, kernel, stride, padding, size, channels_last, bias, relu, seed
+):
+    """The no-grad tap-loop kernel against the reference, with channel
+    multipliers, NCHW or channels-last input storage (the layout the eval
+    path hands over) and the folded bias/fused-ReLU epilogue."""
     rng = np.random.default_rng(seed)
     size = max(size, kernel)
-    conv = Conv2d(channels, channels, kernel, stride=stride, padding=kernel // 2,
-                  groups=channels, rng=rng)
-    x = rng.standard_normal((2, channels, size, size)).astype(np.float32)
-    with no_grad():
-        fast = conv(Tensor(x)).data
-    with reference_path():
+    conv = Conv2d(channels, channels * multiplier, kernel, stride=stride, padding=padding,
+                  groups=channels, bias=bias, rng=rng)
+    x = rng.standard_normal((n, size, size, channels) if channels_last
+                            else (n, channels, size, size)).astype(np.float32)
+    if channels_last:
+        x = x.transpose(0, 3, 1, 2)
+    activation = "relu" if relu else None
+
+    def forward():
         with no_grad():
-            reference = conv(Tensor(x)).data
+            return F.conv2d(Tensor(x), conv.weight, conv.bias, stride, padding,
+                            groups=channels, activation=activation).data
+
+    fast = forward()
+    with reference_path():
+        reference = forward()
     np.testing.assert_allclose(fast, reference, rtol=1e-4, atol=1e-5)
 
 

@@ -88,7 +88,7 @@ conv_cases = st.builds(
     n=st.integers(1, 3),
     cin=st.integers(1, 6),
     cout_mult=st.integers(1, 3),
-    kernel=st.integers(1, 4),
+    kernel=st.integers(1, 5),
     stride=st.integers(1, 3),
     padding=st.integers(0, 2),
     size=st.integers(4, 10),
@@ -119,10 +119,19 @@ def test_conv2d_backward_matches_reference(case):
 @settings(max_examples=15, deadline=None)
 @given(conv_cases, st.integers(2, 4))
 def test_grouped_conv_backward_matches_reference(case, groups):
-    # Grouped convs stay on the einsum reference closures even with the fast
-    # path enabled; this pins the gate so enabling the engine never changes
-    # their gradients.
+    # Depthwise draws (cin == 1 per group) take the fast tap-loop kernel;
+    # the others (C_in / groups > 1) take the reference closures on both
+    # sides.  Either way the fast path must not change the gradients.
     conv, x = _conv_case(case, groups)
+    _assert_grads_match(conv, x, wrap_step=case["wrap"])
+
+
+@settings(max_examples=40, deadline=None)
+@given(conv_cases, st.integers(1, 6))
+def test_depthwise_conv_backward_matches_reference(case, channels):
+    """groups == C_in, with channel multipliers C_out = cout_mult * C_in: the
+    tap-loop kernel's dX, dW and db against the einsum reference closures."""
+    conv, x = _conv_case(dict(case, cin=1), groups=channels)
     _assert_grads_match(conv, x, wrap_step=case["wrap"])
 
 
