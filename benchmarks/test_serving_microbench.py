@@ -40,7 +40,6 @@ pytestmark = pytest.mark.bench
 
 GUARD_SECONDS = 600.0
 MAX_BATCH = 32
-MAX_WAIT_MS = 5.0
 NUM_CLASSES = 10
 
 
@@ -67,7 +66,7 @@ def _run_mixes(registry, pool, max_batch, mixes):
     attack = BadNetsAttack(image_shape=pool.images.shape[1:], seed=0)
     gateway = ServingGateway(
         registry,
-        config=ServeConfig(max_batch=max_batch, max_wait_ms=MAX_WAIT_MS, seed=0),
+        config=ServeConfig(max_batch=max_batch, seed=0),
         clean_pool=pool,
     )
     generator = TrafficGenerator(pool.images, attack=attack, seed=0)
@@ -96,7 +95,6 @@ def test_serving_throughput_and_microbatch_speedup(registry, pool):
         "model": "preact_resnet18",
         "image_shape": list(pool.images.shape[1:]),
         "max_batch": MAX_BATCH,
-        "max_wait_ms": MAX_WAIT_MS,
         "host": host_info(),
         "mixes": per_mix,
         "batch1_steady": batch1,
@@ -131,7 +129,7 @@ def test_strip_serving_overhead(registry, pool):
     gateway = ServingGateway(
         registry,
         config=ServeConfig(
-            max_batch=MAX_BATCH, max_wait_ms=MAX_WAIT_MS, strip=True,
+            max_batch=MAX_BATCH, strip=True,
             strip_overlays=8, seed=0,
         ),
         clean_pool=pool,

@@ -155,11 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="model-registry directory (default: <cache dir>/registry)",
     )
     serve.add_argument("--alias", default="default", help="registry alias to serve and follow")
-    serve.add_argument("--max-batch", type=int, default=32, help="micro-batch flush size")
-    serve.add_argument(
-        "--max-wait-ms", type=float, default=5.0,
-        help="deadline flush: max queueing delay for the oldest request",
-    )
+    serve.add_argument("--max-batch", type=int, default=32, help="largest micro-batch")
     serve.add_argument(
         "--strip", action=argparse.BooleanOptionalAction, default=False,
         help="STRIP entropy pre-filter (per-request clean/filtered verdicts)",
@@ -399,7 +395,6 @@ def _cmd_serve(args) -> int:
         alias=args.alias,
         config=ServeConfig(
             max_batch=args.max_batch,
-            max_wait_ms=args.max_wait_ms,
             strip=args.strip,
             seed=args.seed,
         ),
@@ -407,7 +402,7 @@ def _cmd_serve(args) -> int:
     )
     gateway.start()
     print(f"serving {gateway.active_key} (alias={args.alias}, strip={args.strip}, "
-          f"max_batch={args.max_batch}, max_wait_ms={args.max_wait_ms})")
+          f"max_batch={args.max_batch})")
 
     http_server = None
     try:

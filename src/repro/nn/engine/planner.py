@@ -19,15 +19,26 @@ greedy interval-graph coloring over tag conflict: two tags may share a slab
 iff no live range of one overlaps a live range of the other; a shared
 slab's size is the maximum any of its tags ever requested.
 
+Signatures share plans.  A model's trace at batch 1 and at batch 32
+issues the same ``get``/``release`` events in the same order (kinds and
+tags); only the sizes differ, so the live ranges — and with them every
+aliasing decision — are the same.  Recordings with one event sequence
+therefore keep a single plan, sized to the largest request seen at each
+event: a smaller batch is served from the larger plan's slabs, and a larger
+recording re-plans and frees the old slabs.  Without this a gateway whose
+batch size follows the backlog would keep one slab set per batch size
+forever.  A recording with a different sequence gets its own plan.
+
 :class:`PlannedArena` is a drop-in for :class:`Workspace` (same ``get`` /
 ``release`` / ``clear`` surface).  Requests outside the plan — unknown
-tags, or a request larger than recorded (e.g. an odd-sized tail batch) —
-fall back to a dynamic side arena, so a stale plan degrades to PR 2
-behavior rather than failing.
+tags, or a request larger than recorded — fall back to a dynamic side
+arena, so a stale plan degrades to plain :class:`Workspace` behavior
+rather than failing.
 """
 
 from __future__ import annotations
 
+import math
 import weakref
 from dataclasses import dataclass, field
 from typing import Dict, Hashable, List, Optional, Tuple
@@ -109,24 +120,45 @@ def plan_slabs(requests: List[SlabRequest]) -> MemoryPlan:
     return plan
 
 
+class _SharedPlan:
+    """A plan and its slabs, covering every recording of one event sequence."""
+
+    def __init__(self, sequence: Tuple[Tuple[str, str], ...], sizes: List[int]) -> None:
+        self.sequence = sequence
+        self._compile(sizes)
+
+    def cover(self, sizes: List[int]) -> None:
+        """Widen the plan to serve a recording with these per-event sizes."""
+        if any(new > old for new, old in zip(sizes, self.sizes)):
+            self._compile([max(new, old) for new, old in zip(sizes, self.sizes)])
+
+    def _compile(self, sizes: List[int]) -> None:
+        self.sizes = sizes
+        events = [(kind, tag, nbytes) for (kind, tag), nbytes in zip(self.sequence, sizes)]
+        self.plan = plan_slabs(_events_to_requests(events))
+        # Rebinding drops the previous slabs, freeing them.
+        self.slabs = [np.empty(size, dtype=np.uint8) for size in self.plan.slab_sizes]
+
+
 class PlannedArena:
     """Workspace-compatible arena that compiles traces into static plans.
 
-    One plan is kept per ``begin(signature)`` key.  The first pass under a
-    new signature records events and serves requests from the dynamic
-    fallback arena; ``end()`` compiles the recording into a
-    :class:`MemoryPlan` and allocates its slabs.  Subsequent passes under
-    the same signature serve every planned request as a view into the
-    preallocated slabs.
+    The first pass under a new ``begin(signature)`` key records events and
+    serves requests from the dynamic fallback arena; ``end()`` compiles the
+    recording into a :class:`MemoryPlan` and allocates its slabs, or — when
+    an earlier recording had the same event sequence — widens that plan to
+    cover both and shares it.  Subsequent passes under the signature serve
+    every planned request as a view into the preallocated slabs.
     """
 
     def __init__(self) -> None:
         from ..functional import Workspace  # deferred: functional imports engine
 
         self._fallback = Workspace()
-        self._plans: Dict[Hashable, MemoryPlan] = {}
-        self._slabs: Dict[Hashable, List[np.ndarray]] = {}
+        self._plans: Dict[Hashable, _SharedPlan] = {}
+        self._by_sequence: Dict[Tuple[Tuple[str, str], ...], _SharedPlan] = {}
         self._signature: Optional[Hashable] = None
+        self._active: Optional[_SharedPlan] = None
         self._recording: Optional[List[Tuple[str, str, int]]] = None
         _all_arenas.add(self)
 
@@ -136,36 +168,42 @@ class PlannedArena:
     def begin(self, signature: Hashable) -> None:
         """Enter a trace: planned mode if ``signature`` was seen, else record."""
         self._signature = signature
-        self._recording = None if signature in self._plans else []
+        self._active = self._plans.get(signature)
+        self._recording = None if self._active is not None else []
 
     def end(self) -> None:
-        """Leave the trace; compiles and allocates the plan after a recording."""
+        """Leave the trace; compiles or widens a plan after a recording."""
         if self._recording is not None and self._signature is not None:
-            plan = plan_slabs(_events_to_requests(self._recording))
-            self._plans[self._signature] = plan
-            self._slabs[self._signature] = [
-                np.empty(size, dtype=np.uint8) for size in plan.slab_sizes
-            ]
+            sequence = tuple((kind, tag) for kind, tag, _ in self._recording)
+            sizes = [nbytes for _, _, nbytes in self._recording]
+            shared = self._by_sequence.get(sequence)
+            if shared is None:
+                shared = self._by_sequence[sequence] = _SharedPlan(sequence, sizes)
+            else:
+                shared.cover(sizes)
+            self._plans[self._signature] = shared
         self._signature = None
+        self._active = None
         self._recording = None
 
     def plan_for(self, signature: Hashable) -> Optional[MemoryPlan]:
-        return self._plans.get(signature)
+        shared = self._plans.get(signature)
+        return shared.plan if shared is not None else None
 
     # ------------------------------------------------------------------
     # Workspace protocol
     # ------------------------------------------------------------------
     def get(self, tag: str, shape: Tuple[int, ...], dtype=np.float32) -> np.ndarray:
         dtype = np.dtype(dtype)
-        nbytes = int(np.prod(shape)) * dtype.itemsize
+        nbytes = math.prod(shape) * dtype.itemsize
         if self._recording is not None:
             self._recording.append(("get", tag, nbytes))
             return self._fallback.get(tag, shape, dtype)
-        plan = self._plans.get(self._signature)
-        if plan is not None:
-            slab_id = plan.assignment.get(tag)
+        active = self._active
+        if active is not None:
+            slab_id = active.plan.assignment.get(tag)
             if slab_id is not None:
-                slab = self._slabs[self._signature][slab_id]
+                slab = active.slabs[slab_id]
                 if nbytes <= slab.nbytes:
                     return slab[:nbytes].view(dtype).reshape(shape)
         return self._fallback.get(tag, shape, dtype)
@@ -178,18 +216,20 @@ class PlannedArena:
     def clear(self) -> None:
         """Drop all plans, slabs, and fallback buffers."""
         self._plans.clear()
-        self._slabs.clear()
+        self._by_sequence.clear()
         self._fallback.clear()
         self._signature = None
+        self._active = None
         self._recording = None
 
     def __len__(self) -> int:
-        return sum(len(slabs) for slabs in self._slabs.values()) + len(self._fallback)
+        planned = sum(len(shared.slabs) for shared in self._by_sequence.values())
+        return planned + len(self._fallback)
 
     @property
     def nbytes(self) -> int:
         planned = sum(
-            slab.nbytes for slabs in self._slabs.values() for slab in slabs
+            slab.nbytes for shared in self._by_sequence.values() for slab in shared.slabs
         )
         return planned + self._fallback.nbytes
 

@@ -35,6 +35,7 @@ Set ``REPRO_DISABLE_FAST_PATH=1`` to force the reference path for every conv
 from __future__ import annotations
 
 import contextlib
+import math
 import os
 from typing import Dict, List, Optional, Tuple, Union
 
@@ -106,7 +107,7 @@ class Workspace:
     def get(self, tag: str, shape: Tuple[int, ...], dtype=np.float32) -> np.ndarray:
         """Return a reusable uninitialized ``(shape, dtype)`` view for ``tag``."""
         dtype = np.dtype(dtype)
-        nbytes = int(np.prod(shape)) * dtype.itemsize
+        nbytes = math.prod(shape) * dtype.itemsize
         slab = self._slabs.get(tag)
         if slab is None or slab.nbytes < nbytes:
             slab = np.empty(nbytes, dtype=np.uint8)

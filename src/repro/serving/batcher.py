@@ -2,15 +2,21 @@
 
 Single-image requests are the natural unit for callers, but the worst
 possible unit for the numpy substrate: a batch-1 forward pays the full
-Python/layer dispatch overhead per image and leaves the im2col GEMM too
-small to tile.  The :class:`MicroBatcher` turns an open stream of requests
-into batches the fast path was built for, with the classic two-trigger
-flush rule:
+Python/layer dispatch overhead per image.  The :class:`MicroBatcher` turns
+an open stream of requests into batches, and it never holds a request back
+to wait for company.  The drain loop is *work-conserving*: whenever the
+drain thread is free, it takes everything already queued (up to
+``max_batch``) and runs it at once.
 
-- **size**: a batch closes the moment ``max_batch`` requests are pending;
-- **deadline**: otherwise it closes when the *oldest* pending request has
-  waited ``max_wait_ms`` — bounding added latency when traffic stalls below
-  the batch size.
+- A lone request at low load runs the moment it arrives (flush reason
+  ``idle``: the queue ran dry before the batch filled).
+- Under load, the requests that arrived while the previous batch ran form
+  the next batch, so batch size follows the backlog (reason ``full`` once
+  ``max_batch`` are waiting).
+
+There is no deadline knob: holding a request back only pays when more
+traffic arrives within the wait, and the backlog already gathers exactly
+that traffic while the model is busy.
 
 One daemon drain thread owns batch assembly and the downstream
 ``process_batch`` callback, so the model only ever runs on one thread and
@@ -19,16 +25,18 @@ needs no internal locking.  ``submit`` is thread-safe and wait-free (a
 
 Shutdown is *drain-by-default*: ``close()`` refuses new submissions, lets
 the drain thread flush everything already accepted (the sentinel is
-enqueued strictly after every accepted request), and joins the thread — no
-request accepted before ``close()`` is ever dropped.  If ``process_batch``
-raises, the exception is delivered to each affected request's future
-instead of killing the drain loop.
+enqueued strictly after every accepted request; a partial batch that ends
+at the sentinel has reason ``drain``), and joins the thread — no request
+accepted before ``close()`` is ever dropped.  If ``process_batch`` raises,
+the exception is delivered to each affected request's future instead of
+killing the drain loop.
 
 Admission control: with ``max_queue`` set, a submit that would exceed the
 bound of accepted-but-unresolved requests is rejected immediately with
-:class:`QueueFullError` carrying a drain-time estimate (``retry_after_s``)
-— the HTTP front turns that into ``503`` + ``Retry-After`` instead of
-letting latency grow without bound under overload.
+:class:`QueueFullError` carrying a drain-time estimate (``retry_after_s``,
+from the measured mean batch time) — the HTTP front turns that into
+``503`` + ``Retry-After`` instead of letting latency grow without bound
+under overload.
 """
 
 from __future__ import annotations
@@ -92,6 +100,7 @@ class BatcherStats:
     failed: int = 0
     rejected: int = 0  # admission-control rejections (QueueFullError)
     batches: int = 0
+    busy_s: float = 0.0  # wall time spent inside process_batch
     batch_size_histogram: Dict[int, int] = field(default_factory=Counter)
     flush_reasons: Dict[str, int] = field(default_factory=Counter)
 
@@ -106,9 +115,7 @@ class MicroBatcher:
         resolve every request's future (the batcher resolves them with the
         callback's exception if it raises).
     max_batch:
-        Flush when this many requests are pending.
-    max_wait_ms:
-        Flush when the oldest pending request has waited this long.
+        Largest batch handed to ``process_batch``.
     max_queue:
         Bound on accepted-but-unresolved requests; ``None`` disables
         admission control.  A submit over the bound raises
@@ -119,19 +126,15 @@ class MicroBatcher:
         self,
         process_batch: Callable[[List[BatchRequest]], None],
         max_batch: int = 32,
-        max_wait_ms: float = 5.0,
         max_queue: Optional[int] = None,
         name: str = "microbatcher",
     ) -> None:
         if max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {max_batch}")
-        if max_wait_ms < 0:
-            raise ValueError(f"max_wait_ms must be >= 0, got {max_wait_ms}")
         if max_queue is not None and max_queue < 1:
             raise ValueError(f"max_queue must be >= 1 or None, got {max_queue}")
         self.process_batch = process_batch
         self.max_batch = int(max_batch)
-        self.max_wait_s = float(max_wait_ms) / 1e3
         self.max_queue = max_queue
         self.name = name
         self._queue: "queue.Queue" = queue.Queue()
@@ -195,13 +198,14 @@ class MicroBatcher:
                 self._inflight = depth + 1
                 self._queue.put(request)
         if overloaded:
-            # Rough drain estimate: batches ahead of us, one deadline each
-            # (under real overload flushes trigger on "full" and drain
-            # faster, so this errs toward backing clients off).
+            # Drain estimate: the batches ahead of us, each taking the mean
+            # batch time measured so far (floored for a cold batcher).
             batches_ahead = max(1, -(-depth // self.max_batch))
-            retry_after = max(0.05, batches_ahead * max(self.max_wait_s, 1e-3))
             with self._stats_lock:
                 self._stats.rejected += 1
+                batches, busy_s = self._stats.batches, self._stats.busy_s
+            mean_batch_s = busy_s / batches if batches else 0.0
+            retry_after = max(0.05, batches_ahead * mean_batch_s)
             bus().metrics.counter("serving.overload_rejected").inc()
             emit(
                 "overload_rejected", _SOURCE,
@@ -222,50 +226,30 @@ class MicroBatcher:
     # Drain thread
     # ------------------------------------------------------------------
     def _drain_loop(self) -> None:
-        pending: List[BatchRequest] = []
-        stopping = False
         while True:
-            # Greedily absorb everything already queued (up to max_batch):
-            # requests that piled up while the previous batch was running
-            # form the next batch instead of dribbling out one-per-flush
-            # through already-expired deadlines.
-            while len(pending) < self.max_batch:
+            first = self._queue.get()  # idle: block until work arrives
+            if first is _STOP:
+                return
+            # Work-conserving: run everything already queued, now.  What
+            # arrives while this batch runs forms the next one.
+            batch: List[BatchRequest] = [first]
+            stopping = False
+            while len(batch) < self.max_batch:
                 try:
                     item = self._queue.get_nowait()
                 except queue.Empty:
                     break
                 if item is _STOP:
                     stopping = True  # sentinel is strictly last (see close())
-                else:
-                    pending.append(item)
-            if len(pending) >= self.max_batch:
-                self._flush(pending, "full")
-                pending = []
-                continue
+                    break
+                batch.append(item)
+            if len(batch) >= self.max_batch:
+                reason = "full"
+            else:
+                reason = "drain" if stopping else "idle"
+            self._flush(batch, reason)
             if stopping:
-                if pending:
-                    self._flush(pending, "drain")
-                    pending = []
-                break
-            # The queue is empty; the deadline only starts mattering now.
-            if pending:
-                remaining = pending[0].enqueued_at + self.max_wait_s - time.perf_counter()
-                if remaining <= 0:
-                    self._flush(pending, "deadline")
-                    pending = []
-                    continue
-                try:
-                    item = self._queue.get(timeout=remaining)
-                except queue.Empty:
-                    self._flush(pending, "deadline")
-                    pending = []
-                    continue
-            else:
-                item = self._queue.get()
-            if item is _STOP:
-                stopping = True
-            else:
-                pending.append(item)
+                return
 
     def _flush(self, batch: List[BatchRequest], reason: str) -> None:
         now = time.perf_counter()
@@ -281,6 +265,7 @@ class MicroBatcher:
                     request.future.set_exception(exc)
                     failed += 1
             _LOG.warning("batch of %d failed: %s", len(batch), exc)
+        busy_s = time.perf_counter() - now
         unresolved = [r for r in batch if not r.future.done()]
         for request in unresolved:
             request.future.set_exception(
@@ -288,6 +273,7 @@ class MicroBatcher:
             )
         with self._stats_lock:
             self._stats.batches += 1
+            self._stats.busy_s += busy_s
             self._stats.batch_size_histogram[len(batch)] += 1
             self._stats.flush_reasons[reason] += 1
             self._stats.failed += failed + len(unresolved)

@@ -70,7 +70,6 @@ class ServeConfig:
     """Gateway tuning knobs (see DESIGN.md §11)."""
 
     max_batch: int = 32
-    max_wait_ms: float = 5.0
     # Admission control: bound on accepted-but-unresolved requests; a
     # submit over the bound raises QueueFullError (HTTP: 503 + Retry-After).
     max_queue: int = 1024
@@ -162,7 +161,6 @@ class ServingGateway:
         self._batcher = MicroBatcher(
             self._process_batch,
             max_batch=self.config.max_batch,
-            max_wait_ms=self.config.max_wait_ms,
             max_queue=self.config.max_queue,
             name=f"serve-{self.alias}",
         ).start()
@@ -191,14 +189,22 @@ class ServingGateway:
     # Request path
     # ------------------------------------------------------------------
     def submit(self, image: np.ndarray) -> "Future":
-        """Queue one ``(C, H, W)`` image; future resolves to a :class:`Verdict`."""
+        """Queue one ``(C, H, W)`` image; future resolves to a :class:`Verdict`.
+
+        The image must have the shape the gateway warmed its checkpoint
+        with: requests share micro-batches, so an off-shape image would
+        fail every request stacked with it.
+        """
         if self._batcher is None:
             raise RuntimeError("gateway not started")
         image = np.asarray(image, dtype=np.float32)
         if image.ndim == 4 and image.shape[0] == 1:
             image = image[0]
-        if image.ndim != 3:
-            raise ValueError(f"expected one (C, H, W) image, got shape {image.shape}")
+        expected = self._example.shape[1:]
+        if image.shape != expected:
+            raise ValueError(
+                f"expected one (C, H, W) image of shape {expected}, got shape {image.shape}"
+            )
         return self._batcher.submit(image)
 
     def classify(self, image: np.ndarray, timeout: Optional[float] = 30.0) -> Verdict:
@@ -249,13 +255,14 @@ class ServingGateway:
         """Load + fold + warm + (optionally) calibrate, off the request path."""
         registered = self.registry.load(key)
         example = self._example_input(registered.manifest)
-        compiled = CompiledInference(registered.model, Tensor(example[:1]))
-        # Warm under the model lock: the drain thread may be mid-batch on
-        # the old model, and a compiled forward pushes its planned arena onto
-        # the fast path's process-global arena stack (and flips the global
-        # no_grad flag), so two forwards at once would pop each other's
-        # arenas and allocate scratch from the wrong plan.
+        # Trace and warm under the model lock: the drain thread may be
+        # mid-batch on the old model, and a forward (the fold trace included)
+        # pushes onto the fast path's process-global arena stack and flips
+        # the global no_grad flag.  Two forwards at once would pop each
+        # other's arenas, and interleaved no_grad exits can leave gradients
+        # disabled for the whole process.
         with self._model_lock:
+            compiled = CompiledInference(registered.model, Tensor(example[:1]))
             compiled.warmup(Tensor(example))
         threshold = None
         if self.config.strip:

@@ -2,11 +2,13 @@
 
 Three canonical mixes drive ``BENCH_serving.json`` and the soak tests:
 
-- **steady**: open-loop arrivals at a constant rate — the micro-batcher
-  should settle into mid-size batches with few deadline flushes;
-- **bursty**: arrivals in bursts separated by gaps longer than the flush
-  deadline — exercises both the size trigger (inside a burst) and the
-  deadline trigger (the burst remainder must not wait for the next burst);
+- **steady**: an uninterrupted stream of arrivals — requests pile up while
+  the drain thread is busy, so the micro-batcher should settle into full
+  batches;
+- **bursty**: arrivals in bursts separated by idle gaps — inside a burst the
+  backlog coalesces into batches larger than one, and at the end of a burst
+  the remainder runs at once as a partial (``idle``) batch instead of
+  waiting for the next burst;
 - **adversarial**: a fraction of requests carry a backdoor trigger
   (``attack.apply``) — with STRIP enabled the report scores the gateway's
   verdicts against ground truth.

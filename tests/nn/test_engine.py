@@ -105,6 +105,41 @@ class TestPlanner:
         assert bigger.shape == (1024,)
         assert unknown.shape == (4,)
 
+    def test_same_event_sequence_shares_one_plan(self):
+        arena = PlannedArena()
+        for signature, n in (("mid", 16), ("large", 64), ("small", 4)):
+            arena.begin(signature)
+            arena.get("pad", (n,), np.float32)
+            arena.release("pad")
+            arena.get("cols", (2 * n,), np.float32)
+            arena.end()
+        plan = arena.plan_for("large")
+        assert arena.plan_for("mid") is plan and arena.plan_for("small") is plan
+        # Sized to the largest recording; pad and cols never overlap.
+        assert plan.slab_sizes == [2 * 64 * 4]
+
+        views = []
+        for signature, n in (("small", 4), ("large", 64)):
+            arena.begin(signature)
+            views.append(arena.get("cols", (2 * n,), np.float32))
+            arena.end()
+        assert np.shares_memory(*views)  # one slab set serves both sizes
+
+    def test_different_event_sequence_keeps_its_own_plan(self):
+        arena = PlannedArena()
+        arena.begin("a")
+        arena.get("pad", (8,), np.float32)
+        arena.release("pad")
+        arena.end()
+        arena.begin("b")
+        arena.get("pad", (8,), np.float32)
+        arena.get("cols", (8,), np.float32)  # pad still live: a new sequence
+        arena.end()
+        plan_a, plan_b = arena.plan_for("a"), arena.plan_for("b")
+        assert plan_a is not plan_b
+        assert set(plan_a.assignment) == {"pad"}
+        assert plan_b.assignment["pad"] != plan_b.assignment["cols"]
+
     def test_clear_drops_plans(self):
         arena = PlannedArena()
         arena.begin("sig")
@@ -299,6 +334,33 @@ class TestFusedActivation:
         assert compiled._arena.plan_for(signature) is not None
         second = compiled(Tensor(x)).data  # planned pass
         np.testing.assert_allclose(first, second, rtol=1e-6, atol=1e-7)
+
+
+class TestPlanSharingAcrossBatchSizes:
+    """A compiled model's trace has one event sequence at every batch size,
+    so the arena keeps one plan however many batch sizes it has served."""
+
+    @pytest.mark.parametrize("name", ["preact_resnet18", "mobilenet_v3_large"])
+    def test_every_batch_size_fits_in_the_largest_plan(self, name):
+        from repro.models import build_model
+
+        model = build_model(name, num_classes=4, seed=0)
+        x = RNG.standard_normal((32, 3, 16, 16)).astype(np.float32)
+        alone = compile_for_inference(model, Tensor(x[:1]))
+        alone(Tensor(x))
+        budget = alone._arena.nbytes
+
+        compiled = compile_for_inference(model, Tensor(x[:1]))
+        for n in range(1, 33):  # each size records, then widens the plan
+            compiled(Tensor(x[:n]))
+        plan = compiled._arena.plan_for(((32, 3, 16, 16), x.dtype.str))
+        for n in range(1, 33):  # every size now runs from the batch-32 slabs
+            assert compiled._arena.plan_for(((n, 3, 16, 16), x.dtype.str)) is plan
+            got = compiled(Tensor(x[:n])).data
+            with no_grad():
+                expected = model(Tensor(x[:n])).data
+            np.testing.assert_allclose(got, expected, rtol=1e-4, atol=1e-4)
+        assert compiled._arena.nbytes <= budget
 
 
 # ---------------------------------------------------------------------------

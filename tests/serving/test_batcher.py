@@ -1,4 +1,4 @@
-"""MicroBatcher: flush triggers, drain semantics, admission control."""
+"""MicroBatcher: work-conserving flushes, drain semantics, admission control."""
 
 import threading
 import time
@@ -9,81 +9,85 @@ from repro.serving import MicroBatcher, QueueFullError
 from repro.telemetry import MemorySink, TelemetryBus, set_bus
 from repro.utils.timing import hard_timeout
 
+from tests.serving.conftest import DrainGate
 
-def _collecting_batcher(max_batch=4, max_wait_ms=15.0, delay_s=0.0):
+
+def _collecting_batcher(max_batch=4):
     batches = []
 
     def process(requests):
-        if delay_s:
-            time.sleep(delay_s)
         batches.append([r.payload for r in requests])
         for r in requests:
             r.future.set_result(r.payload)
 
-    return MicroBatcher(process, max_batch=max_batch, max_wait_ms=max_wait_ms), batches
+    return MicroBatcher(process, max_batch=max_batch), batches
 
 
 class TestFlushTriggers:
     def test_flush_on_full_batch(self, guard):
-        batcher, batches = _collecting_batcher(max_batch=3, max_wait_ms=10_000.0)
+        batcher, batches = _collecting_batcher(max_batch=3)
         batcher.start()
+        gate = DrainGate(batcher)
+        gate.hold("hold")
         futures = [batcher.submit(i) for i in range(3)]
+        gate.open()
         assert [f.result(timeout=30) for f in futures] == [0, 1, 2]
         batcher.close(timeout=30)
-        # Despite the 10s deadline, the size trigger fired immediately.
-        assert batches[0] == [0, 1, 2]
-        assert batcher.stats()["flush_reasons"] == {"full": 1}
+        assert batches == [["hold"], [0, 1, 2]]
+        assert batcher.stats()["flush_reasons"] == {"idle": 1, "full": 1}
 
-    def test_deadline_flush_when_traffic_stalls(self, guard):
-        # Fewer requests than max_batch and no further traffic: only the
-        # deadline can flush them.
-        batcher, batches = _collecting_batcher(max_batch=64, max_wait_ms=30.0)
+    def test_partial_batch_runs_when_queue_runs_dry(self, guard):
+        # Far below max_batch and no further traffic: the request runs as
+        # soon as the drain thread is free, without waiting for company.
+        batcher, batches = _collecting_batcher(max_batch=64)
         batcher.start()
-        start = time.perf_counter()
-        futures = [batcher.submit(i) for i in range(3)]
-        assert [f.result(timeout=30) for f in futures] == [0, 1, 2]
-        waited = time.perf_counter() - start
-        batcher.close(timeout=30)
-        assert batches == [[0, 1, 2]]
-        assert batcher.stats()["flush_reasons"] == {"deadline": 1}
-        assert waited >= 0.02  # sat out (most of) the deadline window
+        assert batcher.submit("alone").result(timeout=30) == "alone"
+        batcher.close(timeout=30)  # joins the drain thread: stats are final
+        assert batches == [["alone"]]
+        assert batcher.stats()["flush_reasons"] == {"idle": 1}
 
     def test_backlog_coalesces_instead_of_dribbling(self, guard):
-        # Requests that queue while a slow batch is processing must come out
-        # as one follow-up batch, not as size-1 deadline flushes.
-        batcher, batches = _collecting_batcher(max_batch=8, max_wait_ms=5.0, delay_s=0.08)
+        # Requests that queue while a batch is processing must come out as
+        # one follow-up batch, not one per flush.
+        batcher, batches = _collecting_batcher(max_batch=8)
         batcher.start()
-        first = batcher.submit("head")
-        time.sleep(0.02)  # drain thread is now inside the slow batch
+        gate = DrainGate(batcher)
+        first = gate.hold("head")
         backlog = [batcher.submit(i) for i in range(5)]
+        gate.open()
         first.result(timeout=30)
         for f in backlog:
             f.result(timeout=30)
         batcher.close(timeout=30)
-        assert batches[0] == ["head"]
-        assert batches[1] == [0, 1, 2, 3, 4]
+        assert batches == [["head"], [0, 1, 2, 3, 4]]
 
     def test_max_batch_caps_flush_size(self, guard):
-        batcher, batches = _collecting_batcher(max_batch=4, max_wait_ms=50.0, delay_s=0.03)
+        batcher, batches = _collecting_batcher(max_batch=4)
         batcher.start()
+        gate = DrainGate(batcher)
+        gate.hold("hold")
         futures = [batcher.submit(i) for i in range(10)]
+        gate.open()
         for f in futures:
             f.result(timeout=30)
         batcher.close(timeout=30)
-        assert all(len(b) <= 4 for b in batches)
-        assert sorted(x for b in batches for x in b) == list(range(10))
+        assert batches == [["hold"], [0, 1, 2, 3], [4, 5, 6, 7], [8, 9]]
+        assert batcher.stats()["flush_reasons"] == {"idle": 2, "full": 2}
 
 
 class TestLifecycle:
     def test_close_drains_accepted_requests(self, guard):
-        batcher, _ = _collecting_batcher(max_batch=64, max_wait_ms=10_000.0)
+        batcher, batches = _collecting_batcher(max_batch=64)
         batcher.start()
+        gate = DrainGate(batcher)
+        gate.hold("hold")
         futures = [batcher.submit(i) for i in range(7)]
-        batcher.close(timeout=30)  # deadline far away: close itself must flush
+        gate.close_behind(lambda: batcher.close(timeout=30))
         assert [f.result(timeout=1) for f in futures] == list(range(7))
+        assert batches == [["hold"], list(range(7))]
         stats = batcher.stats()
-        assert stats["completed"] == 7 and stats["failed"] == 0
-        assert stats["flush_reasons"] == {"drain": 1}
+        assert stats["completed"] == 8 and stats["failed"] == 0
+        assert stats["flush_reasons"] == {"idle": 1, "drain": 1}
 
     def test_submit_after_close_rejected(self, guard):
         batcher, _ = _collecting_batcher()
@@ -99,7 +103,7 @@ class TestLifecycle:
         batcher.close(timeout=30)
 
     def test_concurrent_submitters_lose_nothing(self, guard):
-        batcher, batches = _collecting_batcher(max_batch=16, max_wait_ms=5.0)
+        batcher, batches = _collecting_batcher(max_batch=16)
         batcher.start()
         results = []
         lock = threading.Lock()
@@ -125,7 +129,7 @@ class TestFailureDelivery:
         def explode(requests):
             raise ValueError("model fell over")
 
-        batcher = MicroBatcher(explode, max_batch=2, max_wait_ms=5.0)
+        batcher = MicroBatcher(explode, max_batch=2)
         batcher.start()
         futures = [batcher.submit(i) for i in range(2)]
         for f in futures:
@@ -142,9 +146,13 @@ class TestFailureDelivery:
         def forgets_some(requests):
             requests[0].future.set_result("ok")  # leaves the rest dangling
 
-        batcher = MicroBatcher(forgets_some, max_batch=2, max_wait_ms=5.0)
+        batcher = MicroBatcher(forgets_some, max_batch=2)
         batcher.start()
+        gate = DrainGate(batcher)
+        held = gate.hold("hold")
         first, second = batcher.submit("a"), batcher.submit("b")
+        gate.open()
+        assert held.result(timeout=30) == "ok"
         assert first.result(timeout=30) == "ok"
         with pytest.raises(RuntimeError, match="without resolving"):
             second.result(timeout=30)
@@ -161,7 +169,7 @@ class TestAdmissionControl:
             for r in requests:
                 r.future.set_result(r.payload)
 
-        batcher = MicroBatcher(process, max_batch=1, max_wait_ms=1.0, max_queue=max_queue)
+        batcher = MicroBatcher(process, max_batch=1, max_queue=max_queue)
         return batcher, release
 
     def test_no_limit_by_default(self, guard):
@@ -187,6 +195,31 @@ class TestAdmissionControl:
         assert stats["submitted"] == 2
         assert stats["completed"] == 2
         assert stats["queue_depth"] == 0
+
+    def test_retry_after_follows_measured_batch_time(self, guard):
+        release = threading.Event()
+
+        def process(requests):
+            if requests[0].payload == "slow":
+                time.sleep(0.2)
+            else:
+                release.wait(20.0)
+            for r in requests:
+                r.future.set_result(r.payload)
+
+        batcher = MicroBatcher(process, max_batch=1, max_queue=2)
+        batcher.start()
+        assert batcher.submit("slow").result(timeout=30) == "slow"
+        while batcher.queue_depth():  # the slow batch's time is recorded
+            time.sleep(0.001)
+        held = [batcher.submit("a"), batcher.submit("b")]
+        with pytest.raises(QueueFullError) as excinfo:
+            batcher.submit("c")
+        # Two batches ahead, each costing the one batch measured (>= 0.2 s).
+        assert excinfo.value.retry_after_s >= 2 * 0.2
+        release.set()
+        assert [f.result(timeout=30) for f in held] == ["a", "b"]
+        batcher.close(timeout=30)
 
     def test_depth_recovers_after_drain(self, guard):
         batcher, release = self._wedged_batcher(max_queue=1)
@@ -236,8 +269,6 @@ class TestValidation:
         with pytest.raises(ValueError):
             MicroBatcher(lambda b: None, max_batch=0)
         with pytest.raises(ValueError):
-            MicroBatcher(lambda b: None, max_wait_ms=-1.0)
-        with pytest.raises(ValueError):
             MicroBatcher(lambda b: None, max_queue=0)
 
     def test_double_start_rejected(self, guard):
@@ -255,7 +286,7 @@ class TestValidation:
             for r in requests:
                 r.future.set_result(None)
 
-        batcher = MicroBatcher(wedge, max_batch=1, max_wait_ms=1.0)
+        batcher = MicroBatcher(wedge, max_batch=1)
         batcher.start()
         with hard_timeout(30.0, "close-timeout test wedged"):
             future = batcher.submit(1)

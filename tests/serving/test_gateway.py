@@ -6,11 +6,11 @@ import time
 import numpy as np
 import pytest
 
-from repro.nn import Module, Tensor, no_grad
+from repro.nn import Module, Tensor, is_grad_enabled, no_grad
 from repro.serving import CLEAN, FILTERED, ModelRegistry, ServeConfig, ServingGateway
 
 from tests.conftest import make_tiny_dataset
-from tests.serving.conftest import publish_tiny
+from tests.serving.conftest import GUARD_SECONDS, DrainGate, publish_tiny
 
 
 class TestBasicServing:
@@ -27,11 +27,14 @@ class TestBasicServing:
 
     def test_micro_batching_aggregates_concurrent_requests(self, gateway, guard):
         images = make_tiny_dataset(16, seed=5).images
+        # Requests that queue while the drain thread is busy share batches.
+        gate = DrainGate(gateway._batcher, submit=gateway.submit)
+        gate.hold(images[0])
         futures = [gateway.submit(img) for img in images]
+        gate.open()
         verdicts = [f.result(timeout=30) for f in futures]
         assert len(verdicts) == 16
-        # At least one batch aggregated multiple requests (max_batch=8).
-        assert max(v.batch_size for v in verdicts) > 1
+        assert [v.batch_size for v in verdicts] == [8] * 16  # max_batch=8
 
     def test_input_validation(self, gateway, guard):
         with pytest.raises(ValueError, match="one \\(C, H, W\\) image"):
@@ -39,6 +42,22 @@ class TestBasicServing:
         # A singleton batch dimension is forgiven.
         verdict = gateway.classify(np.zeros((1, 3, 8, 8), dtype=np.float32), timeout=30)
         assert verdict.verdict == CLEAN
+
+    def test_off_shape_image_rejected_without_failing_its_batch(self, gateway, guard):
+        # Requests share batches: an image of another shape must be refused
+        # at submit, or stacking it would fail every request batched with it.
+        images = make_tiny_dataset(4, seed=35).images
+        gate = DrainGate(gateway._batcher, submit=gateway.submit)
+        gate.hold(images[0])
+        valid = [gateway.submit(img) for img in images[:3]]
+        try:
+            with pytest.raises(ValueError, match=r"\(3, 8, 8\).*\(3, 4, 4\)"):
+                gateway.submit(np.zeros((3, 4, 4), dtype=np.float32))
+        finally:
+            valid.append(gateway.submit(images[3]))
+            gate.open()
+        verdicts = [f.result(timeout=30) for f in valid]
+        assert [v.batch_size for v in verdicts] == [4] * 4
 
     def test_submit_before_start_rejected(self, registry, clean_pool):
         publish_tiny(registry)
@@ -128,6 +147,72 @@ class TestHotSwap:
         assert got == list(expected)
 
 
+class _ForwardProbe:
+    """Shared by every ``_ProbeModel``: holds the drain thread's next forward
+    and records any forward that runs on another thread meanwhile."""
+
+    def __init__(self) -> None:
+        self.hold_next = False
+        self.in_drain = threading.Event()
+        self.release = threading.Event()
+        self.overlapped = threading.Event()
+
+
+class _ProbeModel(Module):
+    def __init__(self, probe: _ForwardProbe, seed: int = 0) -> None:
+        super().__init__()
+        self.probe, self.seed = probe, seed
+
+    def forward(self, x):
+        probe = self.probe
+        if threading.current_thread().name.startswith("serve-") and probe.hold_next:
+            probe.hold_next = False
+            probe.in_drain.set()
+            probe.release.wait(GUARD_SECONDS)
+            probe.in_drain.clear()
+        elif probe.in_drain.is_set():
+            probe.overlapped.set()
+        return Tensor(np.zeros((x.data.shape[0], 3), dtype=np.float32))
+
+    def state_dict(self):
+        return {"seed": np.full(1, self.seed, dtype=np.float32)}
+
+    def load_state_dict(self, state, strict=True):
+        pass
+
+
+class TestSwapPreparation:
+    def test_preparation_waits_for_the_running_batch(self, tmp_path, guard):
+        # Preparing a checkpoint runs forwards (fold trace, warmup).  They
+        # must not overlap a batch on the drain thread: forwards share the
+        # process-global arena stack and no_grad flag.
+        probe = _ForwardProbe()
+        registry = ModelRegistry(
+            str(tmp_path / "probe-registry"),
+            factory=lambda arch, **kw: _ProbeModel(probe, **kw),
+        )
+        registry.publish(_ProbeModel(probe, seed=0), "probe", factory_kwargs={"seed": 0})
+        with ServingGateway(registry, config=ServeConfig(max_batch=4)) as gateway:
+            probe.hold_next = True
+            future = gateway.submit(np.zeros((3, 32, 32), dtype=np.float32))
+            assert probe.in_drain.wait(GUARD_SECONDS)
+            registry.publish(
+                _ProbeModel(probe, seed=1), "probe", alias="default",
+                factory_kwargs={"seed": 1},
+            )
+            swapper = threading.Thread(target=gateway.swap)
+            swapper.start()
+            try:
+                assert not probe.overlapped.wait(0.5)
+            finally:
+                probe.release.set()
+                swapper.join(GUARD_SECONDS)
+            assert not swapper.is_alive()
+            assert future.result(timeout=30).batch_size == 1
+        assert not probe.overlapped.is_set()
+        assert is_grad_enabled()
+
+
 class _PremiseOracle(Module):
     """Model embodying STRIP's premise on the fixture task: any input whose
     bottom-right corner still matches the checker trigger predicts the
@@ -161,7 +246,7 @@ class TestStripServing:
         gateway = ServingGateway(
             registry,
             config=ServeConfig(
-                max_batch=8, max_wait_ms=20.0, strip=True,
+                max_batch=8, strip=True,
                 strip_overlays=8, strip_fpr=0.1, seed=0,
             ),
             clean_pool=clean_pool,
@@ -193,35 +278,33 @@ class TestLifecycle:
     def test_stop_drains_queued_requests(self, registry, clean_pool, guard):
         publish_tiny(registry)
         gateway = ServingGateway(
-            registry,
-            # Deadline far out: only the drain path can flush a partial batch.
-            config=ServeConfig(max_batch=64, max_wait_ms=60_000.0),
-            clean_pool=clean_pool,
+            registry, config=ServeConfig(max_batch=64), clean_pool=clean_pool
         )
         gateway.start()
-        futures = [gateway.submit(img) for img in make_tiny_dataset(5, seed=33).images]
-        gateway.stop(timeout=30)
+        images = make_tiny_dataset(6, seed=33).images
+        # Hold the drain thread so the queued requests are still waiting
+        # when stop() runs: only the drain path can flush them.
+        gate = DrainGate(gateway._batcher, submit=gateway.submit)
+        held = gate.hold(images[0])
+        futures = [gateway.submit(img) for img in images[1:]]
+        gate.close_behind(lambda: gateway.stop(timeout=30))
         verdicts = [f.result(timeout=1) for f in futures]
-        assert len(verdicts) == 5
-        assert gateway.stats()["batcher"]["flush_reasons"] == {"drain": 1}
+        assert held.result(timeout=1).batch_size == 1
+        assert [v.batch_size for v in verdicts] == [5] * 5
+        assert gateway.stats()["batcher"]["flush_reasons"] == {"idle": 1, "drain": 1}
 
-    def test_deadline_flush_fires_below_max_batch(self, registry, clean_pool, guard):
+    def test_lone_request_runs_at_once(self, registry, clean_pool, guard):
         publish_tiny(registry)
         gateway = ServingGateway(
-            registry,
-            config=ServeConfig(max_batch=64, max_wait_ms=25.0),
-            clean_pool=clean_pool,
+            registry, config=ServeConfig(max_batch=64), clean_pool=clean_pool
         )
         with gateway:  # context-manager lifecycle
-            start = time.perf_counter()
+            # No further traffic and far below max_batch: nothing to wait for.
             verdict = gateway.classify(
                 make_tiny_dataset(1, seed=34).images[0], timeout=30
             )
-            elapsed = time.perf_counter() - start
-            assert verdict.batch_size == 1
-            assert elapsed >= 0.02  # waited out the deadline, not the full batch
-            reasons = gateway.stats()["batcher"]["flush_reasons"]
-            assert reasons.get("deadline") == 1
+        assert verdict.batch_size == 1
+        assert gateway.stats()["batcher"]["flush_reasons"] == {"idle": 1}
 
     def test_double_start_rejected(self, gateway):
         with pytest.raises(RuntimeError, match="already started"):

@@ -53,6 +53,12 @@ class TestEndpoints:
         status, doc = _call(http_front, "POST", "/predict", {"image": [[0.0]]})
         assert status == 400 and "expected one" in doc["error"]
 
+    def test_predict_rejects_image_of_another_shape(self, http_front, guard):
+        image = make_tiny_dataset(1, seed=0).images[0][:, :4, :4]
+        status, doc = _call(http_front, "POST", "/predict", {"image": image.tolist()})
+        assert status == 400
+        assert "(3, 8, 8)" in doc["error"] and "(3, 4, 4)" in doc["error"]
+
     def test_predict_requires_image_field(self, http_front, guard):
         status, doc = _call(http_front, "POST", "/predict", {})
         assert status == 400 and "image" in doc["error"]

@@ -19,7 +19,7 @@ from repro.serving import (
 from repro.serving.gateway import CLEAN, FILTERED, Verdict
 
 from tests.conftest import make_tiny_dataset
-from tests.serving.conftest import publish_tiny
+from tests.serving.conftest import DrainGate, publish_tiny
 
 
 def _fake_verdict(batch_size=4, latency_ms=3.0, verdict=CLEAN):
@@ -119,20 +119,40 @@ class TestEndToEnd:
         assert all(v.verdict == CLEAN for v in report.verdicts)
 
     def test_bursty_mix_triggers_both_flush_paths(self, registry, clean_pool, guard):
-        # Bursts of 12 against max_batch=8: each burst yields one full flush
-        # plus a 4-request remainder that only the deadline can release
-        # before the next burst arrives (gap >> deadline).
+        # Bursts of 12 against max_batch=8.  The first burst queues behind a
+        # held drain thread and leaves as one full batch plus a 4-request
+        # remainder that runs as soon as the queue is dry, not when the
+        # next burst arrives (gap_s later).
         publish_tiny(registry)
         gateway = ServingGateway(
-            registry,
-            config=ServeConfig(max_batch=8, max_wait_ms=10.0),
-            clean_pool=clean_pool,
+            registry, config=ServeConfig(max_batch=8), clean_pool=clean_pool
         )
         pool = make_tiny_dataset(12, seed=0).images
         mix = TrafficMix(name="bursty", num_requests=24, burst_size=12, gap_s=0.15)
         with gateway:
-            report = TrafficGenerator(pool, seed=0).run(gateway, mix)
-            reasons = gateway.stats()["batcher"]["flush_reasons"]
+            gate = DrainGate(gateway._batcher, submit=gateway.submit)
+            held = gate.hold(pool[0])
+            report = TrafficGenerator(pool, seed=0).run(
+                _OpenAfter(gateway, gate, mix.burst_size), mix
+            )
+            held.result(timeout=30)
+        reasons = gateway.stats()["batcher"]["flush_reasons"]  # after stop: final
         assert report.completed == 24
+        assert [v.batch_size for v in report.verdicts[:12]] == [8] * 8 + [4] * 4
         assert reasons.get("full", 0) >= 1
-        assert reasons.get("deadline", 0) >= 1
+        assert reasons.get("idle", 0) >= 1
+
+
+class _OpenAfter:
+    """Gateway stand-in for the generator: opens ``gate`` after ``count``
+    submissions, so exactly that many requests queue behind the blocker."""
+
+    def __init__(self, gateway, gate, count):
+        self.gateway, self.gate, self.count = gateway, gate, count
+
+    def submit(self, image):
+        future = self.gateway.submit(image)
+        self.count -= 1
+        if self.count == 0:
+            self.gate.open()
+        return future

@@ -290,7 +290,9 @@ class TestServeCommand:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["serve", "--workers", "4"])
         assert args.max_batch == 32
-        assert args.max_wait_ms == 5.0
+        # The batcher is work-conserving: there is no deadline to set.
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["serve", "--max-wait-ms", "5"])
         assert args.strip is False
         assert args.bootstrap is True
         assert args.http is None
@@ -300,15 +302,13 @@ class TestServeCommand:
     def test_parser_full(self):
         args = build_parser().parse_args([
             "serve", "--model", "vgg19_bn", "--registry", "/tmp/reg",
-            "--alias", "canary", "--max-batch", "16",
-            "--max-wait-ms", "2.5", "--strip", "--no-bootstrap",
+            "--alias", "canary", "--max-batch", "16", "--strip", "--no-bootstrap",
             "--http", "8080", "--traffic", "adversarial", "--requests", "48",
         ])
         assert args.model == "vgg19_bn"
         assert args.registry == "/tmp/reg"
         assert args.alias == "canary"
         assert args.max_batch == 16
-        assert args.max_wait_ms == 2.5
         assert args.strip is True
         assert args.bootstrap is False
         assert args.http == 8080
@@ -324,10 +324,7 @@ class TestServeCommand:
             build_parser().parse_args(["serve", "--traffic", "tsunami"])
 
     def test_empty_alias_without_bootstrap_fails(self, tmp_path, capsys):
-        code = main([
-            "serve", "--registry", str(tmp_path), "--no-bootstrap",
-            "--max-wait-ms", "1",
-        ])
+        code = main(["serve", "--registry", str(tmp_path), "--no-bootstrap"])
         assert code == 1
         assert "--no-bootstrap" in capsys.readouterr().out
 
