@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 from dataclasses import asdict
 from typing import Dict, List, Optional
 
@@ -19,6 +20,12 @@ import pytest
 from repro.eval import AggregateResult, BackdoorMetrics, BenchmarkRunner
 
 OUT_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "out")
+
+# The fast-vs-reference probes time the reference kernels of the test
+# package (``tests/nn/reference.py``), importable from the repo root.
+_REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+if _REPO_ROOT not in sys.path:
+    sys.path.append(_REPO_ROOT)
 
 
 def host_info() -> Dict:

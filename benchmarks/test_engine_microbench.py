@@ -112,40 +112,27 @@ def test_one_epoch_tiny(benchmark):
 # ---------------------------------------------------------------------------
 # Fast path vs. reference path (emits BENCH_engine.json)
 #
-# Each probe times the same workload twice — once on the fast inference path
-# (single-GEMM conv, workspace arena, conv–BN folding, fused evaluator) and
-# once with ``REPRO_DISABLE_FAST_PATH=1`` forcing the reference kernels —
-# checks the outputs agree within float32 tolerance, and records ops/sec for
-# both so future PRs can track the perf trajectory from the JSON alone.
+# Each probe times the same workload twice — once on the runtime kernels
+# (single-GEMM conv, depthwise tap loop, workspace scratch, conv–BN folding,
+# fused evaluator) and once with ``tests/nn/reference.py``'s reference
+# kernels swapped in — checks the outputs agree within float32 tolerance, and
+# records ops/sec for both so future PRs can track the perf trajectory from
+# the JSON alone.
 # ---------------------------------------------------------------------------
 
-import contextlib
 import json
 import os
 import time
 
 from repro.core import GradientPruner
 from repro.nn import no_grad
-from repro.nn.functional import FAST_PATH_ENV
 from repro.nn.inference import compile_for_inference
 from repro.utils.timing import best_of_seconds
+from tests.nn.reference import reference_kernels
 
 from conftest import OUT_DIR, host_info
 
 _FASTPATH_RESULTS = {}
-
-
-@contextlib.contextmanager
-def _reference_path():
-    previous = os.environ.get(FAST_PATH_ENV)
-    os.environ[FAST_PATH_ENV] = "1"
-    try:
-        yield
-    finally:
-        if previous is None:
-            os.environ.pop(FAST_PATH_ENV, None)
-        else:
-            os.environ[FAST_PATH_ENV] = previous
 
 
 # Shared micro-benchmark timing primitive (see repro.utils.timing).
@@ -176,7 +163,7 @@ def test_fastpath_conv_forward():
 
     fast_s = _best_seconds(forward, number=10)
     fast_out = forward().data
-    with _reference_path():
+    with reference_kernels():
         reference_s = _best_seconds(forward, number=10)
         reference_out = forward().data
 
@@ -201,7 +188,7 @@ def test_fastpath_depthwise_conv_train():
 
     fast_s = _best_seconds(step, number=5)
     fast_dx, fast_dw = step()
-    with _reference_path():
+    with reference_kernels():
         reference_s = _best_seconds(step, number=5)
         reference_dx, reference_dw = step()
 
@@ -223,7 +210,7 @@ def test_fastpath_folded_inference_batch64():
         with no_grad():
             return model(x).data
 
-    with _reference_path():
+    with reference_kernels():
         reference_s = _best_seconds(plain)
         reference_out = plain()
 
@@ -259,24 +246,18 @@ def test_fastpath_full_pruning_round():
 
     backdoor_train, clean_val, backdoor_val = dataset(32), dataset(128), dataset(128)
 
-    def one_round(use_fast_path):
+    def one_round():
         model = build_model("preact_resnet18")
-        pruner = GradientPruner(
-            alpha=0.0,
-            patience=100,
-            max_rounds=1,
-            batch_size=64,
-            use_fast_path=use_fast_path,
-        )
+        pruner = GradientPruner(alpha=0.0, patience=100, max_rounds=1, batch_size=64)
         return pruner.prune(model, backdoor_train, clean_val, backdoor_val)
 
-    one_round(True)  # warm caches (BLAS + arena) before either timing
+    one_round()  # warm caches (BLAS + workspace) before either timing
     start = time.perf_counter()
-    fast_history = one_round(True)
+    fast_history = one_round()
     fast_s = time.perf_counter() - start
-    with _reference_path():
+    with reference_kernels():
         start = time.perf_counter()
-        reference_history = one_round(False)
+        reference_history = one_round()
         reference_s = time.perf_counter() - start
 
     # Equivalence: both paths must prune the same filter and agree on the
@@ -318,7 +299,7 @@ def test_emit_bench_engine_json():
     os.makedirs(OUT_DIR, exist_ok=True)
     payload = {
         "bench": "engine_fastpath",
-        "reference": f"{FAST_PATH_ENV}=1 (reference kernels, two-pass evaluator)",
+        "reference": "tests/nn/reference.py (reference kernels, fused evaluator)",
         "host": host_info(),
         "entries": _FASTPATH_RESULTS,
     }

@@ -1,9 +1,9 @@
 """Training-path microbenchmark: engine-backed backward GEMMs.
 
 Times a full train step (forward + backward + SGD update) on the
-engine-backed training path — im2col column reuse into the dW
-``execute_tn`` GEMM, planned gradient buffers — against the
-``REPRO_DISABLE_FAST_PATH=1`` reference closures, and records both in
+engine-backed training kernels — im2col column reuse into the dW
+``execute_tn`` GEMM, workspace gradient buffers — against the reference
+closures of ``tests/nn/reference.py``, and records both in
 ``benchmarks/out/BENCH_training.json`` (registered next to
 ``BENCH_engine.json`` / ``BENCH_serving.json``) with the host's core count,
 BLAS and thread env.
@@ -26,10 +26,10 @@ from conftest import OUT_DIR, host_info
 from repro.data import ImageDataset
 from repro.models import build_model
 from repro.nn import SGD, Tensor, cross_entropy
-from repro.nn.functional import FAST_PATH_ENV
 from repro.telemetry import bus
 from repro.training import TrainConfig, train_classifier
 from repro.utils.timing import best_of_seconds, hard_timeout
+from tests.nn.reference import reference_kernels
 
 pytestmark = pytest.mark.bench
 
@@ -88,29 +88,22 @@ def _grad_snapshot(model):
 
 def test_train_step_fastpath_vs_reference():
     """Fast path vs reference: same gradients, no regression."""
-    saved_fast = os.environ.pop(FAST_PATH_ENV, None)
-    try:
-        _, step = _make_step()
-        step()  # warm BLAS + arenas before timing
-        fast_s = best_of_seconds(step, repeats=3, number=1)
-        # Equivalence on a fresh, non-updating model: one backward each, so
-        # float drift cannot compound across optimizer updates.
-        eq_model, eq_step = _make_step(update=False)
-        eq_step()
-        fast_grads = _grad_snapshot(eq_model)
+    _, step = _make_step()
+    step()  # warm BLAS + workspace before timing
+    fast_s = best_of_seconds(step, repeats=3, number=1)
+    # Equivalence on a fresh, non-updating model: one backward each, so
+    # float drift cannot compound across optimizer updates.
+    eq_model, eq_step = _make_step(update=False)
+    eq_step()
+    fast_grads = _grad_snapshot(eq_model)
 
-        os.environ[FAST_PATH_ENV] = "1"
+    with reference_kernels():
         _, ref_step = _make_step()
         ref_step()
         reference_s = best_of_seconds(ref_step, repeats=3, number=1)
         ref_eq_model, ref_eq_step = _make_step(update=False)
         ref_eq_step()
         reference_grads = _grad_snapshot(ref_eq_model)
-    finally:
-        if saved_fast is None:
-            os.environ.pop(FAST_PATH_ENV, None)
-        else:
-            os.environ[FAST_PATH_ENV] = saved_fast
 
     # Identical seed, identical batch, one backward each.  Per-layer grads
     # through 18 layers of train-mode BN carry ~1e-2 relative float32 noise
@@ -163,7 +156,7 @@ def test_emit_bench_training_json():
     payload = {
         "bench": "training_engine",
         "workload": f"preact_resnet18 train step, batch {BATCH} (fwd+bwd+SGD)",
-        "reference": f"{FAST_PATH_ENV}=1 (reference autograd closures)",
+        "reference": "tests/nn/reference.py (reference autograd closures)",
         "host": host_info(),
         "entries": _RESULTS,
     }

@@ -2,18 +2,19 @@
 
 Each pruning round must re-measure two quantities on the held-out validation
 splits: the main-task (clean) accuracy and the unlearning loss on the
-triggered validation set.  The reference implementation walks the model over
-the two datasets in two separate passes; :class:`FusedEvaluator` concatenates
-the splits once at construction and computes both metrics from a **single
+triggered validation set.  Rather than walking the model over the two
+datasets in two separate passes, :class:`FusedEvaluator` concatenates the
+splits once at construction and computes both metrics from a **single
 batched forward sweep** over the combined array, running the model through a
 :class:`repro.nn.inference.CompiledInference` view (conv–BN folding + the
-no-grad kernel fast path).  Batches are packed across the split boundary, so
-no partial batch is wasted between the two datasets.
+no-grad kernels).  Batches are packed across the split boundary, so no
+partial batch is wasted between the two datasets.
 
 Numerical contract: the returned accuracy is bit-identical to
-:func:`repro.training.evaluate_accuracy` modulo fast-path float reassociation,
-and the loss matches :func:`repro.core.unlearning.unlearning_loss_value`
-within float32 tolerance (the sum reduction is batching-invariant).
+:func:`repro.training.evaluate_accuracy` modulo conv–BN folding's float
+reassociation, and the loss matches
+:func:`repro.core.unlearning.unlearning_loss_value` within float32 tolerance
+(the sum reduction is batching-invariant).
 """
 
 from __future__ import annotations
@@ -24,8 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..data.dataset import ImageDataset
-from ..nn import Tensor, cross_entropy, no_grad
-from ..nn.functional import fast_path_enabled
+from ..nn import Tensor, cross_entropy
 from ..nn.inference import CompiledInference
 from ..nn.module import Module
 
@@ -55,10 +55,9 @@ class FusedEvaluator:
         Triggered validation split with *correct* labels (drives Eq. 2).
     batch_size:
         Forward batch size over the concatenated array.
-    use_fast_path:
-        When True (and ``REPRO_DISABLE_FAST_PATH`` is unset), forwards run
-        through a compiled conv–BN-folded view of the model.  The compiled
-        view is invalidated automatically by prune/unprune mutations.
+
+    Forwards run through a compiled conv–BN-folded view of the model, which
+    prune/unprune mutations invalidate automatically.
     """
 
     def __init__(
@@ -67,7 +66,6 @@ class FusedEvaluator:
         clean_val: ImageDataset,
         backdoor_val: ImageDataset,
         batch_size: int = 128,
-        use_fast_path: bool = True,
     ) -> None:
         if len(clean_val) == 0:
             raise ValueError("cannot evaluate on an empty clean validation set")
@@ -79,20 +77,12 @@ class FusedEvaluator:
         self._clean_labels = np.asarray(clean_val.labels)
         self._backdoor_labels = np.asarray(backdoor_val.labels)
         self.batch_size = batch_size
-        self._compiled: CompiledInference | None = None
-        if use_fast_path and fast_path_enabled():
-            self._compiled = CompiledInference(model, Tensor(self._images[:1]))
+        self._compiled = CompiledInference(model, Tensor(self._images[:1]))
 
     @property
     def num_folded(self) -> int:
-        """Conv–BN pairs folded by the compiled view (0 on the reference path)."""
-        return self._compiled.num_folded if self._compiled is not None else 0
-
-    def _forward(self, batch: np.ndarray) -> np.ndarray:
-        if self._compiled is not None:
-            return self._compiled(Tensor(batch)).data
-        with no_grad():
-            return self._model(Tensor(batch)).data
+        """Conv–BN pairs folded by the compiled view."""
+        return self._compiled.num_folded
 
     def evaluate(self) -> FusedEvalReport:
         """One fused sweep; returns accuracy, Eq. 2 loss, and wall time."""
@@ -104,7 +94,7 @@ class FusedEvaluator:
         loss_total = 0.0
         for start in range(0, total, self.batch_size):
             stop = min(start + self.batch_size, total)
-            logits = self._forward(self._images[start:stop])
+            logits = self._compiled(Tensor(self._images[start:stop])).data
             if start < boundary:  # clean part: accuracy
                 clean_stop = min(stop, boundary)
                 predictions = logits[: clean_stop - start].argmax(axis=1)

@@ -19,8 +19,7 @@ Both per-round validation metrics come from one fused forward sweep
 (:class:`repro.core.evaluator.FusedEvaluator`) over a conv–BN-folded
 compiled view of the model; each :class:`PruningRound` records how long its
 scoring backward and validation sweep took, so bench runs can attribute
-wall time.  ``REPRO_DISABLE_FAST_PATH=1`` (or ``use_fast_path=False``)
-restores the reference two-pass evaluation.
+wall time.
 
 Every round is also published on the telemetry bus
 (:mod:`repro.telemetry`) as a ``prune_round`` event — filter identity and
@@ -119,13 +118,10 @@ class GradientPruner:
         Hard cap on pruning rounds (safety net; the paper's loop is bounded
         by the filter count).
     batch_size:
-        Batch size for loss/score computation.
-    use_fast_path:
-        Evaluate the stopping rule through the fused conv–BN-folded
-        inference path.  Scores (Eq. 3) run the engine-dispatched training
-        path (im2col-GEMM backward with column reuse) unless
-        ``REPRO_DISABLE_FAST_PATH=1``; both paths agree with the reference
-        autograd within float32 tolerance.
+        Batch size for loss/score computation.  The stopping rule is
+        evaluated through the fused conv–BN-folded inference view; scores
+        (Eq. 3) run the engine-dispatched training kernels (im2col-GEMM
+        backward with column reuse).
     stopping:
         A :class:`~repro.core.stopping.StoppingPolicy` instance replacing
         the default ``PatienceStopping(patience)``.  The accuracy floor
@@ -139,7 +135,6 @@ class GradientPruner:
         patience: int = 10,
         max_rounds: Optional[int] = None,
         batch_size: int = 128,
-        use_fast_path: bool = True,
         stopping: Optional[StoppingPolicy] = None,
     ) -> None:
         if alpha is not None and not 0.0 <= alpha <= 1.0:
@@ -153,7 +148,6 @@ class GradientPruner:
         self.patience = patience
         self.max_rounds = max_rounds
         self.batch_size = batch_size
-        self.use_fast_path = use_fast_path
         self.stopping = stopping
 
     def prune(
@@ -172,13 +166,7 @@ class GradientPruner:
         mask = mask if mask is not None else PruningMask(model)
         policy = self.stopping if self.stopping is not None else PatienceStopping(self.patience)
         history = PruningHistory(stop_policy=policy.name)
-        evaluator = FusedEvaluator(
-            model,
-            clean_val,
-            backdoor_val,
-            batch_size=self.batch_size,
-            use_fast_path=self.use_fast_path,
-        )
+        evaluator = FusedEvaluator(model, clean_val, backdoor_val, batch_size=self.batch_size)
         initial = evaluator.evaluate()
         history.initial_val_accuracy = initial.accuracy
         history.initial_val_loss = initial.unlearning_loss

@@ -19,7 +19,6 @@ import numpy as np
 from ..data.dataset import DataLoader, ImageDataset
 from ..models.pruning_utils import PruningMask
 from ..nn import SGD, Tensor, cross_entropy, no_grad
-from ..nn.engine.training import training_step
 from ..nn.module import Module
 from ..telemetry import bus, emit
 
@@ -143,10 +142,9 @@ class FineTuner:
             epoch_loss, batches, samples = 0.0, 0, 0
             epoch_started = time.perf_counter()
             for images, labels in loader:
-                with training_step((images.shape, images.dtype.str)):
-                    loss = cross_entropy(model(Tensor(images)), labels)
-                    optimizer.zero_grad(set_to_none=False)
-                    loss.backward()
+                loss = cross_entropy(model(Tensor(images)), labels)
+                optimizer.zero_grad(set_to_none=False)
+                loss.backward()
                 optimizer.step()
                 if mask is not None:
                     mask.apply()

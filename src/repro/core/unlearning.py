@@ -21,7 +21,6 @@ import numpy as np
 
 from ..data.dataset import ImageDataset
 from ..nn import Tensor, cross_entropy, no_grad
-from ..nn.engine.training import training_step
 from ..nn.module import Module
 from ..telemetry import bus
 
@@ -81,10 +80,9 @@ def unlearning_loss_backward(
     for start in range(0, len(backdoor_set), batch_size):
         images = backdoor_set.images[start : start + batch_size]
         labels = backdoor_set.labels[start : start + batch_size]
-        with training_step((images.shape, images.dtype.str)):
-            logits = model(Tensor(images))
-            loss = cross_entropy(logits, labels, reduction="sum")
-            loss.backward()
+        logits = model(Tensor(images))
+        loss = cross_entropy(logits, labels, reduction="sum")
+        loss.backward()
         total += loss.item()
     elapsed = time.perf_counter() - started
     if elapsed > 0:

@@ -17,7 +17,6 @@ import numpy as np
 
 from ..data.dataset import DataLoader, ImageDataset
 from ..nn import SAM, SGD, Tensor, cross_entropy, no_grad
-from ..nn.engine.training import training_step
 from ..nn.module import Module
 from .base import Defense, DefenderData, DefenseReport
 
@@ -92,15 +91,12 @@ class FTSAMDefense(Defense):
             model.train()
             epoch_loss, batches = 0.0, 0
             for images, labels in loader:
-                signature = (images.shape, images.dtype.str)
                 batch = Tensor(images)
-                with training_step(signature):
-                    loss = cross_entropy(model(batch), labels)
-                    loss.backward()
+                loss = cross_entropy(model(batch), labels)
+                loss.backward()
                 sam.first_step(zero_grad=True)
-                with training_step(signature):
-                    second_loss = cross_entropy(model(batch), labels)
-                    second_loss.backward()
+                second_loss = cross_entropy(model(batch), labels)
+                second_loss.backward()
                 sam.second_step(zero_grad=True)
                 epoch_loss += loss.item()
                 batches += 1

@@ -33,7 +33,7 @@ from .scheduler import CosineAnnealingLR, MultiStepLR, StepLR
 from .serialization import CheckpointError, load_module, load_state, save_module, save_state
 from . import functional
 from . import engine
-from .functional import Workspace, current_arena, fast_path_enabled, use_arena, workspace
+from .functional import Workspace, workspace
 from .inference import (
     CompiledInference,
     FoldChain,
@@ -89,9 +89,6 @@ __all__ = [
     "engine",
     "Workspace",
     "workspace",
-    "current_arena",
-    "use_arena",
-    "fast_path_enabled",
     "CompiledInference",
     "FoldChain",
     "compile_for_inference",

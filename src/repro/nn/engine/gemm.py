@@ -1,6 +1,6 @@
 """Inline GEMM executor with a fused epilogue.
 
-:class:`TiledGemmEngine` is the execution layer under the fast path.  Given
+:class:`TiledGemmEngine` is the execution layer under the conv kernels.  Given
 the im2col operand ``a = (M, K)`` and packed weights ``b = (K, N)`` it
 computes ``a @ b`` plus an optional fused epilogue — per-column bias add
 (which, after conv–BN folding, *is* the batch-norm affine) and ReLU —

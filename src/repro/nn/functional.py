@@ -1,14 +1,6 @@
 """Convolution, pooling, and padding primitives with autograd support.
 
-The reference convolution uses im2col/col2im so that both forward and
-backward passes reduce to dense matrix multiplications (an einsum over
-``(groups, ...)`` blocks for grouped convs).  Grouped and depthwise
-convolution (needed by EfficientNet and MobileNetV3) are supported via the
-``groups`` argument.
-
-Fast path
----------
-With the fast path on, :func:`conv2d` picks one of two kernels by the
+Every op has one runtime kernel.  :func:`conv2d` picks one of two by the
 weight shape, for no-grad and gradient calls alike:
 
 - ``groups == 1``: a channels-last single-GEMM conv.  The unfold is written
@@ -24,20 +16,22 @@ weight shape, for no-grad and gradient calls alike:
   NCHW input on the way), and the backward reuses the padded input the
   forward kept.
 
-Scratch (padded inputs, unfolds, packed weights, tap products) comes from a
-reused :class:`Workspace` arena, which avoids the page-fault cost of freshly
-mmap'd allocations; only results that escape an op are fresh.  Grouped convs
-with ``C_in / groups > 1`` (no model uses them) take the reference path.
-Set ``REPRO_DISABLE_FAST_PATH=1`` to force the reference path for every conv
-(useful for bisecting regressions between kernel and orchestration layers).
+Other grouped convs (``1 < groups < C_in``; no model uses them) run each
+group through the ``groups == 1`` kernel and concatenate the outputs.
+:func:`im2col` and :func:`col2im` remain as the NCHW unfold/fold that
+:func:`conv_transpose2d` is built on.
+
+Scratch (padded inputs, unfolds, packed weights, tap products, backward
+temporaries) comes from the one process-wide :class:`Workspace`, which
+avoids the page-fault cost of freshly mmap'd allocations; only results that
+escape an op are fresh.
 """
 
 from __future__ import annotations
 
-import contextlib
 import math
 import os
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, Optional, Tuple, Union
 
 import numpy as np
 
@@ -57,48 +51,37 @@ __all__ = [
     "col2im",
     "Workspace",
     "workspace",
-    "current_arena",
-    "use_arena",
-    "train_workspace",
-    "current_train_arena",
-    "use_train_arena",
-    "fast_path_enabled",
 ]
 
 IntPair = Union[int, Tuple[int, int]]
-
-FAST_PATH_ENV = "REPRO_DISABLE_FAST_PATH"
-
-
-def fast_path_enabled() -> bool:
-    """Whether the no-grad inference fast path is active.
-
-    Opt out with ``REPRO_DISABLE_FAST_PATH=1`` (also accepts ``true``/``yes``/
-    ``on``); the environment is consulted on every call so tests can flip the
-    flag without reloading the module.
-    """
-    return os.environ.get(FAST_PATH_ENV, "").strip().lower() not in ("1", "true", "yes", "on")
 
 
 class Workspace:
     """Arena of reusable scratch slabs, one growable byte buffer per tag.
 
-    The inference fast path needs large intermediates (padded inputs, im2col
-    matrices, GEMM outputs) on every conv call.  Fresh numpy allocations of
-    multi-MB arrays are mmap-backed, so writing them incurs a page fault per
-    4 KiB; recycling a slab avoids that.  Crucially the slab is shared
-    *across layers* — :meth:`get` hands out a view of the per-tag buffer
-    regardless of the requested shape — so consecutive convs of different
-    sizes hit the same hot pages instead of each pinning their own
-    cold-by-next-round buffer (keying slabs by shape was measurably slower
-    than plain malloc recycling due to cache/TLB pressure).
+    The conv kernels need large intermediates (padded inputs, unfolded
+    columns, packed weights, backward temporaries) on every call.  Fresh
+    numpy allocations of multi-MB arrays are mmap-backed, so writing them
+    incurs a page fault per 4 KiB; recycling a slab avoids that.  Crucially
+    the slab is shared *across layers* — :meth:`get` hands out a view of
+    the per-tag buffer regardless of the requested shape — so consecutive
+    convs of different sizes hit the same hot pages instead of each pinning
+    their own cold-by-next-round buffer (keying slabs by shape was
+    measurably slower than plain malloc recycling due to cache/TLB
+    pressure).  A slab only grows, so after one pass at the largest batch
+    every smaller batch runs from the same bytes.
 
     Buffers are only handed out for intermediates that are fully consumed
-    before the op returns — results that escape an op are always freshly
-    allocated.  Two concurrent ``get``s of the same tag alias each other.
+    before the op (or the backward closure) returns — results that escape
+    an op, and anything a backward closure keeps, are freshly allocated.
+    That is what lets training and inference share it: a no-grad forward
+    interleaved between a gradient forward and its backward cannot clobber
+    state the backward needs.  Two concurrent ``get``s of the same tag alias
+    each other.
 
-    Not thread-safe; the engine is single-threaded by design (BLAS provides
-    the parallelism).
+    There is one workspace per process (:func:`workspace`).  It is not
+    thread-safe: nn ops run from several threads must be serialized (the
+    serving gateway holds its model lock around every forward).
     """
 
     def __init__(self) -> None:
@@ -113,11 +96,6 @@ class Workspace:
             slab = np.empty(nbytes, dtype=np.uint8)
             self._slabs[tag] = slab
         return slab[:nbytes].view(dtype).reshape(shape)
-
-    def release(self, tag: str) -> None:
-        """Lifetime mark: ``tag``'s buffer is dead.  No-op here; the static
-        planner (:class:`repro.nn.engine.PlannedArena`) uses these marks to
-        let lifetime-disjoint tags share one slab."""
 
     def clear(self) -> None:
         """Drop every cached slab (frees the memory)."""
@@ -136,89 +114,24 @@ _WORKSPACE = Workspace()
 
 
 def workspace() -> Workspace:
-    """The process-wide workspace arena used by the inference fast path."""
+    """The process-wide scratch arena every kernel allocates from."""
     return _WORKSPACE
 
 
-_ARENA_STACK: List[Workspace] = []
-
-
-def current_arena() -> Workspace:
-    """The arena fast-path kernels should allocate from.
-
-    Defaults to the process-wide :func:`workspace`; a compiled model pushes
-    its own planned arena for the duration of each forward via
-    :func:`use_arena`.
-    """
-    return _ARENA_STACK[-1] if _ARENA_STACK else _WORKSPACE
-
-
-@contextlib.contextmanager
-def use_arena(arena):
-    """Route fast-path scratch allocations to ``arena`` inside the block."""
-    _ARENA_STACK.append(arena)
-    try:
-        yield arena
-    finally:
-        _ARENA_STACK.pop()
-
-
-# Training-side scratch is kept separate from the inference arena stack: a
-# training step's backward temporaries (flattened upstream gradients, packed
-# weights, col2im scatter scratch) are alive while inference-style no-grad
-# evaluations may interleave (e.g. the pruning loop scores with gradients,
-# then evaluates the compiled model), and the two must never alias.
-_TRAIN_WORKSPACE = Workspace()
-
-_TRAIN_ARENA_STACK: List[Workspace] = []
-
-
-def train_workspace() -> Workspace:
-    """The process-wide arena used by the training fast path's temporaries."""
-    return _TRAIN_WORKSPACE
-
-
-def current_train_arena() -> Workspace:
-    """The arena training-path kernels should allocate scratch from.
-
-    Defaults to the process-wide :func:`train_workspace`; hot loops push a
-    planned arena for the duration of each forward+backward pass via
-    :func:`use_train_arena` (see :func:`repro.nn.engine.training_step`).
-    """
-    return _TRAIN_ARENA_STACK[-1] if _TRAIN_ARENA_STACK else _TRAIN_WORKSPACE
-
-
-@contextlib.contextmanager
-def use_train_arena(arena):
-    """Route training-path scratch allocations to ``arena`` inside the block."""
-    _TRAIN_ARENA_STACK.append(arena)
-    try:
-        yield arena
-    finally:
-        _TRAIN_ARENA_STACK.pop()
-
-
 def _after_fork_in_child() -> None:
-    """Reset fast-path state inherited over ``fork``.
+    """Reset kernel state inherited over ``fork``.
 
     Orchestrator children must never serve views of a slab the parent is
-    concurrently writing: drop every arena buffer, and drop the engine
+    concurrently writing: drop the workspace's buffers, and drop the engine
     singleton so the child counts only its own GEMM calls.
     """
     _WORKSPACE.clear()
-    del _ARENA_STACK[:]
-    _TRAIN_WORKSPACE.clear()
-    del _TRAIN_ARENA_STACK[:]
     import sys
 
     if "repro.nn.engine.gemm" in sys.modules:
         from .engine.gemm import reset_engine
 
         reset_engine()
-    if "repro.nn.engine.planner" in sys.modules:
-        from .engine.planner import clear_all_arenas
-
-        clear_all_arenas()
 
 
 if hasattr(os, "register_at_fork"):  # pragma: no branch
@@ -263,29 +176,33 @@ def _channels_last(a: np.ndarray) -> bool:
 
 
 def _channels_last_buffer(
-    shape: Tuple[int, int, int, int], dtype, arena: Optional[Workspace] = None, tag: str = ""
+    shape: Tuple[int, int, int, int], dtype, tag: Optional[str] = None
 ) -> np.ndarray:
-    """Logical (N, C, H, W) view of an (N, H, W, C) buffer: fresh, or ``arena``'s ``tag`` slab."""
+    """Logical (N, C, H, W) view of an (N, H, W, C) buffer.
+
+    The buffer is fresh, or the workspace's ``tag`` slab when a tag is given.
+    """
     n, c, h, w = shape
     storage = (n, h, w, c)
-    buf = np.empty(storage, dtype) if arena is None else arena.get(tag, storage, dtype)
+    buf = np.empty(storage, dtype) if tag is None else workspace().get(tag, storage, dtype)
     return buf.transpose(0, 3, 1, 2)
 
 
 def _pad_channels_last(
-    x: np.ndarray, padding: Tuple[int, int], arena: Optional[Workspace] = None
+    x: np.ndarray, padding: Tuple[int, int], tag: Optional[str] = None
 ) -> np.ndarray:
     """Zero-pad (N, C, H, W) ``x`` into channels-last storage.
 
-    The buffer is ``arena``'s ``"pad"`` slab, or fresh memory without an
-    arena.  Returns a logical (N, C, H+2ph, W+2pw) view, or ``x`` itself
-    when it is stored channels-last already and needs no padding.
+    The buffer is the workspace's ``tag`` slab, or fresh memory when ``tag``
+    is None (a backward closure that keeps the padded input needs that).
+    Returns a logical (N, C, H+2ph, W+2pw) view, or ``x`` itself when it is
+    stored channels-last already and needs no padding.
     """
     if padding == (0, 0) and _channels_last(x):
         return x
     ph, pw = padding
     n, c, h, w = x.shape
-    buf = _channels_last_buffer((n, c, h + 2 * ph, w + 2 * pw), x.dtype, arena, "pad")
+    buf = _channels_last_buffer((n, c, h + 2 * ph, w + 2 * pw), x.dtype, tag)
     if ph:
         buf[:, :, :ph] = 0.0
         buf[:, :, h + ph :] = 0.0
@@ -314,21 +231,13 @@ def im2col(
     kernel: Tuple[int, int],
     stride: Tuple[int, int],
     padding: Tuple[int, int],
-    return_padded: bool = False,
-):
+) -> np.ndarray:
     """Unfold ``x`` (N, C, H, W) into columns of shape (N, C*kh*kw, L).
 
     ``L = out_h * out_w`` is the number of sliding-window positions.  The
     result is laid out so that a convolution becomes ``weight_matrix @ cols``.
     The copy is skipped entirely when the unfolded view is already contiguous
     (1x1 kernels with unit stride).
-
-    Parameters
-    ----------
-    return_padded:
-        When True, also return the zero-padded input so callers can recycle
-        its buffer (e.g. :func:`conv2d` reuses it as col2im scratch in the
-        backward pass).
     """
     n, c, h, w = x.shape
     kh, kw = kernel
@@ -342,10 +251,7 @@ def im2col(
     # (N, C, out_h, out_w, kh, kw) -> (N, C, kh, kw, out_h, out_w)
     view = windows.transpose(0, 1, 4, 5, 2, 3)
     # reshape copies only when the view is non-contiguous.
-    cols = view.reshape(n, c * kh * kw, out_h * out_w)
-    if return_padded:
-        return cols, padded
-    return cols
+    return view.reshape(n, c * kh * kw, out_h * out_w)
 
 
 def _im2col_gemm(
@@ -353,23 +259,22 @@ def _im2col_gemm(
     kernel: Tuple[int, int],
     stride: Tuple[int, int],
     padding: Tuple[int, int],
-    arena: Workspace,
     out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Unfold ``x`` directly in single-GEMM layout ``(N*L, kh*kw*C)``.
 
-    Writing the unfold into a recycled arena buffer in patch-major order
+    Writing the unfold into a recycled workspace buffer in patch-major order
     means the subsequent convolution is one large ``(N*L, K) @ (K, C_out)``
     GEMM instead of N small batched matmuls, and — because padding is
     materialized in channels-last ``(N, H, W, C)`` storage — each unfold row
     gathers ``kh*kw`` *contiguous* ``C``-runs from an L1-resident window of
     the padded image, instead of sweeping the whole batch per kernel tap.
-    ``x`` itself may be in any storage order (the fast path hands conv
+    ``x`` itself may be in any storage order (the no-grad path hands conv
     outputs around as channels-last views, making the transpose here free).
 
     ``out`` overrides the destination (the training path unfolds into fresh
     memory so the columns can survive into the backward closure, where the
-    dW GEMM reuses them); the padded image still comes from ``arena``.
+    dW GEMM reuses them); the padded image still comes from the workspace.
     """
     n, c, h, w = x.shape
     kh, kw = kernel
@@ -378,7 +283,7 @@ def _im2col_gemm(
     out_h = conv_output_size(h, kh, sh, ph)
     out_w = conv_output_size(w, kw, sw, pw)
     if ph or pw:
-        x = _pad_channels_last(x, padding, arena)
+        x = _pad_channels_last(x, padding, "pad")
     padded = x.transpose(0, 2, 3, 1)
     s = padded.strides
     view = np.lib.stride_tricks.as_strided(
@@ -387,11 +292,10 @@ def _im2col_gemm(
         strides=(s[0], s[1] * sh, s[2] * sw, s[1], s[2], s[3]),
         writeable=False,
     )
-    buf = out if out is not None else arena.get(
+    buf = out if out is not None else workspace().get(
         "cols_gemm", (n * out_h * out_w, kh * kw * c), x.dtype
     )
     np.copyto(buf.reshape(n, out_h, out_w, kh, kw, c), view)
-    arena.release("pad")  # the unfold was the padded image's last reader
     return buf
 
 
@@ -401,16 +305,15 @@ def _col2im_gemm(
     kernel: Tuple[int, int],
     stride: Tuple[int, int],
     padding: Tuple[int, int],
-    arena: Workspace,
 ) -> np.ndarray:
     """Fold single-GEMM-layout columns ``(N*L, kh*kw*C)`` back, summing overlaps.
 
     The channels-last counterpart of :func:`col2im`, consuming the patch-major
-    layout the training fast path's dX GEMM produces.  The scatter-add runs in
+    layout the training kernel's dX GEMM produces.  The scatter-add runs in
     ``(N, H, W, C)`` storage — each kernel-tap slice adds contiguous ``C``-runs
     — and the returned array is a logically-``(N, C, H, W)`` transpose view of
-    the arena's ``"bwd_pad"`` slab, so the caller must consume it (accumulate
-    into ``.grad``) before the next op touches the arena.
+    the workspace's ``"bwd_pad"`` slab, so the caller must consume it
+    (accumulate into ``.grad``) before the next op touches the workspace.
     """
     n, c, h, w = x_shape
     kh, kw = kernel
@@ -421,7 +324,7 @@ def _col2im_gemm(
     if (kh, kw) == (1, 1) and (sh, sw) == (1, 1) and not (ph or pw):
         # Pointwise stride-1 conv: the columns ARE the gradient, one view.
         return cols2d.reshape(n, h, w, c).transpose(0, 3, 1, 2)
-    padded = arena.get("bwd_pad", (n, h + 2 * ph, w + 2 * pw, c), cols2d.dtype)
+    padded = workspace().get("bwd_pad", (n, h + 2 * ph, w + 2 * pw, c), cols2d.dtype)
     padded.fill(0.0)
     cols6 = cols2d.reshape(n, out_h, out_w, kh, kw, c)
     for i in range(kh):
@@ -439,14 +342,8 @@ def col2im(
     kernel: Tuple[int, int],
     stride: Tuple[int, int],
     padding: Tuple[int, int],
-    out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """Fold columns produced by :func:`im2col` back, summing overlaps.
-
-    ``out`` may supply a scratch buffer of the *padded* shape
-    ``(N, C, H+2ph, W+2pw)``; it is zeroed before accumulation.  The conv
-    backward pass recycles its forward padding buffer this way.
-    """
+    """Fold columns produced by :func:`im2col` back, summing overlaps."""
     n, c, h, w = x_shape
     kh, kw = kernel
     sh, sw = stride
@@ -454,12 +351,7 @@ def col2im(
     out_h = conv_output_size(h, kh, sh, ph)
     out_w = conv_output_size(w, kw, sw, pw)
 
-    padded_shape = (n, c, h + 2 * ph, w + 2 * pw)
-    if out is not None and out.shape == padded_shape and out.dtype == cols.dtype:
-        padded = out
-        padded.fill(0.0)
-    else:
-        padded = np.zeros(padded_shape, dtype=cols.dtype)
+    padded = np.zeros((n, c, h + 2 * ph, w + 2 * pw), dtype=cols.dtype)
     cols = cols.reshape(n, c, kh, kw, out_h, out_w)
     for i in range(kh):
         h_end = i + sh * out_h
@@ -481,7 +373,7 @@ def _conv2d_infer(
     out_w: int,
     activation: Optional[str] = None,
 ) -> np.ndarray:
-    """No-grad ``groups == 1`` conv forward: arena-backed unfold + one GEMM.
+    """No-grad ``groups == 1`` conv forward: workspace-backed unfold + one GEMM.
 
     The GEMM computes ``(N*L, K) @ (K, C_out)`` and its result is *kept* in
     channels-last (NHWC) storage: the returned array is a logically-``(N,
@@ -490,14 +382,13 @@ def _conv2d_infer(
     that layout through the BN/activation/residual ops that follow, and the
     next conv's unfold reads it back for free, so the layout is
     self-sustaining across a whole eval forward.  All intermediates (padded
-    input, unfolded columns, transposed weights) live in the active arena;
+    input, unfolded columns, transposed weights) live in the workspace;
     only the GEMM result, which escapes into the caller's graph, is freshly
     allocated.  The GEMM plus its bias/``activation`` epilogue runs through
     the engine (:mod:`repro.nn.engine`) as one inline BLAS call.
     """
     from .engine.gemm import engine as _engine
 
-    arena = current_arena()
     n, c_in = x.shape[0], x.shape[1]
     c_out, _, kh, kw = weight.shape
     length = out_h * out_w
@@ -511,7 +402,7 @@ def _conv2d_infer(
         cols = xs.transpose(0, 2, 3, 1).reshape(n * length, c_in)
         w_mat = weight.reshape(c_out, c_in).transpose()
     else:
-        cols = _im2col_gemm(x, (kh, kw), stride, padding, arena)  # (N*L, K)
+        cols = _im2col_gemm(x, (kh, kw), stride, padding)  # (N*L, K)
         k_flat = c_in * kh * kw
         # (C_out, C, kh, kw) -> (kh, kw, C, C_out) to match unfold order.
         # Pre-packed weights (e.g. folded by CompiledInference) already
@@ -520,11 +411,9 @@ def _conv2d_infer(
         if wt.flags.c_contiguous:
             w_mat = wt.reshape(k_flat, c_out)
         else:
-            w_mat = arena.get("wmat", (k_flat, c_out), weight.dtype)
+            w_mat = workspace().get("wmat", (k_flat, c_out), weight.dtype)
             np.copyto(w_mat.reshape(kh, kw, c_in, c_out), wt)
     gemm = _engine().execute(cols, w_mat, bias=bias, activation=activation)
-    arena.release("cols_gemm")
-    arena.release("wmat")
     return gemm.reshape(n, out_h, out_w, c_out).transpose(0, 3, 1, 2)
 
 
@@ -550,16 +439,14 @@ def _conv2d_train(
     - the channels-last col2im scatter folding ``grad_cols`` into dX.
 
     All backward temporaries (the flattened upstream gradient, packed
-    weights, dW product, col2im scratch) live in the *training* arena
-    (:func:`current_train_arena`) — everything accumulated into ``.grad``
-    is either copied or added by ``Tensor._accumulate`` before the arena
-    recycles, and the tape walk is serial, so tags can be reused across
-    layers.  Only ``cols`` and the forward GEMM output, which outlive the
-    op, are fresh allocations.
+    weights, dW product, col2im scratch) live in the workspace — everything
+    accumulated into ``.grad`` is either copied or added by
+    ``Tensor._accumulate`` before the workspace recycles, and the tape walk
+    is serial, so tags can be reused across layers.  Only ``cols`` and the
+    forward GEMM output, which outlive the op, are fresh allocations.
     """
     from .engine.gemm import engine as _engine
 
-    arena = current_train_arena()
     n, c_in, h, w = x.shape
     c_out, _, kh, kw = weight.shape
     length = out_h * out_w
@@ -570,27 +457,26 @@ def _conv2d_train(
         xs = x.data if stride == (1, 1) else x.data[:, :, :: stride[0], :: stride[1]]
         # A contiguous channels-last input makes this reshape a view of
         # x.data; activations are never mutated in place between forward and
-        # backward, so capturing the view is as safe as the reference path's.
+        # backward, so capturing the view is safe.
         cols = xs.transpose(0, 2, 3, 1).reshape(n * length, c_in)
     else:
         cols = np.empty((n * length, k_flat), dtype=dtype)
-        _im2col_gemm(x.data, (kh, kw), stride, padding, arena, out=cols)
+        _im2col_gemm(x.data, (kh, kw), stride, padding, out=cols)
 
     # (C_out, C, kh, kw) -> (kh, kw, C, C_out): the unfold's patch-major order.
     wt = weight.data.transpose(2, 3, 1, 0)
     if wt.flags.c_contiguous:
         w_mat = wt.reshape(k_flat, c_out)
     else:
-        w_mat = arena.get("wmat", (k_flat, c_out), dtype)
+        w_mat = workspace().get("wmat", (k_flat, c_out), dtype)
         np.copyto(w_mat.reshape(kh, kw, c_in, c_out), wt)
     bias_data = None if bias is None else bias.data
     out2d = _engine().execute(cols, w_mat, bias=bias_data)
-    arena.release("wmat")
     # Materialize contiguous NCHW: training-mode consumers (BatchNorm batch
     # statistics, ReLU masks, residual adds) reduce over this output many
     # times, and feeding them the NHWC-storage transpose view makes every
     # one of those reductions strided — measurably slower than this single
-    # well-vectorized copy.  (The no-grad inference path keeps the view: its
+    # well-vectorized copy.  (The no-grad path keeps the view: its
     # consumers are channels-last aware.)
     out = np.ascontiguousarray(out2d.reshape(n, out_h, out_w, c_out).transpose(0, 3, 1, 2))
 
@@ -599,30 +485,23 @@ def _conv2d_train(
 
     def backward(grad: np.ndarray) -> None:
         eng = _engine()
-        bwd_arena = current_train_arena()
-        grad2d = bwd_arena.get("grad2d", (n * length, c_out), grad.dtype)
+        ws = workspace()
+        grad2d = ws.get("grad2d", (n * length, c_out), grad.dtype)
         np.copyto(grad2d.reshape(n, out_h, out_w, c_out), grad.transpose(0, 2, 3, 1))
         if bias is not None and bias.requires_grad:
             bias._accumulate(grad2d.sum(axis=0))
         if weight.requires_grad:
-            dw = eng.execute_tn(cols, grad2d, out=bwd_arena.get("dw", (k_flat, c_out), dtype))
+            dw = eng.execute_tn(cols, grad2d, out=ws.get("dw", (k_flat, c_out), dtype))
             weight._accumulate(dw.reshape(kh, kw, c_in, c_out).transpose(3, 2, 0, 1))
-            bwd_arena.release("dw")
         if x.requires_grad:
-            # Repack from weight.data at backward time: reference semantics
-            # (pruning masks and SAM perturbations mutate weights in place).
-            w_bwd = bwd_arena.get("wmat_bwd", (c_out, k_flat), dtype)
+            # Repack from weight.data at backward time: pruning masks and SAM
+            # perturbations mutate weights in place between the two passes.
+            w_bwd = ws.get("wmat_bwd", (c_out, k_flat), dtype)
             np.copyto(w_bwd.reshape(c_out, kh, kw, c_in), weight.data.transpose(0, 2, 3, 1))
             grad_cols = eng.execute(
-                grad2d, w_bwd, out=bwd_arena.get("grad_cols", (n * length, k_flat), dtype)
+                grad2d, w_bwd, out=ws.get("grad_cols", (n * length, k_flat), dtype)
             )
-            x._accumulate(
-                _col2im_gemm(grad_cols, x_shape, (kh, kw), stride, padding, bwd_arena)
-            )
-            bwd_arena.release("grad_cols")
-            bwd_arena.release("wmat_bwd")
-            bwd_arena.release("bwd_pad")
-        bwd_arena.release("grad2d")
+            x._accumulate(_col2im_gemm(grad_cols, x_shape, (kh, kw), stride, padding))
 
     return Tensor._make(out, parents, backward)
 
@@ -656,7 +535,6 @@ def _depthwise_forward(
     stride: Tuple[int, int],
     out_h: int,
     out_w: int,
-    arena: Workspace,
 ) -> np.ndarray:
     """Depthwise conv of the zero-padded channels-last input ``xp`` as a tap loop.
 
@@ -664,14 +542,14 @@ def _depthwise_forward(
     sees only input channel ``c``, so each of its ``kh*kw`` taps is one
     strided view of ``xp`` times a per-channel weight, added into the
     output — no unfold.  The output is fresh, channels-last like every
-    no-grad conv output; the tap products go through the arena's
+    no-grad conv output; the tap products go through the workspace's
     ``"taps"`` slab.
     """
     n, c = xp.shape[:2]
     c_out, _, kh, kw = weight.shape
     m = c_out // c
     out = _channels_last_buffer((n, c_out, out_h, out_w), xp.dtype)
-    tmp = _channels_last_buffer((n, c, out_h, out_w), xp.dtype, arena, "taps")
+    tmp = _channels_last_buffer((n, c, out_h, out_w), xp.dtype, "taps")
     for k in range(m):
         acc = out[:, k::m]
         w_taps = _tap_weights(weight[k::m], out_w)
@@ -683,7 +561,6 @@ def _depthwise_forward(
                 else:
                     np.multiply(view, w_taps[i, j], out=tmp)
                     acc += tmp
-    arena.release("taps")
     if bias is not None:
         out += bias.reshape(1, c_out, 1, 1)
     return out
@@ -699,15 +576,13 @@ def _depthwise_infer(
     out_w: int,
     activation: Optional[str] = None,
 ) -> np.ndarray:
-    """No-grad depthwise conv: arena-padded input, tap loop, bias/ReLU epilogue.
+    """No-grad depthwise conv: workspace-padded input, tap loop, bias/ReLU epilogue.
 
     ``bias`` and ``activation`` are how a folded depthwise conv→BN(→ReLU)
     from :class:`repro.nn.inference.CompiledInference` runs.
     """
-    arena = current_arena()
-    xp = _pad_channels_last(x, padding, arena)
-    out = _depthwise_forward(xp, weight, bias, stride, out_h, out_w, arena)
-    arena.release("pad")
+    xp = _pad_channels_last(x, padding, "pad")
+    out = _depthwise_forward(xp, weight, bias, stride, out_h, out_w)
     if activation == "relu":
         np.maximum(out, 0.0, out=out)
     return out
@@ -724,12 +599,12 @@ def _depthwise_train(
 ) -> Tensor:
     """Gradient-path depthwise conv on the tap loop of :func:`_depthwise_forward`.
 
-    The zero-padded input is fresh memory (never an arena slab) because the
-    backward closure keeps it.  Backward walks the same taps in
+    The zero-padded input is fresh memory (never a workspace slab) because
+    the backward closure keeps it.  Backward walks the same taps in
     channels-last storage: dW for tap ``(i, j)`` is one einsum of the
     upstream gradient with that tap's view of the padded input, and dX
     scatter-adds ``grad * w_tap`` into a zeroed padded buffer.  Backward
-    scratch comes from the training arena.
+    scratch comes from the workspace.
     """
     n, c_in, h, w = x.shape
     c_out, _, kh, kw = weight.shape
@@ -738,9 +613,7 @@ def _depthwise_train(
     dtype = x.data.dtype
     xp = _pad_channels_last(x.data, padding)
     bias_data = None if bias is None else bias.data
-    out = _depthwise_forward(
-        xp, weight.data, bias_data, stride, out_h, out_w, current_train_arena()
-    )
+    out = _depthwise_forward(xp, weight.data, bias_data, stride, out_h, out_w)
     # Contiguous NCHW, for the same reason as _conv2d_train: train-mode
     # BatchNorm reduces over this output and is slower on channels-last.
     out = np.ascontiguousarray(out)
@@ -748,13 +621,12 @@ def _depthwise_train(
     taps = [(i, j) for i in range(kh) for j in range(kw)]
 
     def backward(grad: np.ndarray) -> None:
-        arena = current_train_arena()
         if bias is not None and bias.requires_grad:
             bias._accumulate(grad.sum(axis=(0, 2, 3)))
         if _channels_last(grad):
             g = grad
         else:
-            g = _channels_last_buffer(grad.shape, dtype, arena, "grad2d")
+            g = _channels_last_buffer(grad.shape, dtype, "grad2d")
             g[...] = grad
         if weight.requires_grad:
             dw = np.empty((c_out, 1, kh, kw), dtype)
@@ -766,23 +638,55 @@ def _depthwise_train(
                     dw[k::m, 0, i, j] = np.einsum("nyxc,nyxc->xc", g_k, view).sum(axis=0)
             weight._accumulate(dw)
         if x.requires_grad:
-            # Weights are read at backward time: reference semantics (pruning
-            # masks and SAM perturbations mutate them in place).
-            dxp = _channels_last_buffer((n, c_in, h + 2 * ph, w + 2 * pw), dtype, arena, "bwd_pad")
+            # Weights are read at backward time: pruning masks and SAM
+            # perturbations mutate them in place between the two passes.
+            dxp = _channels_last_buffer((n, c_in, h + 2 * ph, w + 2 * pw), dtype, "bwd_pad")
             dxp.fill(0.0)
-            tmp = _channels_last_buffer((n, c_in, out_h, out_w), dtype, arena, "taps")
+            tmp = _channels_last_buffer((n, c_in, out_h, out_w), dtype, "taps")
             for k in range(m):
                 w_taps = _tap_weights(weight.data[k::m], out_w)
                 for i, j in taps:
                     np.multiply(g[:, k::m], w_taps[i, j], out=tmp)
                     view = _tap(dxp, i, j, stride, out_h, out_w)
                     view += tmp
-            arena.release("taps")
             x._accumulate(dxp[:, :, ph : ph + h, pw : pw + w])
-            arena.release("bwd_pad")
-        arena.release("grad2d")
 
     return Tensor._make(out, parents, backward)
+
+
+def _grouped_conv2d(
+    x: Tensor,
+    weight: Tensor,
+    bias: Optional[Tensor],
+    stride: Tuple[int, int],
+    padding: Tuple[int, int],
+    groups: int,
+    activation: Optional[str],
+) -> Tensor:
+    """``1 < groups < C_in``: each group through the ``groups == 1`` kernel.
+
+    Slices the input channels, filters and bias of every group, convolves
+    them as an ordinary conv and concatenates the outputs along channels;
+    autograd routes the gradients back through the slices.  No model in the
+    zoo uses such convs, so this favours one kernel over speed.
+    """
+    c_in_g = x.shape[1] // groups
+    c_out_g = weight.shape[0] // groups
+    outs = []
+    for g in range(groups):
+        in_slice = slice(g * c_in_g, (g + 1) * c_in_g)
+        out_slice = slice(g * c_out_g, (g + 1) * c_out_g)
+        outs.append(
+            conv2d(
+                x[:, in_slice],
+                weight[out_slice],
+                None if bias is None else bias[out_slice],
+                stride,
+                padding,
+                activation=activation,
+            )
+        )
+    return Tensor.concatenate(outs, axis=1)
 
 
 def conv2d(
@@ -830,7 +734,6 @@ def conv2d(
 
     out_h = conv_output_size(h, kh, stride[0], padding[0])
     out_w = conv_output_size(w, kw, stride[1], padding[1])
-    c_out_per_group = c_out // groups
 
     needs_grad = is_grad_enabled() and (
         x.requires_grad
@@ -844,82 +747,22 @@ def conv2d(
             "conv2d(activation=...) is an inference-only fusion; it cannot be "
             "used on a gradient-requiring call"
         )
-    # Fast path, chosen by the weight shape: groups == 1 runs the single-GEMM
+    # One kernel pair per weight shape: groups == 1 runs the single-GEMM
     # kernels (engine-dispatched GEMMs; the gradient path keeps the columns
     # for dW), groups == C_in (depthwise, any channel multiplier) runs the
-    # tap loop.  Other grouped convs and REPRO_DISABLE_FAST_PATH=1 take the
-    # reference kernels below.
-    if fast_path_enabled() and (groups == 1 or c_in_per_group == 1):
-        if groups == 1:
-            train, infer = _conv2d_train, _conv2d_infer
-        else:
-            train, infer = _depthwise_train, _depthwise_infer
-        if needs_grad:
-            return train(x, weight, bias, stride, padding, out_h, out_w)
-        bias_data = None if bias is None else bias.data
-        return Tensor(
-            infer(x.data, weight.data, bias_data, stride, padding, out_h, out_w, activation)
-        )
-
-    cols, padded = im2col(x.data, (kh, kw), stride, padding, return_padded=True)
-    length = out_h * out_w
-    # The padded copy is dead after the unfold; keep it as col2im scratch for
-    # the backward pass.  Never reuse the input itself (padding == 0 returns
-    # ``x.data`` unchanged) or a buffer the unfold aliases (1x1 kernels can
-    # reshape to a view instead of copying).
-    scratch = (
-        padded
-        if (padding[0] or padding[1]) and not np.shares_memory(cols, padded)
-        else None
-    )
-
+    # tap loop, and other grouped convs compose the groups == 1 kernel.
     if groups == 1:
-        w_mat = weight.data.reshape(c_out, -1)  # (C_out, C_in*kh*kw)
-        out = np.matmul(w_mat[None], cols)  # batched GEMM -> (N, C_out, L)
+        train, infer = _conv2d_train, _conv2d_infer
+    elif c_in_per_group == 1:
+        train, infer = _depthwise_train, _depthwise_infer
     else:
-        cols_g = cols.reshape(n, groups, c_in_per_group * kh * kw, length)
-        w_mat = weight.data.reshape(groups, c_out_per_group, -1)
-        out = np.einsum("gok,ngkl->ngol", w_mat, cols_g, optimize=True)
-        out = out.reshape(n, c_out, length)
-
-    out = out.reshape(n, c_out, out_h, out_w)
-    if bias is not None:
-        out = out + bias.data.reshape(1, c_out, 1, 1)
-    if activation == "relu":  # no-grad only: the needs_grad case raised above
-        out = np.maximum(out, 0.0)
-
-    x_shape = x.shape
-    parents = (x, weight) if bias is None else (x, weight, bias)
-
-    def backward(grad: np.ndarray) -> None:
-        grad_flat = grad.reshape(n, c_out, length)
-        if bias is not None and bias.requires_grad:
-            bias._accumulate(grad_flat.sum(axis=(0, 2)))
-        if groups == 1:
-            if weight.requires_grad:
-                grad_w = np.matmul(grad_flat, cols.transpose(0, 2, 1)).sum(axis=0)
-                weight._accumulate(grad_w.reshape(weight.shape))
-            if x.requires_grad:
-                w_mat_local = weight.data.reshape(c_out, -1)
-                grad_cols = np.matmul(w_mat_local.T[None], grad_flat)
-                x._accumulate(
-                    col2im(grad_cols, x_shape, (kh, kw), stride, padding, out=scratch)
-                )
-        else:
-            grad_g = grad_flat.reshape(n, groups, c_out_per_group, length)
-            cols_g_local = cols.reshape(n, groups, c_in_per_group * kh * kw, length)
-            if weight.requires_grad:
-                grad_w = np.einsum("ngol,ngkl->gok", grad_g, cols_g_local, optimize=True)
-                weight._accumulate(grad_w.reshape(weight.shape))
-            if x.requires_grad:
-                w_mat_local = weight.data.reshape(groups, c_out_per_group, -1)
-                grad_cols = np.einsum("gok,ngol->ngkl", w_mat_local, grad_g, optimize=True)
-                grad_cols = grad_cols.reshape(n, c_in_per_group * groups * kh * kw, length)
-                x._accumulate(
-                    col2im(grad_cols, x_shape, (kh, kw), stride, padding, out=scratch)
-                )
-
-    return Tensor._make(out, parents, backward)
+        return _grouped_conv2d(x, weight, bias, stride, padding, groups, activation)
+    if needs_grad:
+        return train(x, weight, bias, stride, padding, out_h, out_w)
+    bias_data = None if bias is None else bias.data
+    return Tensor(
+        infer(x.data, weight.data, bias_data, stride, padding, out_h, out_w, activation)
+    )
 
 
 def conv_transpose2d(
@@ -932,8 +775,9 @@ def conv_transpose2d(
     """2-D transposed convolution (a.k.a. deconvolution).
 
     The forward pass is exactly the data-gradient of :func:`conv2d`, so the
-    implementation reuses ``col2im``; the backward pass reuses ``im2col``.
-    Used by decoder networks (e.g. the LIRA-style trigger generator).
+    implementation reuses ``col2im``; the backward pass reuses ``im2col``
+    and collapses the batch into one engine GEMM per product.  Used by
+    decoder networks (e.g. the LIRA-style trigger generator).
 
     Parameters
     ----------
@@ -972,51 +816,38 @@ def conv_transpose2d(
         out = out + bias.data.reshape(1, c_out, 1, 1)
 
     k_flat = c_out * kh * kw
-    use_fast = fast_path_enabled()
 
     def backward(grad: np.ndarray) -> None:
+        # Both backward products collapse the batch into one GEMM over
+        # (N*L) rows — dW through execute_tn, dX through execute.
+        from .engine.gemm import engine as _engine
+
         if bias is not None and bias.requires_grad:
             bias._accumulate(grad.sum(axis=(0, 2, 3)))
         grad_cols = im2col(grad, (kh, kw), stride, padding)  # (N, C_out*kh*kw, L)
-        if not use_fast:
-            if weight.requires_grad:
-                grad_w = np.matmul(x_flat, grad_cols.transpose(0, 2, 1)).sum(axis=0)
-                weight._accumulate(grad_w.reshape(weight.shape))
-            if x.requires_grad:
-                grad_x = np.matmul(w_mat[None], grad_cols)  # (N, C_in, L)
-                x._accumulate(grad_x.reshape(n, c_in, h, w))
-            return
-        # Engine path: both backward products collapse the batch into one
-        # GEMM over (N*L) rows — dW through execute_tn, dX through execute.
-        from .engine.gemm import engine as _engine
-
         eng = _engine()
-        arena = current_train_arena()
-        cols_rows = arena.get("grad2d", (n * length, k_flat), grad_cols.dtype)
+        ws = workspace()
+        cols_rows = ws.get("grad2d", (n * length, k_flat), grad_cols.dtype)
         np.copyto(
             cols_rows.reshape(n, length, k_flat), grad_cols.transpose(0, 2, 1)
         )
         if weight.requires_grad:
-            x_rows = arena.get("x_rows", (n * length, c_in), x_flat.dtype)
+            x_rows = ws.get("x_rows", (n * length, c_in), x_flat.dtype)
             np.copyto(x_rows.reshape(n, length, c_in), x_flat.transpose(0, 2, 1))
             # dW(C_in, K) = sum_{n,l} x[n,:,l] ⊗ grad_cols[n,:,l]
             dw = eng.execute_tn(
-                x_rows, cols_rows, out=arena.get("dw", (c_in, k_flat), x_flat.dtype)
+                x_rows, cols_rows, out=ws.get("dw", (c_in, k_flat), x_flat.dtype)
             )
             weight._accumulate(dw.reshape(weight.shape))
-            arena.release("dw")
-            arena.release("x_rows")
         if x.requires_grad:
             grad_x = eng.execute(
                 cols_rows,
                 w_mat.T,  # (K, C_in)
-                out=arena.get("grad_cols", (n * length, c_in), grad_cols.dtype),
+                out=ws.get("grad_cols", (n * length, c_in), grad_cols.dtype),
             )
             x._accumulate(
                 grad_x.reshape(n, length, c_in).transpose(0, 2, 1).reshape(n, c_in, h, w)
             )
-            arena.release("grad_cols")
-        arena.release("grad2d")
 
     parents = (x, weight) if bias is None else (x, weight, bias)
     return Tensor._make(out.astype(x.data.dtype), parents, backward)
@@ -1028,12 +859,10 @@ def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
     ``weight`` is ``(out_features, in_features)`` (the torch layout).  The
     2-D case — every classifier head in the model zoo — runs both the
     forward product and its backward pair (dW via ``execute_tn``, dX via
-    ``execute``) through the GEMM engine, which issues the same BLAS calls
-    the reference composition does.  Non-2-D inputs and
-    ``REPRO_DISABLE_FAST_PATH=1`` fall back to composing
+    ``execute``) through the GEMM engine.  Non-2-D inputs compose
     :meth:`Tensor.matmul` + add.
     """
-    if x.data.ndim != 2 or not fast_path_enabled():
+    if x.data.ndim != 2:
         out = x.matmul(weight.transpose())
         if bias is not None:
             out = out + bias
@@ -1232,8 +1061,8 @@ def batch_norm2d_eval(
     # output-sized temporary (this op runs once per BN layer per eval batch).
     d = x.data
     nhwc = d.transpose(0, 2, 3, 1)
-    if fast_path_enabled() and not d.flags.c_contiguous and nhwc.flags.c_contiguous:
-        # Channels-last storage (the fast conv path's native layout): the
+    if not d.flags.c_contiguous and nhwc.flags.c_contiguous:
+        # Channels-last storage (the no-grad conv kernels' layout): the
         # per-channel affine is a contiguous 2D broadcast over (N*H*W, C),
         # which streams ~2x faster than broadcasting along a strided axis.
         flat = nhwc.reshape(-1, c)

@@ -24,7 +24,7 @@ structural conv→BN matching would miss: in a pre-activation ResNet block no
 conv feeds "its own" BN, yet each block's first conv output is consumed
 solely by the *next* BN (``conv2(bn2(conv1(x)).relu())``), which folds the
 same way.  Models with no qualifying pairs compile to zero folds and still
-benefit from the kernel-level fast path in :mod:`repro.nn.functional`.
+run the no-grad kernels of :mod:`repro.nn.functional`.
 
 When a folded BN's output feeds exactly one traced :class:`ReLU` module,
 the activation is *fused* as well: the conv runs with ``activation="relu"``
@@ -43,10 +43,9 @@ mutates weights through other channels must call :func:`invalidate_compiled`
 The original model is never left modified: folded tensors are swapped in
 around each compiled call and restored in a ``finally`` block, so external
 snapshots (state dicts, pruning saves) always observe the true parameters.
-
-Set ``REPRO_DISABLE_FAST_PATH=1`` to make compiled models run the plain
-reference forward, which bisects regressions between the kernel layer and
-this orchestration layer.
+Kernel scratch comes from the process-wide
+:func:`repro.nn.functional.workspace`; a compiled view owns no memory
+beyond its folded weights.
 """
 
 from __future__ import annotations
@@ -58,8 +57,6 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .engine import PlannedArena
-from .functional import fast_path_enabled, use_arena
 from .layers import BatchNorm2d, Conv2d, ReLU
 from .module import Module
 from .tensor import Tensor, no_grad
@@ -222,7 +219,7 @@ def fold_conv_bn_arrays(
     weight = conv.weight.data * scale.reshape(-1, 1, 1, 1)
     # Store the folded weight physically in (kh, kw, C_in, C_out) unfold
     # order, exposed as a logical (C_out, C_in, kh, kw) transpose view: the
-    # fast conv kernel then uses it as its GEMM operand without repacking.
+    # GEMM conv kernel then uses it as its operand without repacking.
     weight = np.ascontiguousarray(weight.transpose(2, 3, 1, 0)).transpose(3, 2, 0, 1)
     bias = bn.bias.data - bn.running_mean * scale
     if conv.bias is not None:
@@ -257,11 +254,6 @@ class CompiledInference:
         self._chains = trace_fold_chains(model, example_input)
         self._folded: Optional[List[Tuple[np.ndarray, np.ndarray]]] = None
         self._stack: Optional[List[Tuple[np.ndarray, Optional[Tensor]]]] = None
-        # Per-model scratch plan: the first call under each (shape, dtype)
-        # records the fast path's allocation trace, then every later call
-        # serves all conv intermediates from preallocated lifetime-shared
-        # slabs (see repro.nn.engine.planner).
-        self._arena = PlannedArena()
         _register(model, self)
 
     # ------------------------------------------------------------------
@@ -303,10 +295,11 @@ class CompiledInference:
         return self
 
     def warmup(self, example_input) -> "CompiledInference":
-        """Prefold and run one folded forward to trace the arena plan.
+        """Prefold and run one folded forward on ``example_input``.
 
-        After this, the first production batch of the same shape runs
-        entirely from preplanned slabs.  The warmup output is discarded.
+        This grows the workspace slabs to the example's batch shape, so the
+        first production batch no larger than it allocates no scratch.  The
+        warmup output is discarded.
         """
         self.prefold()
         self(example_input)
@@ -354,18 +347,16 @@ class CompiledInference:
     def __call__(self, x) -> Tensor:
         if not isinstance(x, Tensor):
             x = Tensor(np.asarray(x, dtype=np.float32))
-        if not self._chains or not fast_path_enabled():
+        if not self._chains:
             with no_grad():
                 return self.model(x)
         self._ensure_folded()
-        self._arena.begin((x.data.shape, x.data.dtype.str))
         self._swap_in()
         try:
-            with use_arena(self._arena), no_grad():
+            with no_grad():
                 return self.model(x)
         finally:
             self._swap_out()
-            self._arena.end()
 
     def eval(self) -> "CompiledInference":
         """Keep the wrapped model in eval mode (mirrors the Module protocol)."""

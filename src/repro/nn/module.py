@@ -221,7 +221,7 @@ class Module:
         """Return a :class:`repro.nn.inference.CompiledInference` view of this model.
 
         The view runs eval-mode forwards with conv–BN pairs folded and the
-        no-grad kernel fast path; see :mod:`repro.nn.inference`.
+        no-grad conv kernels; see :mod:`repro.nn.inference`.
         """
         from .inference import CompiledInference  # local import: avoids a cycle
 

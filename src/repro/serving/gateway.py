@@ -8,7 +8,7 @@ into that deployable form:
   (content-addressed, atomically aliased);
 - every checkpoint is folded through
   :class:`~repro.nn.inference.CompiledInference` (conv–BN folding, fused
-  ReLU epilogue, planned arena) and **warmed off the request path** before
+  ReLU epilogue) and **warmed off the request path** before
   it serves a single request;
 - requests stream through a :class:`~repro.serving.batcher.MicroBatcher`,
   so single-image callers ride the batched channels-last single-GEMM path
@@ -257,10 +257,10 @@ class ServingGateway:
         example = self._example_input(registered.manifest)
         # Trace and warm under the model lock: the drain thread may be
         # mid-batch on the old model, and a forward (the fold trace included)
-        # pushes onto the fast path's process-global arena stack and flips
-        # the global no_grad flag.  Two forwards at once would pop each
-        # other's arenas, and interleaved no_grad exits can leave gradients
-        # disabled for the whole process.
+        # writes scratch into the process-wide nn workspace and flips the
+        # global no_grad flag.  Two forwards at once would overwrite each
+        # other's scratch slabs, and interleaved no_grad exits can leave
+        # gradients disabled for the whole process.
         with self._model_lock:
             compiled = CompiledInference(registered.model, Tensor(example[:1]))
             compiled.warmup(Tensor(example))

@@ -15,7 +15,6 @@ import numpy as np
 
 from .data.dataset import DataLoader, ImageDataset
 from .nn import SGD, Tensor, cross_entropy, no_grad
-from .nn.engine.training import training_step
 from .nn.module import Module
 from .nn.optim import Optimizer
 from .telemetry import bus
@@ -93,11 +92,10 @@ def train_classifier(
         samples = 0
         epoch_started = time.perf_counter()
         for images, labels in loader:
-            with training_step((images.shape, images.dtype.str)):
-                logits = model(Tensor(images))
-                loss = cross_entropy(logits, labels)
-                optimizer.zero_grad(set_to_none=False)
-                loss.backward()
+            logits = model(Tensor(images))
+            loss = cross_entropy(logits, labels)
+            optimizer.zero_grad(set_to_none=False)
+            loss.backward()
             optimizer.step()
             epoch_loss += loss.item()
             batches += 1
@@ -122,7 +120,7 @@ def predict(model, images: np.ndarray, batch_size: int = 128) -> np.ndarray:
     ``model`` may be any callable exposing ``eval()`` — a plain
     :class:`~repro.nn.module.Module` or a
     :class:`repro.nn.inference.CompiledInference` view (conv–BN folded).
-    Plain modules still get the kernel-level no-grad fast path automatically.
+    Plain modules run the same no-grad conv kernels, without the folding.
     """
     model.eval()
     outputs = []

@@ -1,5 +1,6 @@
 """Fused pruning-loop evaluator tests: one sweep must equal the two-pass reference."""
 
+import contextlib
 import copy
 
 import numpy as np
@@ -9,6 +10,7 @@ from repro.core import FusedEvaluator, GradientPruner, unlearning_loss_value
 from repro.data.dataset import ImageDataset
 from repro.data.splits import defender_split
 from repro.training import evaluate_accuracy
+from tests.nn.reference import reference_kernels
 
 
 @pytest.fixture()
@@ -37,20 +39,18 @@ class TestFusedEvaluator:
         assert report.seconds > 0
 
     def test_reference_path_matches_fast_path(self, eval_setup):
-        fast = FusedEvaluator(
-            eval_setup["model"],
-            eval_setup["clean_val"],
-            eval_setup["backdoor_val"],
-            batch_size=16,
-        ).evaluate()
-        slow = FusedEvaluator(
-            eval_setup["model"],
-            eval_setup["clean_val"],
-            eval_setup["backdoor_val"],
-            batch_size=16,
-            use_fast_path=False,
-        ).evaluate()
-        assert slow.num_folded == 0
+        def evaluate():
+            return FusedEvaluator(
+                eval_setup["model"],
+                eval_setup["clean_val"],
+                eval_setup["backdoor_val"],
+                batch_size=16,
+            ).evaluate()
+
+        fast = evaluate()
+        with reference_kernels():
+            slow = evaluate()
+        assert slow.num_folded == fast.num_folded
         assert fast.accuracy == pytest.approx(slow.accuracy, abs=1e-12)
         assert fast.unlearning_loss == pytest.approx(slow.unlearning_loss, rel=1e-4)
 
@@ -132,14 +132,13 @@ class TestPrunerTelemetry:
         backdoor_val = tiny_attack.triggered_with_true_labels(clean_val)
 
         histories = []
-        for use_fast_path in (True, False):
+        for kernels in (contextlib.nullcontext, reference_kernels):
             model = copy.deepcopy(backdoored_tiny_model)
-            pruner = GradientPruner(
-                alpha=0.0, patience=100, max_rounds=3, use_fast_path=use_fast_path
-            )
-            histories.append(
-                pruner.prune(model, backdoor_train, clean_val, backdoor_val)
-            )
+            pruner = GradientPruner(alpha=0.0, patience=100, max_rounds=3)
+            with kernels():
+                histories.append(
+                    pruner.prune(model, backdoor_train, clean_val, backdoor_val)
+                )
         fast, slow = histories
         assert [r.pruned for r in fast.rounds] == [r.pruned for r in slow.rounds]
         assert fast.initial_val_accuracy == pytest.approx(

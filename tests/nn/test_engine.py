@@ -1,9 +1,9 @@
-"""Tests for the GEMM execution engine (repro.nn.engine).
+"""Tests for the GEMM execution engine (repro.nn.engine) and the workspace.
 
-Covers the static memory planner, the inline GEMM and its fused epilogue
-(including inside a daemonic orchestrator-style child), epilogue fusion
-plumbing, the depthwise kernel's use of the planned training arena, and the
-fork hygiene hook.
+Covers the inline GEMM and its fused epilogue (including inside a daemonic
+orchestrator-style child), epilogue fusion plumbing, the one process-wide
+scratch workspace shared by inference and training, and the fork hygiene
+hook.
 """
 
 from __future__ import annotations
@@ -25,14 +25,9 @@ from repro.nn import (
     no_grad,
 )
 from repro.nn import functional as F
-from repro.nn.engine import (
-    PlannedArena,
-    SlabRequest,
-    engine,
-    plan_slabs,
-    reset_engine,
-)
+from repro.nn.engine import engine, reset_engine
 from repro.nn.engine import gemm as gemm_mod
+from tests.nn.reference import reference_kernels
 
 RNG = np.random.default_rng(0)
 
@@ -43,111 +38,6 @@ def _fresh_engine():
     reset_engine()
     yield
     reset_engine()
-
-
-# ---------------------------------------------------------------------------
-# Memory planner
-# ---------------------------------------------------------------------------
-class TestPlanner:
-    def test_disjoint_tags_share_a_slab(self):
-        plan = plan_slabs(
-            [
-                SlabRequest("pad", 1000, start=0, end=2),
-                SlabRequest("wmat", 400, start=3, end=5),
-                SlabRequest("cols", 2000, start=1, end=5),
-            ]
-        )
-        # pad and wmat never live at once -> same slab; cols overlaps both.
-        assert plan.assignment["pad"] == plan.assignment["wmat"]
-        assert plan.assignment["cols"] != plan.assignment["pad"]
-        assert plan.total_bytes == 2000 + 1000
-        assert plan.shared_bytes_saved == 400
-
-    def test_overlapping_tags_get_distinct_slabs(self):
-        plan = plan_slabs(
-            [
-                SlabRequest("a", 100, start=0, end=3),
-                SlabRequest("b", 100, start=1, end=2),
-            ]
-        )
-        assert plan.assignment["a"] != plan.assignment["b"]
-
-    def test_arena_record_then_planned_views(self):
-        arena = PlannedArena()
-        arena.begin("sig")
-        first = arena.get("pad", (8, 8), np.float32)
-        arena.release("pad")
-        arena.get("wmat", (4, 4), np.float32)
-        arena.release("wmat")
-        arena.end()
-        plan = arena.plan_for("sig")
-        assert plan is not None
-        assert plan.assignment["pad"] == plan.assignment["wmat"]
-
-        arena.begin("sig")
-        planned = arena.get("pad", (8, 8), np.float32)
-        planned_w = arena.get("wmat", (4, 4), np.float32)
-        arena.end()
-        assert planned.shape == (8, 8)
-        # Shared slab: both views alias the same backing bytes.
-        assert np.shares_memory(planned, planned_w)
-        assert not np.shares_memory(planned, first)  # record pass used fallback
-
-    def test_arena_falls_back_for_unplanned_requests(self):
-        arena = PlannedArena()
-        arena.begin("sig")
-        arena.get("pad", (4,), np.float32)
-        arena.end()
-        arena.begin("sig")
-        bigger = arena.get("pad", (1024,), np.float32)  # larger than planned
-        unknown = arena.get("other", (4,), np.float32)  # tag not in plan
-        arena.end()
-        assert bigger.shape == (1024,)
-        assert unknown.shape == (4,)
-
-    def test_same_event_sequence_shares_one_plan(self):
-        arena = PlannedArena()
-        for signature, n in (("mid", 16), ("large", 64), ("small", 4)):
-            arena.begin(signature)
-            arena.get("pad", (n,), np.float32)
-            arena.release("pad")
-            arena.get("cols", (2 * n,), np.float32)
-            arena.end()
-        plan = arena.plan_for("large")
-        assert arena.plan_for("mid") is plan and arena.plan_for("small") is plan
-        # Sized to the largest recording; pad and cols never overlap.
-        assert plan.slab_sizes == [2 * 64 * 4]
-
-        views = []
-        for signature, n in (("small", 4), ("large", 64)):
-            arena.begin(signature)
-            views.append(arena.get("cols", (2 * n,), np.float32))
-            arena.end()
-        assert np.shares_memory(*views)  # one slab set serves both sizes
-
-    def test_different_event_sequence_keeps_its_own_plan(self):
-        arena = PlannedArena()
-        arena.begin("a")
-        arena.get("pad", (8,), np.float32)
-        arena.release("pad")
-        arena.end()
-        arena.begin("b")
-        arena.get("pad", (8,), np.float32)
-        arena.get("cols", (8,), np.float32)  # pad still live: a new sequence
-        arena.end()
-        plan_a, plan_b = arena.plan_for("a"), arena.plan_for("b")
-        assert plan_a is not plan_b
-        assert set(plan_a.assignment) == {"pad"}
-        assert plan_b.assignment["pad"] != plan_b.assignment["cols"]
-
-    def test_clear_drops_plans(self):
-        arena = PlannedArena()
-        arena.begin("sig")
-        arena.get("pad", (4,), np.float32)
-        arena.end()
-        arena.clear()
-        assert arena.plan_for("sig") is None
-        assert arena.nbytes == 0
 
 
 # ---------------------------------------------------------------------------
@@ -292,22 +182,12 @@ class TestFusedActivation:
         model = _FusedNet()
         model.eval()
         x = RNG.standard_normal((4, 3, 8, 8)).astype(np.float32)
-        with F.use_arena(F.workspace()):
-            pass  # no-op sanity: context manager importable/usable
         compiled = compile_for_inference(model, Tensor(x[:1]))
         assert compiled.num_folded == 1
         assert compiled.num_fused_activations == 1
 
-        previous = os.environ.get(F.FAST_PATH_ENV)
-        os.environ[F.FAST_PATH_ENV] = "1"
-        try:
-            with no_grad():
-                reference = model(Tensor(x)).data
-        finally:
-            if previous is None:
-                os.environ.pop(F.FAST_PATH_ENV, None)
-            else:
-                os.environ[F.FAST_PATH_ENV] = previous
+        with reference_kernels(), no_grad():
+            reference = model(Tensor(x)).data
 
         out = compiled(Tensor(x)).data
         np.testing.assert_allclose(out, reference, rtol=1e-3, atol=1e-4)
@@ -324,21 +204,11 @@ class TestFusedActivation:
         assert compiled.num_folded == 2
         assert compiled.num_fused_activations == 0
 
-    def test_planned_arena_reused_across_calls(self):
-        model = _FusedNet()
-        model.eval()
-        x = RNG.standard_normal((4, 3, 8, 8)).astype(np.float32)
-        compiled = compile_for_inference(model, Tensor(x[:1]))
-        first = compiled(Tensor(x)).data.copy()  # recording pass
-        signature = ((4, 3, 8, 8), np.dtype(np.float32).str)
-        assert compiled._arena.plan_for(signature) is not None
-        second = compiled(Tensor(x)).data  # planned pass
-        np.testing.assert_allclose(first, second, rtol=1e-6, atol=1e-7)
-
 
 class TestPlanSharingAcrossBatchSizes:
-    """A compiled model's trace has one event sequence at every batch size,
-    so the arena keeps one plan however many batch sizes it has served."""
+    """The one workspace only grows: after a batch-32 forward, every smaller
+    batch runs from the same slabs, so serving many batch sizes costs no
+    more scratch than serving the largest one."""
 
     @pytest.mark.parametrize("name", ["preact_resnet18", "mobilenet_v3_large"])
     def test_every_batch_size_fits_in_the_largest_plan(self, name):
@@ -346,61 +216,63 @@ class TestPlanSharingAcrossBatchSizes:
 
         model = build_model(name, num_classes=4, seed=0)
         x = RNG.standard_normal((32, 3, 16, 16)).astype(np.float32)
-        alone = compile_for_inference(model, Tensor(x[:1]))
-        alone(Tensor(x))
-        budget = alone._arena.nbytes
-
         compiled = compile_for_inference(model, Tensor(x[:1]))
-        for n in range(1, 33):  # each size records, then widens the plan
-            compiled(Tensor(x[:n]))
-        plan = compiled._arena.plan_for(((32, 3, 16, 16), x.dtype.str))
-        for n in range(1, 33):  # every size now runs from the batch-32 slabs
-            assert compiled._arena.plan_for(((n, 3, 16, 16), x.dtype.str)) is plan
+
+        def forwards(n):
             got = compiled(Tensor(x[:n])).data
             with no_grad():
                 expected = model(Tensor(x[:n])).data
+            return got, expected
+
+        # The workspace is process-wide: clear it before each measurement so
+        # only this model's scratch is counted.
+        F.workspace().clear()
+        forwards(32)
+        budget = F.workspace().nbytes
+
+        F.workspace().clear()
+        for n in range(1, 33):
+            got, expected = forwards(n)
             np.testing.assert_allclose(got, expected, rtol=1e-4, atol=1e-4)
-        assert compiled._arena.nbytes <= budget
+        assert F.workspace().nbytes <= budget
 
 
 # ---------------------------------------------------------------------------
 # Depthwise tap-loop kernel and the training arena
 # ---------------------------------------------------------------------------
 class TestDepthwiseArena:
-    def test_planned_steps_stay_flat_and_padded_input_never_aliases_a_slab(self, monkeypatch):
-        from repro.nn.engine.training import train_step_arena, training_step
-
+    def test_planned_steps_stay_flat_and_padded_input_never_aliases_a_slab(self):
+        """Repeated training steps reuse the workspace without growing it, and
+        the padded input the backward keeps is never a workspace slab: the
+        workspace is shared by training and inference, so convs interleaved
+        between a forward and its backward overwrite every slab."""
         rng = np.random.default_rng(21)
         conv = Conv2d(6, 6, 5, stride=2, padding=2, groups=6, rng=rng)
         x = rng.standard_normal((3, 6, 11, 11)).astype(np.float32)
-        signature = ("depthwise-arena-test", x.shape)
 
         sizes = []
         for _ in range(3):
             conv.zero_grad()
-            with training_step(signature):
-                out = conv(Tensor(x, requires_grad=True))
-                (out * out).sum().backward()
-            sizes.append(train_step_arena().nbytes)
-        assert sizes[1] == sizes[2], sizes
+            out = conv(Tensor(x, requires_grad=True))
+            (out * out).sum().backward()
+            sizes.append(F.workspace().nbytes)
+        assert sizes[0] == sizes[1] == sizes[2], sizes
 
-        with monkeypatch.context() as env:
-            env.setenv(F.FAST_PATH_ENV, "1")
+        with reference_kernels():
             conv.zero_grad()
             out = conv(Tensor(x, requires_grad=True))
             (out * out).sum().backward()
             expected = conv.weight.grad.copy()
         # Between forward and backward, unrelated depthwise convs of the same
-        # shape on other data overwrite every "pad"/"taps" slab in both the
-        # inference and the training arenas.  dW must not notice.
+        # shape on other data, no-grad and gradient alike, overwrite every
+        # "pad"/"taps" slab.  dW must not notice.
         other = rng.standard_normal(x.shape).astype(np.float32)
         conv.zero_grad()
-        with training_step(signature):
-            out = conv(Tensor(x, requires_grad=True))
-            with no_grad():
-                conv(Tensor(other))
-            conv(Tensor(other, requires_grad=True))
-            (out * out).sum().backward()
+        out = conv(Tensor(x, requires_grad=True))
+        with no_grad():
+            conv(Tensor(other))
+        conv(Tensor(other, requires_grad=True))
+        (out * out).sum().backward()
         np.testing.assert_allclose(conv.weight.grad, expected, rtol=1e-4, atol=1e-4)
 
 
@@ -415,16 +287,9 @@ class TestForkHook:
         F.workspace().get("pad", (16,), np.float32)
         assert len(F.workspace()) > 0
 
-        arena = PlannedArena()
-        arena.begin("sig")
-        arena.get("pad", (16,), np.float32)
-        arena.end()
-        assert arena.plan_for("sig") is not None
-
         F._after_fork_in_child()
 
         assert len(F.workspace()) == 0
-        assert arena.plan_for("sig") is None
         assert gemm_mod._ENGINE is None
 
     @pytest.mark.skipif(not hasattr(os, "register_at_fork"), reason="no register_at_fork")

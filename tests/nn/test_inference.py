@@ -163,12 +163,6 @@ class TestCompiledInference:
         assert net.conv1.bias.requires_grad  # Parameter restored, not the fold Tensor
         assert not net.bn1._folded_passthrough
 
-    def test_env_var_forces_reference_path(self, net, batch, monkeypatch):
-        compiled = compile_for_inference(net, Tensor(batch[:1]))
-        monkeypatch.setenv("REPRO_DISABLE_FAST_PATH", "1")
-        out = compiled(Tensor(batch)).data
-        np.testing.assert_array_equal(out, _reference(net, batch))
-
     def test_train_mode_is_rejected(self, net, batch):
         compiled = compile_for_inference(net, Tensor(batch[:1]))
         with pytest.raises(RuntimeError):

@@ -1,17 +1,14 @@
 """Property-based equivalence tests for the GEMM engine.
 
-Mirrors ``test_property_fastpath.py`` for the engine-backed fast path:
+Mirrors ``test_property_fastpath.py`` for the engine-backed kernels:
 every hypothesis-drawn conv runs through :meth:`TiledGemmEngine.execute`
-and its fused bias/ReLU epilogue, and must agree with the reference kernels
-within the PR 2 float32 tolerances.  Direct engine cases draw GEMM shapes
-on both sides of 2e6 flops, where an earlier engine switched from inline
-BLAS to tiled dispatch.
+and its fused bias/ReLU epilogue, and must agree with the reference
+kernels of ``tests/nn/reference.py`` within float32 tolerances.  Direct
+engine cases draw GEMM shapes on both sides of 2e6 flops, where an earlier
+engine switched from inline BLAS to tiled dispatch.
 """
 
 from __future__ import annotations
-
-import contextlib
-import os
 
 import numpy as np
 from hypothesis import given, settings
@@ -20,22 +17,8 @@ from hypothesis import strategies as st
 from repro.models.pruning_utils import FilterRef, PruningMask
 from repro.nn import BatchNorm2d, Conv2d, Linear, Module, ReLU, Tensor, no_grad
 from repro.nn.engine import engine
-from repro.nn.functional import FAST_PATH_ENV
 from repro.nn.inference import compile_for_inference
-
-
-@contextlib.contextmanager
-def reference_path():
-    """Force the reference kernels for the duration of the block."""
-    previous = os.environ.get(FAST_PATH_ENV)
-    os.environ[FAST_PATH_ENV] = "1"
-    try:
-        yield
-    finally:
-        if previous is None:
-            os.environ.pop(FAST_PATH_ENV, None)
-        else:
-            os.environ[FAST_PATH_ENV] = previous
+from tests.nn.reference import reference_kernels
 
 
 conv_cases = st.builds(
@@ -69,7 +52,7 @@ def test_engine_conv_matches_reference(case):
     conv, x = _conv_case(case, groups=1)
     with no_grad():
         fast = conv(Tensor(x)).data
-    with reference_path(), no_grad():
+    with reference_kernels(), no_grad():
         reference = conv(Tensor(x)).data
     np.testing.assert_allclose(fast, reference, rtol=1e-4, atol=1e-5)
 
@@ -80,7 +63,7 @@ def test_grouped_conv_under_engine_matches_reference(case, groups):
     conv, x = _conv_case(case, groups)
     with no_grad():
         fast = conv(Tensor(x)).data
-    with reference_path(), no_grad():
+    with reference_kernels(), no_grad():
         reference = conv(Tensor(x)).data
     np.testing.assert_allclose(fast, reference, rtol=1e-4, atol=1e-5)
 
@@ -95,7 +78,7 @@ def test_fused_relu_epilogue_matches_separate_relu(case):
             fused = conv(Tensor(x)).data
     finally:
         conv._fused_activation = None
-    with reference_path(), no_grad():
+    with reference_kernels(), no_grad():
         reference = conv(Tensor(x)).relu().data
     np.testing.assert_allclose(fused, reference, rtol=1e-4, atol=1e-5)
 
@@ -132,7 +115,7 @@ def test_folded_fused_model_matches_reference(cin, mid, size, n, seed):
     model.eval()
     rng = np.random.default_rng(seed + 1)
     x = rng.standard_normal((n, cin, size, size)).astype(np.float32)
-    with reference_path(), no_grad():
+    with reference_kernels(), no_grad():
         reference = model(Tensor(x)).data
     compiled = compile_for_inference(model, Tensor(x[:1]))
     assert compiled.num_folded == 1
@@ -158,7 +141,7 @@ def test_pruned_filters_under_engine_match_reference(mid, filter_index, seed):
     mask = PruningMask(model)
     target = FilterRef("conv", filter_index % mid)
     saved = mask.prune(target)
-    with reference_path(), no_grad():
+    with reference_kernels(), no_grad():
         pruned_reference = model(Tensor(x)).data
     pruned = compiled(Tensor(x)).data
     np.testing.assert_allclose(pruned, pruned_reference, rtol=1e-3, atol=1e-4)

@@ -1,15 +1,13 @@
-"""Property-based equivalence tests for the inference fast path.
+"""Property-based equivalence tests for the no-grad kernels.
 
-Each property drives both the fast kernels (single-GEMM conv, workspace
-arena, conv–BN folding) and the reference path (forced via
-``REPRO_DISABLE_FAST_PATH``) over hypothesis-drawn shapes, strides, and
-paddings, and requires agreement within float32 tolerance.
+Each property drives both the runtime kernels (single-GEMM conv, depthwise
+tap loop, per-group composition, workspace scratch, conv–BN folding) and
+the reference kernels of ``tests/nn/reference.py`` over hypothesis-drawn
+shapes, strides, and paddings, and requires agreement within float32
+tolerance.
 """
 
 from __future__ import annotations
-
-import contextlib
-import os
 
 import numpy as np
 from hypothesis import given, settings
@@ -18,22 +16,9 @@ from hypothesis import strategies as st
 from repro.models.pruning_utils import FilterRef, PruningMask
 from repro.nn import BatchNorm2d, Conv2d, Linear, Module, ReLU, Tensor, no_grad
 from repro.nn import functional as F
-from repro.nn.functional import FAST_PATH_ENV, conv_output_size
+from repro.nn.functional import conv_output_size
 from repro.nn.inference import compile_for_inference
-
-
-@contextlib.contextmanager
-def reference_path():
-    """Force the reference kernels for the duration of the block."""
-    previous = os.environ.get(FAST_PATH_ENV)
-    os.environ[FAST_PATH_ENV] = "1"
-    try:
-        yield
-    finally:
-        if previous is None:
-            os.environ.pop(FAST_PATH_ENV, None)
-        else:
-            os.environ[FAST_PATH_ENV] = previous
+from tests.nn.reference import reference_kernels
 
 
 conv_cases = st.builds(
@@ -60,7 +45,7 @@ def _conv_forward(case, groups):
     x = rng.standard_normal((case["n"], cin, size, size)).astype(np.float32)
     with no_grad():
         fast = conv(Tensor(x)).data
-    with reference_path():
+    with reference_kernels():
         with no_grad():
             reference = conv(Tensor(x)).data
     return fast, reference
@@ -116,7 +101,7 @@ def test_depthwise_conv_matches_reference(
                             groups=channels, activation=activation).data
 
     fast = forward()
-    with reference_path():
+    with reference_kernels():
         reference = forward()
     np.testing.assert_allclose(fast, reference, rtol=1e-4, atol=1e-5)
 
@@ -153,7 +138,7 @@ def test_folded_model_matches_reference(cin, mid, size, n, seed):
     model.eval()
     rng = np.random.default_rng(seed + 1)
     x = rng.standard_normal((n, cin, size, size)).astype(np.float32)
-    with reference_path():
+    with reference_kernels():
         with no_grad():
             reference = model(Tensor(x)).data
     compiled = compile_for_inference(model, Tensor(x[:1]))
@@ -178,7 +163,7 @@ def test_fold_invalidated_by_prune_unprune_roundtrip(mid, filter_index, seed):
     mask = PruningMask(model)
     target = FilterRef("conv", filter_index % mid)
     saved = mask.prune(target)
-    with reference_path():
+    with reference_kernels():
         with no_grad():
             pruned_reference = model(Tensor(x)).data
     np.testing.assert_allclose(

@@ -1,78 +1,45 @@
-"""Property-based gradient-equivalence tests for the training engine path.
+"""Property-based gradient-equivalence tests for the training kernels.
 
 The engine-backed training backward (im2col column reuse, ``execute_tn``
-dW, planned gradient buffers) must produce the same gradients as the
-reference autograd closures within float32 tolerances.  Direct
+dW, workspace gradient buffers) must produce the same gradients as the
+reference autograd closures of ``tests/nn/reference.py`` within float32
+tolerances.  Training and inference share one workspace, so the
+``interleave`` draw runs a no-grad forward of the same layer on other data
+between a forward and its backward; the gradients must not notice.  Direct
 ``execute_tn`` cases draw shapes on both sides of 2e6 flops, where an
 earlier engine switched from inline BLAS to a reduction-split dispatch.
 """
 
 from __future__ import annotations
 
-import contextlib
-import os
-
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.models.pruning_utils import FilterRef, PruningMask
-from repro.nn import Conv2d, ConvTranspose2d, Linear, Tensor
+from repro.nn import Conv2d, ConvTranspose2d, Linear, Tensor, no_grad
 from repro.nn.engine import engine
-from repro.nn.engine.training import training_step
-from repro.nn.functional import FAST_PATH_ENV
-
-@contextlib.contextmanager
-def fast_path():
-    """Force the engine-backed fast path for the duration of the block.
-
-    The fast path must win even if the outer environment is bisecting with
-    ``REPRO_DISABLE_FAST_PATH=1`` (each case compares against the reference
-    explicitly, so the suite stays meaningful under the flag).
-    """
-    previous = os.environ.pop(FAST_PATH_ENV, None)
-    try:
-        yield
-    finally:
-        if previous is not None:
-            os.environ[FAST_PATH_ENV] = previous
+from tests.nn.reference import reference_kernels
 
 
-@contextlib.contextmanager
-def reference_path():
-    """Force the reference kernels for the duration of the block."""
-    previous = os.environ.get(FAST_PATH_ENV)
-    os.environ[FAST_PATH_ENV] = "1"
-    try:
-        yield
-    finally:
-        if previous is None:
-            os.environ.pop(FAST_PATH_ENV, None)
-        else:
-            os.environ[FAST_PATH_ENV] = previous
-
-
-def _loss_backward(layer, x_data, wrap_step=False):
+def _loss_backward(layer, x_data, interleave=False):
     """Forward + sum-loss backward; returns (loss, x.grad, {param grads})."""
     x = Tensor(x_data.copy(), requires_grad=True)
-    ctx = (
-        training_step((x_data.shape, x_data.dtype.str))
-        if wrap_step
-        else contextlib.nullcontext()
-    )
-    with ctx:
-        out = layer(x)
-        loss = (out * out).sum()
-        loss.backward()
+    out = layer(x)
+    loss = (out * out).sum()
+    if interleave:
+        # Overwrites every workspace slab the layer's kernels use.
+        with no_grad():
+            layer(Tensor(x_data[::-1] * 2.0 + 1.0))
+    loss.backward()
     grads = {name: p.grad.copy() for name, p in layer.named_parameters() if p.grad is not None}
     layer.zero_grad()
     return loss.item(), x.grad.copy(), grads
 
 
-def _assert_grads_match(layer, x, wrap_step=False):
-    with fast_path():
-        loss_f, xg_f, grads_f = _loss_backward(layer, x, wrap_step=wrap_step)
-    with reference_path():
+def _assert_grads_match(layer, x, interleave=False):
+    loss_f, xg_f, grads_f = _loss_backward(layer, x, interleave=interleave)
+    with reference_kernels():
         loss_r, xg_r, grads_r = _loss_backward(layer, x)
     np.testing.assert_allclose(loss_f, loss_r, rtol=1e-4)
     np.testing.assert_allclose(xg_f, xg_r, rtol=1e-4, atol=1e-5)
@@ -94,7 +61,7 @@ conv_cases = st.builds(
     size=st.integers(4, 10),
     seed=st.integers(0, 2**16),
     bias=st.booleans(),
-    wrap=st.booleans(),
+    interleave=st.booleans(),
 )
 
 
@@ -113,17 +80,17 @@ def _conv_case(case, groups):
 @given(conv_cases)
 def test_conv2d_backward_matches_reference(case):
     conv, x = _conv_case(case, groups=1)
-    _assert_grads_match(conv, x, wrap_step=case["wrap"])
+    _assert_grads_match(conv, x, interleave=case["interleave"])
 
 
 @settings(max_examples=15, deadline=None)
 @given(conv_cases, st.integers(2, 4))
 def test_grouped_conv_backward_matches_reference(case, groups):
-    # Depthwise draws (cin == 1 per group) take the fast tap-loop kernel;
-    # the others (C_in / groups > 1) take the reference closures on both
-    # sides.  Either way the fast path must not change the gradients.
+    # Depthwise draws (cin == 1 per group) take the tap-loop kernel; the
+    # others (C_in / groups > 1) run each group through the groups == 1
+    # kernel and concatenate.  Both must match the einsum reference.
     conv, x = _conv_case(case, groups)
-    _assert_grads_match(conv, x, wrap_step=case["wrap"])
+    _assert_grads_match(conv, x, interleave=case["interleave"])
 
 
 @settings(max_examples=40, deadline=None)
@@ -132,7 +99,7 @@ def test_depthwise_conv_backward_matches_reference(case, channels):
     """groups == C_in, with channel multipliers C_out = cout_mult * C_in: the
     tap-loop kernel's dX, dW and db against the einsum reference closures."""
     conv, x = _conv_case(dict(case, cin=1), groups=channels)
-    _assert_grads_match(conv, x, wrap_step=case["wrap"])
+    _assert_grads_match(conv, x, interleave=case["interleave"])
 
 
 @settings(max_examples=25, deadline=None)
@@ -145,15 +112,15 @@ def test_depthwise_conv_backward_matches_reference(case, channels):
     size=st.integers(2, 7),
     seed=st.integers(0, 2**16),
     bias=st.booleans(),
-    wrap=st.booleans(),
+    interleave=st.booleans(),
 )
 def test_conv_transpose2d_backward_matches_reference(
-    n, cin, cout, kernel, stride, size, seed, bias, wrap
+    n, cin, cout, kernel, stride, size, seed, bias, interleave
 ):
     rng = np.random.default_rng(seed)
     layer = ConvTranspose2d(cin, cout, kernel, stride=stride, bias=bias, rng=rng)
     x = rng.standard_normal((n, cin, size, size)).astype(np.float32)
-    _assert_grads_match(layer, x, wrap_step=wrap)
+    _assert_grads_match(layer, x, interleave=interleave)
 
 
 @settings(max_examples=25, deadline=None)
@@ -163,13 +130,13 @@ def test_conv_transpose2d_backward_matches_reference(
     fout=st.integers(1, 12),
     seed=st.integers(0, 2**16),
     bias=st.booleans(),
-    wrap=st.booleans(),
+    interleave=st.booleans(),
 )
-def test_linear_backward_matches_reference(n, fin, fout, seed, bias, wrap):
+def test_linear_backward_matches_reference(n, fin, fout, seed, bias, interleave):
     rng = np.random.default_rng(seed)
     layer = Linear(fin, fout, bias=bias, rng=rng)
     x = rng.standard_normal((n, fin)).astype(np.float32)
-    _assert_grads_match(layer, x, wrap_step=wrap)
+    _assert_grads_match(layer, x, interleave=interleave)
 
 
 @settings(max_examples=12, deadline=None)
@@ -180,14 +147,14 @@ def test_linear_backward_matches_reference(n, fin, fout, seed, bias, wrap):
 )
 def test_pruned_conv_backward_matches_reference(mid, filter_index, seed):
     # Pruning zeroes rows of the weight in place after the layer was built;
-    # the engine path repacks weights at backward time, so a pruned filter
-    # must yield identical (zero) gradient rows on both paths.
+    # the engine kernel repacks weights at backward time, so a pruned filter
+    # must yield identical (zero) gradient rows on both sides.
     rng = np.random.default_rng(seed)
     conv = Conv2d(3, mid, 3, padding=1, rng=rng)
     mask = PruningMask(conv)
     mask.prune(FilterRef("", filter_index % mid))
     x = rng.standard_normal((2, 3, 6, 6)).astype(np.float32)
-    _assert_grads_match(conv, x, wrap_step=True)
+    _assert_grads_match(conv, x, interleave=True)
 
 
 @settings(max_examples=20, deadline=None)
@@ -222,13 +189,12 @@ def _check_execute_tn(r, m, n, accumulate, seed, atol=1e-5):
     b = rng.standard_normal((r, n)).astype(np.float32)
     base = rng.standard_normal((m, n)).astype(np.float32)
     expected = a.T.astype(np.float64) @ b.astype(np.float64)
-    with fast_path():
-        if accumulate:
-            out = base.copy()
-            engine().execute_tn(a, b, out=out, accumulate=True)
-            expected = expected + base
-        else:
-            out = engine().execute_tn(a, b)
+    if accumulate:
+        out = base.copy()
+        engine().execute_tn(a, b, out=out, accumulate=True)
+        expected = expected + base
+    else:
+        out = engine().execute_tn(a, b)
     np.testing.assert_allclose(out, expected.astype(np.float32), rtol=1e-4, atol=atol)
 
 
@@ -237,10 +203,9 @@ def test_backward_runs_through_engine():
     rng = np.random.default_rng(11)
     conv = Conv2d(4, 8, 3, padding=1, rng=rng)
     x = rng.standard_normal((2, 4, 12, 12)).astype(np.float32)
-    with fast_path():
-        out = conv(Tensor(x, requires_grad=True))
-        before = engine().totals["calls"]
-        (out * out).sum().backward()
-        after = engine().totals["calls"]
+    out = conv(Tensor(x, requires_grad=True))
+    before = engine().totals["calls"]
+    (out * out).sum().backward()
+    after = engine().totals["calls"]
     assert after - before == 2
     conv.zero_grad()
