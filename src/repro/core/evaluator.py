@@ -2,9 +2,9 @@
 
 Each pruning round must re-measure two quantities on the held-out validation
 splits: the main-task (clean) accuracy and the unlearning loss on the
-triggered validation set.  Rather than walking the model over the two
-datasets in two separate passes, :class:`FusedEvaluator` concatenates the
-splits once at construction and computes both metrics from a **single
+triggered validation set.  The reference implementation walks the model over
+the two datasets in two separate passes; :class:`FusedEvaluator` concatenates
+the splits once at construction and computes both metrics from a **single
 batched forward sweep** over the combined array, running the model through a
 :class:`repro.nn.inference.CompiledInference` view (conv–BN folding + the
 no-grad kernels).  Batches are packed across the split boundary, so no

@@ -118,10 +118,7 @@ class GradientPruner:
         Hard cap on pruning rounds (safety net; the paper's loop is bounded
         by the filter count).
     batch_size:
-        Batch size for loss/score computation.  The stopping rule is
-        evaluated through the fused conv–BN-folded inference view; scores
-        (Eq. 3) run the engine-dispatched training kernels (im2col-GEMM
-        backward with column reuse).
+        Batch size for loss/score computation.
     stopping:
         A :class:`~repro.core.stopping.StoppingPolicy` instance replacing
         the default ``PatienceStopping(patience)``.  The accuracy floor

@@ -476,7 +476,7 @@ def _conv2d_train(
     # statistics, ReLU masks, residual adds) reduce over this output many
     # times, and feeding them the NHWC-storage transpose view makes every
     # one of those reductions strided — measurably slower than this single
-    # well-vectorized copy.  (The no-grad path keeps the view: its
+    # well-vectorized copy.  (The no-grad inference path keeps the view: its
     # consumers are channels-last aware.)
     out = np.ascontiguousarray(out2d.reshape(n, out_h, out_w, c_out).transpose(0, 3, 1, 2))
 

@@ -238,7 +238,7 @@ class TestPlanSharingAcrossBatchSizes:
 
 
 # ---------------------------------------------------------------------------
-# Depthwise tap-loop kernel and the training arena
+# Depthwise tap-loop kernel and the shared workspace
 # ---------------------------------------------------------------------------
 class TestDepthwiseArena:
     def test_planned_steps_stay_flat_and_padded_input_never_aliases_a_slab(self):
