@@ -138,6 +138,17 @@ _FASTPATH_RESULTS = {}
 # Shared micro-benchmark timing primitive (see repro.utils.timing).
 _best_seconds = best_of_seconds
 
+WARMUP_SECONDS = 2.0
+
+
+def _warm_up(fn, seconds=WARMUP_SECONDS):
+    """Call ``fn`` for ``seconds``.  The first probe in a process otherwise
+    times the start-up transient of the BLAS threads (about 1 s of calls
+    several times slower than steady state), not the kernel."""
+    deadline = time.perf_counter() + seconds
+    while time.perf_counter() < deadline:
+        fn()
+
 
 def _record(name, fast_s, reference_s, max_abs_err, **extra):
     entry = {
@@ -161,6 +172,7 @@ def test_fastpath_conv_forward():
         with no_grad():
             return F.conv2d(x, w, None, stride=1, padding=1)
 
+    _warm_up(forward)
     fast_s = _best_seconds(forward, number=10)
     fast_out = forward().data
     with reference_kernels():

@@ -1,10 +1,11 @@
 """Training-path microbenchmark: engine-backed backward GEMMs.
 
 Times a full train step (forward + backward + SGD update) on the
-engine-backed training kernels — im2col column reuse into the dW
-``execute_tn`` GEMM, workspace gradient buffers — against the reference
-closures of ``tests/nn/reference.py``, and records both in
-``benchmarks/out/BENCH_training.json`` (registered next to
+engine-backed training kernels — the re-unfolded dW ``execute_tn`` GEMM,
+the gather or scatter dX, workspace gradient buffers — and a single 3x3
+conv forward+backward at stride 1 (gather dX) and stride 2 (scatter dX),
+each against the reference closures of ``tests/nn/reference.py``.  Both are
+recorded in ``benchmarks/out/BENCH_training.json`` (registered next to
 ``BENCH_engine.json`` / ``BENCH_serving.json``) with the host's core count,
 BLAS and thread env.
 
@@ -26,6 +27,7 @@ from conftest import OUT_DIR, host_info
 from repro.data import ImageDataset
 from repro.models import build_model
 from repro.nn import SGD, Tensor, cross_entropy
+from repro.nn import functional as F
 from repro.telemetry import bus
 from repro.training import TrainConfig, train_classifier
 from repro.utils.timing import best_of_seconds, hard_timeout
@@ -135,6 +137,43 @@ def test_train_step_fastpath_vs_reference():
     )
 
 
+@pytest.mark.parametrize("stride", [1, 2])
+def test_conv_forward_backward_vs_reference(stride):
+    """One 3x3 conv forward + backward on (20, 8, 32, 32): dX, dW and db
+    against the reference closures, and both timed."""
+    rng = np.random.default_rng(stride)
+    x = Tensor(rng.standard_normal((20, 8, 32, 32)).astype(np.float32), requires_grad=True)
+    w = Tensor(rng.standard_normal((16, 8, 3, 3)).astype(np.float32), requires_grad=True)
+    b = Tensor(rng.standard_normal(16).astype(np.float32), requires_grad=True)
+
+    def step():
+        for t in (x, w, b):
+            t.zero_grad()
+        out = F.conv2d(x, w, b, stride=stride, padding=1)
+        (out * out).sum().backward()
+        return x.grad.copy(), w.grad.copy(), b.grad.copy()
+
+    fast_s = best_of_seconds(step, repeats=5, number=5)
+    fast = step()
+    with reference_kernels():
+        reference_s = best_of_seconds(step, repeats=5, number=5)
+        reference = step()
+
+    errs = [float(np.abs(f - r).max()) for f, r in zip(fast, reference)]
+    _RESULTS[f"conv_train_s{stride}"] = {
+        "fast_ms": fast_s * 1e3,
+        "reference_ms": reference_s * 1e3,
+        "speedup": reference_s / fast_s,
+        "max_abs_err": max(errs),
+        "shape": [20, 8, 32, 32],
+        "kernel": 3,
+        "stride": stride,
+    }
+    for name, f, r in zip(("dX", "dW", "db"), fast, reference):
+        scale = float(np.abs(r).max())
+        np.testing.assert_allclose(f, r, rtol=1e-4, atol=1e-5 * scale, err_msg=name)
+
+
 def test_training_throughput_gauge_emitted():
     """The wired hot loops publish training.samples_per_sec via telemetry."""
     images = RNG.uniform(0, 1, (64, 3, 32, 32)).astype(np.float32)
@@ -151,7 +190,9 @@ def test_training_throughput_gauge_emitted():
 
 def test_emit_bench_training_json():
     """Aggregate the training probes into BENCH_training.json."""
-    assert "train_step_batch32" in _RESULTS, "probes must run before the JSON is emitted"
+    assert {"train_step_batch32", "conv_train_s1", "conv_train_s2"} <= set(_RESULTS), (
+        "probes must run before the JSON is emitted"
+    )
     os.makedirs(OUT_DIR, exist_ok=True)
     payload = {
         "bench": "training_engine",

@@ -67,9 +67,21 @@ def compute_filter_scores(
 
     Returns ``(scores, loss_value)``.  The loss value is on the *training*
     backdoor data; the pruning loop's stopping rule uses a separate
-    validation evaluation.
+    validation evaluation.  Eq. 3 reads conv gradients only, so every other
+    parameter (BatchNorm γ/β, the head, ...) has ``requires_grad`` switched
+    off for the backward and restored afterwards, also when it raises.
     """
-    loss_value = unlearning_loss_backward(model, backdoor_train, batch_size=batch_size)
+    conv_params = {
+        id(p) for _, conv in iter_conv_layers(model) for p in (conv.weight, conv.bias)
+    }
+    frozen = [p for p in model.parameters() if p.requires_grad and id(p) not in conv_params]
+    for param in frozen:
+        param.requires_grad = False
+    try:
+        loss_value = unlearning_loss_backward(model, backdoor_train, batch_size=batch_size)
+    finally:
+        for param in frozen:
+            param.requires_grad = True
     scores = filter_scores_from_grads(model, exclude=exclude)
     # Zero in place: the .grad arrays survive to the next pruning round, so
     # every round after the first accumulates into recycled buffers instead

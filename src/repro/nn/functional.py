@@ -8,7 +8,8 @@ weight shape, for no-grad and gradient calls alike:
   batched matmuls, and it runs through :mod:`repro.nn.engine` as one inline
   BLAS call, with the conv bias (post-folding: the BN affine) and an
   optionally fused ReLU applied in place on its output.  The gradient path
-  keeps the columns for the dW GEMM.
+  re-unfolds the input for the dW GEMM, and computes a stride-1 dX as a
+  gather: the conv of the padded upstream gradient with the flipped weight.
 - ``groups == C_in`` (depthwise, with any channel multiplier
   ``C_out = m * C_in``): a direct tap loop over the zero-padded input, one
   strided view and one multiply-add per kernel tap, with no unfold at all.
@@ -73,8 +74,9 @@ class Workspace:
 
     Buffers are only handed out for intermediates that are fully consumed
     before the op (or the backward closure) returns — results that escape
-    an op, and anything a backward closure keeps, are freshly allocated.
-    That is what lets training and inference share it: a no-grad forward
+    an op are freshly allocated, and backward closures keep no scratch (the
+    conv backward re-unfolds its input instead of keeping columns).  That
+    is what lets training and inference share it: a no-grad forward
     interleaved between a gradient forward and its backward cannot clobber
     state the backward needs.  Two concurrent ``get``s of the same tag alias
     each other.
@@ -259,7 +261,6 @@ def _im2col_gemm(
     kernel: Tuple[int, int],
     stride: Tuple[int, int],
     padding: Tuple[int, int],
-    out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Unfold ``x`` directly in single-GEMM layout ``(N*L, kh*kw*C)``.
 
@@ -271,10 +272,8 @@ def _im2col_gemm(
     the padded image, instead of sweeping the whole batch per kernel tap.
     ``x`` itself may be in any storage order (the no-grad path hands conv
     outputs around as channels-last views, making the transpose here free).
-
-    ``out`` overrides the destination (the training path unfolds into fresh
-    memory so the columns can survive into the backward closure, where the
-    dW GEMM reuses them); the padded image still comes from the workspace.
+    For a stride-1 pointwise conv the channels-last (padded) image already
+    is the column matrix, so when its storage is contiguous nothing is copied.
     """
     n, c, h, w = x.shape
     kh, kw = kernel
@@ -285,6 +284,8 @@ def _im2col_gemm(
     if ph or pw:
         x = _pad_channels_last(x, padding, "pad")
     padded = x.transpose(0, 2, 3, 1)
+    if kernel == (1, 1) and stride == (1, 1) and padded.flags.c_contiguous:
+        return padded.reshape(n * out_h * out_w, c)
     s = padded.strides
     view = np.lib.stride_tricks.as_strided(
         padded,
@@ -292,9 +293,7 @@ def _im2col_gemm(
         strides=(s[0], s[1] * sh, s[2] * sw, s[1], s[2], s[3]),
         writeable=False,
     )
-    buf = out if out is not None else workspace().get(
-        "cols_gemm", (n * out_h * out_w, kh * kw * c), x.dtype
-    )
+    buf = workspace().get("cols_gemm", (n * out_h * out_w, kh * kw * c), x.dtype)
     np.copyto(buf.reshape(n, out_h, out_w, kh, kw, c), view)
     return buf
 
@@ -308,11 +307,12 @@ def _col2im_gemm(
 ) -> np.ndarray:
     """Fold single-GEMM-layout columns ``(N*L, kh*kw*C)`` back, summing overlaps.
 
-    The channels-last counterpart of :func:`col2im`, consuming the patch-major
-    layout the training kernel's dX GEMM produces.  The scatter-add runs in
-    ``(N, H, W, C)`` storage — each kernel-tap slice adds contiguous ``C``-runs
-    — and the returned array is a logically-``(N, C, H, W)`` transpose view of
-    the workspace's ``"bwd_pad"`` slab, so the caller must consume it
+    The dX scatter of the convs the gather form does not cover: strided
+    convs, and ``padding >= kernel``.  It consumes the patch-major layout of
+    the training kernel's ``grad2d @ W_packedᵀ`` GEMM and scatter-adds in
+    ``(N, H, W, C)`` storage, each kernel-tap slice adding contiguous
+    ``C``-runs.  The returned array is a logically-``(N, C, H, W)`` transpose
+    view of the workspace's ``"bwd_pad"`` slab, so the caller must consume it
     (accumulate into ``.grad``) before the next op touches the workspace.
     """
     n, c, h, w = x_shape
@@ -321,9 +321,6 @@ def _col2im_gemm(
     ph, pw = padding
     out_h = conv_output_size(h, kh, sh, ph)
     out_w = conv_output_size(w, kw, sw, pw)
-    if (kh, kw) == (1, 1) and (sh, sw) == (1, 1) and not (ph or pw):
-        # Pointwise stride-1 conv: the columns ARE the gradient, one view.
-        return cols2d.reshape(n, h, w, c).transpose(0, 3, 1, 2)
     padded = workspace().get("bwd_pad", (n, h + 2 * ph, w + 2 * pw, c), cols2d.dtype)
     padded.fill(0.0)
     cols6 = cols2d.reshape(n, out_h, out_w, kh, kw, c)
@@ -391,18 +388,12 @@ def _conv2d_infer(
 
     n, c_in = x.shape[0], x.shape[1]
     c_out, _, kh, kw = weight.shape
-    length = out_h * out_w
 
-    if kh == 1 and kw == 1 and padding == (0, 0):
-        # Pointwise conv: subsample spatially, then the channels-last
-        # view *is* the column matrix (free when storage is already
-        # channels-last; reshape copies otherwise), and the weight
-        # transpose is handled by BLAS without a copy.
-        xs = x if stride == (1, 1) else x[:, :, :: stride[0], :: stride[1]]
-        cols = xs.transpose(0, 2, 3, 1).reshape(n * length, c_in)
+    cols = _im2col_gemm(x, (kh, kw), stride, padding)  # (N*L, K)
+    if kh == 1 and kw == 1:
+        # Pointwise conv: BLAS handles the weight transpose without a copy.
         w_mat = weight.reshape(c_out, c_in).transpose()
     else:
-        cols = _im2col_gemm(x, (kh, kw), stride, padding)  # (N*L, K)
         k_flat = c_in * kh * kw
         # (C_out, C, kh, kw) -> (kh, kw, C, C_out) to match unfold order.
         # Pre-packed weights (e.g. folded by CompiledInference) already
@@ -426,61 +417,45 @@ def _conv2d_train(
     out_h: int,
     out_w: int,
 ) -> Tensor:
-    """Gradient-path conv forward+backward on the GEMM engine.
+    """Gradient-path conv: the no-grad forward plus a two-GEMM backward.
 
-    The forward is the same single-GEMM channels-last formulation as
-    :func:`_conv2d_infer`, except the unfolded columns are written to fresh
-    memory and *captured by the backward closure*: the dW GEMM consumes them
-    directly instead of re-materializing the unfold.  Backward issues three
-    engine GEMMs —
+    The forward is :func:`_conv2d_infer` with its output copied to
+    contiguous NCHW: training-mode consumers (BatchNorm batch statistics,
+    ReLU masks, residual adds) reduce over this output many times, and on
+    the channels-last view every one of those reductions is strided.  The
+    backward closure keeps no columns.  Backward issues two engine GEMMs —
 
-    - ``dW(K, C_out) = cols.T @ grad2d`` via ``execute_tn``;
-    - ``grad_cols(N*L, K) = grad2d @ W_packedᵀ`` via ``execute``;
-    - the channels-last col2im scatter folding ``grad_cols`` into dX.
+    - ``dW(K, C_out) = colsᵀ @ grad2d`` via ``execute_tn``, on columns
+      re-unfolded from ``x.data`` into the workspace.  That relies on
+      activations never being mutated in place between forward and
+      backward.
+    - dX.  For a stride-1 conv with ``padding < kernel`` it is a gather:
+      the stride-1 conv of ``grad`` zero-padded by ``kernel - 1 - padding``
+      with ``weight[:, :, ::-1, ::-1]`` transposed to ``(C_in, C_out, kh,
+      kw)``, one unfold plus ``execute``.  Other convs compute ``grad_cols
+      = grad2d @ W_packedᵀ`` and fold it with the :func:`_col2im_gemm`
+      scatter.
 
-    All backward temporaries (the flattened upstream gradient, packed
-    weights, dW product, col2im scratch) live in the workspace — everything
-    accumulated into ``.grad`` is either copied or added by
-    ``Tensor._accumulate`` before the workspace recycles, and the tape walk
-    is serial, so tags can be reused across layers.  Only ``cols`` and the
-    forward GEMM output, which outlive the op, are fresh allocations.
+    Weights are packed from ``weight.data`` at backward time: pruning masks
+    and SAM perturbations mutate them in place between the two passes.
+    All backward temporaries (the flattened upstream gradient, columns,
+    packed weights, dW product, dX) live in the workspace — everything
+    accumulated into ``.grad`` is copied or added by ``Tensor._accumulate``
+    before the workspace recycles, and the tape walk is serial, so tags are
+    reused across layers.
     """
     from .engine.gemm import engine as _engine
 
     n, c_in, h, w = x.shape
     c_out, _, kh, kw = weight.shape
+    ph, pw = padding
     length = out_h * out_w
     k_flat = c_in * kh * kw
     dtype = x.data.dtype
-
-    if kh == 1 and kw == 1 and padding == (0, 0):
-        xs = x.data if stride == (1, 1) else x.data[:, :, :: stride[0], :: stride[1]]
-        # A contiguous channels-last input makes this reshape a view of
-        # x.data; activations are never mutated in place between forward and
-        # backward, so capturing the view is safe.
-        cols = xs.transpose(0, 2, 3, 1).reshape(n * length, c_in)
-    else:
-        cols = np.empty((n * length, k_flat), dtype=dtype)
-        _im2col_gemm(x.data, (kh, kw), stride, padding, out=cols)
-
-    # (C_out, C, kh, kw) -> (kh, kw, C, C_out): the unfold's patch-major order.
-    wt = weight.data.transpose(2, 3, 1, 0)
-    if wt.flags.c_contiguous:
-        w_mat = wt.reshape(k_flat, c_out)
-    else:
-        w_mat = workspace().get("wmat", (k_flat, c_out), dtype)
-        np.copyto(w_mat.reshape(kh, kw, c_in, c_out), wt)
     bias_data = None if bias is None else bias.data
-    out2d = _engine().execute(cols, w_mat, bias=bias_data)
-    # Materialize contiguous NCHW: training-mode consumers (BatchNorm batch
-    # statistics, ReLU masks, residual adds) reduce over this output many
-    # times, and feeding them the NHWC-storage transpose view makes every
-    # one of those reductions strided — measurably slower than this single
-    # well-vectorized copy.  (The no-grad inference path keeps the view: its
-    # consumers are channels-last aware.)
-    out = np.ascontiguousarray(out2d.reshape(n, out_h, out_w, c_out).transpose(0, 3, 1, 2))
-
-    x_shape = x.shape
+    out = np.ascontiguousarray(
+        _conv2d_infer(x.data, weight.data, bias_data, stride, padding, out_h, out_w)
+    )
     parents = (x, weight) if bias is None else (x, weight, bias)
 
     def backward(grad: np.ndarray) -> None:
@@ -491,17 +466,28 @@ def _conv2d_train(
         if bias is not None and bias.requires_grad:
             bias._accumulate(grad2d.sum(axis=0))
         if weight.requires_grad:
+            cols = _im2col_gemm(x.data, (kh, kw), stride, padding)
             dw = eng.execute_tn(cols, grad2d, out=ws.get("dw", (k_flat, c_out), dtype))
             weight._accumulate(dw.reshape(kh, kw, c_in, c_out).transpose(3, 2, 0, 1))
-        if x.requires_grad:
-            # Repack from weight.data at backward time: pruning masks and SAM
-            # perturbations mutate weights in place between the two passes.
+        if not x.requires_grad:
+            return
+        if stride == (1, 1) and ph < kh and pw < kw:
+            dy = grad2d.reshape(n, out_h, out_w, c_out).transpose(0, 3, 1, 2)
+            cols = _im2col_gemm(dy, (kh, kw), stride, (kh - 1 - ph, kw - 1 - pw))
+            w_flip = ws.get("wmat_bwd", (kh * kw * c_out, c_in), dtype)
+            np.copyto(
+                w_flip.reshape(kh, kw, c_out, c_in),
+                weight.data[:, :, ::-1, ::-1].transpose(2, 3, 0, 1),
+            )
+            dx = eng.execute(cols, w_flip, out=ws.get("grad_cols", (n * h * w, c_in), dtype))
+            x._accumulate(dx.reshape(n, h, w, c_in).transpose(0, 3, 1, 2))
+        else:
             w_bwd = ws.get("wmat_bwd", (c_out, k_flat), dtype)
             np.copyto(w_bwd.reshape(c_out, kh, kw, c_in), weight.data.transpose(0, 2, 3, 1))
             grad_cols = eng.execute(
                 grad2d, w_bwd, out=ws.get("grad_cols", (n * length, k_flat), dtype)
             )
-            x._accumulate(_col2im_gemm(grad_cols, x_shape, (kh, kw), stride, padding))
+            x._accumulate(_col2im_gemm(grad_cols, x.shape, (kh, kw), stride, padding))
 
     return Tensor._make(out, parents, backward)
 
@@ -748,9 +734,9 @@ def conv2d(
             "used on a gradient-requiring call"
         )
     # One kernel pair per weight shape: groups == 1 runs the single-GEMM
-    # kernels (engine-dispatched GEMMs; the gradient path keeps the columns
-    # for dW), groups == C_in (depthwise, any channel multiplier) runs the
-    # tap loop, and other grouped convs compose the groups == 1 kernel.
+    # kernels (engine-dispatched GEMMs), groups == C_in (depthwise, any
+    # channel multiplier) runs the tap loop, and other grouped convs compose
+    # the groups == 1 kernel.
     if groups == 1:
         train, infer = _conv2d_train, _conv2d_infer
     elif c_in_per_group == 1:

@@ -174,8 +174,8 @@ class Tensor:
     def _accumulate(self, grad: np.ndarray) -> None:
         if self.grad is None:
             # order="C", not the astype default "K": incoming grads may be
-            # transpose views (e.g. the engine conv backward's channels-last
-            # col2im slab), and "K" would preserve that strided layout,
+            # transpose views (e.g. the conv backward's channels-last dX in
+            # a workspace slab), and "K" would preserve that strided layout,
             # making every later read of .grad strided too.
             self.grad = grad.astype(self.data.dtype, order="C", copy=True)
         else:

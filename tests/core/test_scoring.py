@@ -5,7 +5,13 @@ import copy
 import numpy as np
 import pytest
 
-from repro.core import compute_filter_scores, filter_scores_from_grads, top_filter
+from repro.core import (
+    compute_filter_scores,
+    filter_scores_from_grads,
+    top_filter,
+    unlearning_loss_backward,
+)
+from repro.core import scoring
 from repro.models import FilterRef, count_filters, iter_conv_layers
 from repro.nn import Conv2d, Sequential, Tensor
 
@@ -63,6 +69,64 @@ class TestScoresFromGrads:
         assert all(
             p.grad is None or not p.grad.any() for p in model.parameters()
         )
+
+
+def _conv_param_ids(model):
+    return {id(p) for _, conv in iter_conv_layers(model) for p in (conv.weight, conv.bias)}
+
+
+class TestScoringFreeze:
+    """Eq. 3 reads conv gradients only; the scoring backward skips the rest."""
+
+    def test_scores_bitwise_equal_to_unfrozen_backward(
+        self, backdoored_tiny_model, tiny_test, tiny_attack
+    ):
+        model = copy.deepcopy(backdoored_tiny_model)
+        backdoor_set = tiny_attack.triggered_with_true_labels(tiny_test)
+        unlearning_loss_backward(model, backdoor_set)
+        expected = filter_scores_from_grads(model)
+        model.zero_grad()
+        scores, _ = compute_filter_scores(model, backdoor_set)
+        assert scores == expected
+
+    def test_bn_and_head_parameters_get_no_gradient(
+        self, backdoored_tiny_model, tiny_test, tiny_attack, monkeypatch
+    ):
+        model = copy.deepcopy(backdoored_tiny_model)
+        model.zero_grad()
+        seen = {}
+
+        def spy(model, *args, **kwargs):
+            loss = unlearning_loss_backward(model, *args, **kwargs)
+            seen.update({name: p.grad is not None for name, p in model.named_parameters()})
+            return loss
+
+        monkeypatch.setattr(scoring, "unlearning_loss_backward", spy)
+        compute_filter_scores(model, tiny_attack.triggered_with_true_labels(tiny_test))
+        conv_ids = _conv_param_ids(model)
+        for name, param in model.named_parameters():
+            assert seen[name] == (id(param) in conv_ids), name
+        assert not seen["fc.weight"] and not seen["features.1.weight"]
+
+    def test_requires_grad_flags_restored_when_backward_raises(
+        self, backdoored_tiny_model, tiny_test, tiny_attack, monkeypatch
+    ):
+        model = copy.deepcopy(backdoored_tiny_model)
+        model.features[1].bias.requires_grad = False  # stays off afterwards
+        before = {name: p.requires_grad for name, p in model.named_parameters()}
+        during = {}
+
+        def boom(model, *args, **kwargs):
+            during.update({name: p.requires_grad for name, p in model.named_parameters()})
+            raise RuntimeError("backward failed")
+
+        monkeypatch.setattr(scoring, "unlearning_loss_backward", boom)
+        with pytest.raises(RuntimeError, match="backward failed"):
+            compute_filter_scores(model, tiny_attack.triggered_with_true_labels(tiny_test))
+        conv_ids = _conv_param_ids(model)
+        for name, param in model.named_parameters():
+            assert during[name] == (id(param) in conv_ids), name
+        assert {name: p.requires_grad for name, p in model.named_parameters()} == before
 
 
 class TestTopFilter:

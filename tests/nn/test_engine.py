@@ -1,15 +1,16 @@
 """Tests for the GEMM execution engine (repro.nn.engine) and the workspace.
 
 Covers the inline GEMM and its fused epilogue (including inside a daemonic
-orchestrator-style child), epilogue fusion plumbing, the one process-wide
-scratch workspace shared by inference and training, and the fork hygiene
-hook.
+orchestrator-style child), epilogue fusion plumbing, every branch of the
+``groups == 1`` conv backward, the one process-wide scratch workspace
+shared by inference and training, and the fork hygiene hook.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -235,6 +236,71 @@ class TestPlanSharingAcrossBatchSizes:
             got, expected = forwards(n)
             np.testing.assert_allclose(got, expected, rtol=1e-4, atol=1e-4)
         assert F.workspace().nbytes <= budget
+
+
+# ---------------------------------------------------------------------------
+# groups == 1 conv backward: gather and scatter dX, re-unfolded dW
+# ---------------------------------------------------------------------------
+CONV_GRID = [
+    pytest.param(k, s, p, id=f"k{k}-s{s}-p{p}")
+    for k in (1, 2, 3, 5)
+    for s in (1, 2)
+    for p in sorted({0, k - 1, k})
+]
+
+
+class TestConvBackwardGrid:
+    """dX, dW and db of the ``groups == 1`` kernel against the reference.
+
+    Stride-1 convs with ``padding < kernel`` take the gather dX, the rest the
+    col2im scatter; dW re-unfolds the input in both.  The grid reaches every
+    branch deterministically, at the property suite's tolerances.  With
+    ``interleave``, a no-grad forward of the same layer on other data
+    overwrites the workspace between the forward and its backward.
+    """
+
+    @pytest.mark.parametrize("interleave", [False, True], ids=["plain", "interleave"])
+    @pytest.mark.parametrize("kernel, stride, padding", CONV_GRID)
+    def test_grads_match_reference(self, kernel, stride, padding, interleave):
+        rng = np.random.default_rng(100 * kernel + 10 * stride + padding)
+        conv = Conv2d(3, 4, kernel, stride=stride, padding=padding, rng=rng)
+        conv.bias.data[:] = rng.standard_normal(4).astype(np.float32)
+        x = rng.standard_normal((2, 3, 9, 9)).astype(np.float32)
+
+        def grads(interleave):
+            xt = Tensor(x.copy(), requires_grad=True)
+            out = conv(xt)
+            if interleave:
+                with no_grad():
+                    conv(Tensor(x[::-1] * 2.0 + 1.0))
+            (out * out).sum().backward()
+            found = (xt.grad.copy(), conv.weight.grad.copy(), conv.bias.grad.copy())
+            conv.zero_grad()
+            return found
+
+        got = grads(interleave)
+        with reference_kernels():
+            expected = grads(False)
+        for name, g, e in zip(("dX", "dW", "db"), got, expected):
+            np.testing.assert_allclose(g, e, rtol=1e-4, atol=1e-5, err_msg=name)
+
+    def test_forward_keeps_no_columns(self):
+        """Between forward and backward a train-mode conv holds its output and
+        little else: no unfolded columns (9x the input for a 3x3 kernel)."""
+        rng = np.random.default_rng(4)
+        conv = Conv2d(16, 16, 3, padding=1, rng=rng)
+        x = Tensor(rng.standard_normal((8, 16, 32, 32)).astype(np.float32), requires_grad=True)
+        conv(x)  # warm-up: the workspace slabs exist from here on
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = conv(x)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert held <= 1.5 * out.data.nbytes, (held, out.data.nbytes)
+        (out * out).sum().backward()
+        assert x.grad.shape == x.shape
 
 
 # ---------------------------------------------------------------------------
