@@ -17,6 +17,22 @@ from repro.federated import (
 from repro.telemetry import MemorySink, bus
 from tests.conftest import TinyConvNet, make_tiny_dataset
 
+# Per-round (acc, asr, ra) of run_federated_backdoor on the tiny fixtures
+# (4 clients, 1 malicious, 3 rounds, seed 0), read off its federated.round
+# events, as the stateful FederatedServer round loop computed them.
+GOLDEN_ROUNDS = {
+    "fedavg": [
+        (0.6666666666666666, 0.5, 0.5),
+        (0.9777777777777777, 0.7, 0.3),
+        (0.9888888888888889, 0.36666666666666664, 0.6333333333333333),
+    ],
+    "trimmed_mean": [
+        (0.6666666666666666, 0.5, 0.5),
+        (1.0, 0.11666666666666667, 0.8833333333333333),
+        (1.0, 0.0, 1.0),
+    ],
+}
+
 
 class TestPartitioning:
     def test_iid_covers_everything_once(self):
@@ -213,3 +229,24 @@ class TestEndToEnd:
         assert [e.fields["round"] for e in rounds] == [0, 1]
         for e in rounds:
             assert {"acc", "asr", "ra", "participants", "agg_norm"} <= set(e.fields)
+
+
+class TestGoldenRounds:
+    @pytest.mark.parametrize("aggregation", sorted(GOLDEN_ROUNDS))
+    def test_rounds_match_golden(self, tiny_train, tiny_test, tiny_attack, aggregation):
+        sink = MemorySink()
+        bus().attach(sink)
+        try:
+            run_federated_backdoor(
+                TinyConvNet(seed=0), tiny_train, tiny_test, tiny_attack,
+                num_clients=4, num_malicious=1, rounds=3, local_epochs=1,
+                boost=4.0, lr=0.08, aggregation=aggregation, seed=0,
+            )
+        finally:
+            bus().detach(sink)
+        rounds = [
+            (e.fields["acc"], e.fields["asr"], e.fields["ra"])
+            for e in sink.events
+            if e.event == "federated.round"
+        ]
+        assert rounds == GOLDEN_ROUNDS[aggregation]

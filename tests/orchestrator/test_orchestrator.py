@@ -37,6 +37,16 @@ TINY_PROFILE = ExperimentProfile(
 )
 
 
+# The tiny grid's numbers as the serial ``run_experiment`` runner computed
+# them; the orchestrator must reproduce them bit for bit, inline or pooled.
+GOLDEN_BASELINE = (0.43333333333333335, 0.125, 0.5)
+GOLDEN_AGGREGATES = [
+    # (defense, spc, trials, acc mean, acc std, asr mean, asr std, ra mean, ra std)
+    ("clp", 2, 2, 0.4166666666666667, 0.0, 0.125, 0.0, 0.5, 0.0),
+    ("ft", 2, 2, 0.43333333333333335, 0.0, 0.0875, 0.0375, 0.5, 0.0),
+]
+
+
 def tiny_spec(defenses=("clp", "ft")):
     return ExperimentSpec(
         "tiny", "Tiny grid", "synth_cifar", ("preact_resnet18",), ("badnets",),
@@ -136,6 +146,22 @@ class TestSerialEquivalence:
             assert (ours.asr_mean, ours.asr_std) == (theirs.asr_mean, theirs.asr_std)
             assert (ours.ra_mean, ours.ra_std) == (theirs.ra_mean, theirs.ra_std)
         assert result.table_text()  # renders without the serial helper
+
+
+class TestGoldenGrid:
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_aggregates_match_golden(self, tmp_path, workers):
+        result = orchestrator_for(tmp_path, workers=workers).run(tiny_spec())
+        assert result.ok and result.counts == {"done": 7}
+        baseline = result.experiment.baselines["preact_resnet18"]["badnets"]
+        assert (baseline.acc, baseline.asr, baseline.ra) == GOLDEN_BASELINE
+        aggregates = result.experiment.results["preact_resnet18"]["badnets"]
+        assert [
+            (a.defense, a.spc, a.num_trials, a.acc_mean, a.acc_std,
+             a.asr_mean, a.asr_std, a.ra_mean, a.ra_std)
+            for a in aggregates
+        ] == GOLDEN_AGGREGATES
+        assert result.table_text()
 
 
 class TestScenarioMemo:
