@@ -14,13 +14,8 @@ import os
 
 import pytest
 
-from repro.eval import (
-    experiment_spec,
-    figure_svg,
-    render_scatter_text,
-    run_experiment,
-    scatter_series,
-)
+from repro.eval import experiment_spec, figure_svg, render_scatter_text, scatter_series
+from repro.orchestrator import Orchestrator, OrchestratorConfig
 
 from conftest import OUT_DIR, load_results, write_text
 
@@ -28,7 +23,7 @@ SPEC = experiment_spec("figure1")
 TABLE_OF_MODEL = {"preact_resnet18": "table1", "vgg19_bn": "table2"}
 
 
-def collect_series(runner, model: str):
+def collect_series(model: str):
     table = TABLE_OF_MODEL[model]
     pooled = []
     missing = []
@@ -39,14 +34,16 @@ def collect_series(runner, model: str):
         else:
             pooled.extend(stored["aggregates"])
     if missing:
-        result = run_experiment(SPEC, runner=runner, models=(model,), attacks=tuple(missing))
+        result = Orchestrator(OrchestratorConfig(workers=0)).run(
+            SPEC, models=(model,), attacks=tuple(missing)
+        ).experiment
         for attack in missing:
             pooled.extend(result.results[model][attack])
     return scatter_series(pooled)
 
 
-def render_and_store(runner, model: str):
-    series = collect_series(runner, model)
+def render_and_store(model: str):
+    series = collect_series(model)
     acc_plot = render_scatter_text(series, "acc_vs_asr")
     ra_plot = render_scatter_text(series, "ra_vs_asr")
     text = f"Figure 1 — {model}\n\n{acc_plot}\n\n{ra_plot}"
@@ -61,8 +58,8 @@ def render_and_store(runner, model: str):
 
 
 @pytest.mark.parametrize("model", SPEC.models)
-def test_figure1_scatter(benchmark, runner, out_dir, model):
-    series = benchmark.pedantic(render_and_store, args=(runner, model), rounds=1, iterations=1)
+def test_figure1_scatter(benchmark, out_dir, model):
+    series = benchmark.pedantic(render_and_store, args=(model,), rounds=1, iterations=1)
     assert set(series) <= set(SPEC.defenses)
     assert len(series) >= 1
     for entry in series.values():

@@ -17,9 +17,9 @@ from repro.eval import (
     figure_svg,
     format_table,
     render_scatter_text,
-    run_experiment,
     scatter_series,
 )
+from repro.orchestrator import Orchestrator, OrchestratorConfig
 
 from conftest import OUT_DIR, store_results, write_text
 
@@ -29,8 +29,10 @@ SPEC = experiment_spec("figure2")
 ATTACKS = SPEC.attacks if SPEC.profile.name == "paper" else ("badnets",)
 
 
-def run_model_panel(runner, model: str):
-    result = run_experiment(SPEC, runner=runner, models=(model,), attacks=ATTACKS)
+def run_model_panel(model: str):
+    result = Orchestrator(OrchestratorConfig(workers=0)).run(
+        SPEC, models=(model,), attacks=ATTACKS
+    ).experiment
     pooled = []
     for attack in ATTACKS:
         aggregates = result.results[model][attack]
@@ -54,8 +56,8 @@ def run_model_panel(runner, model: str):
 
 
 @pytest.mark.parametrize("model", SPEC.models)
-def test_figure2_model_panel(benchmark, runner, out_dir, model):
-    series = benchmark.pedantic(run_model_panel, args=(runner, model), rounds=1, iterations=1)
+def test_figure2_model_panel(benchmark, out_dir, model):
+    series = benchmark.pedantic(run_model_panel, args=(model,), rounds=1, iterations=1)
     assert set(series) == set(SPEC.defenses)
     for entry in series.values():
         assert len(entry["acc_vs_asr"]) == len(SPEC.profile.spc_values) * len(ATTACKS)

@@ -11,13 +11,8 @@ Run with ``pytest benchmarks/ --benchmark-only``.  Set
 
 import pytest
 
-from repro.eval import (
-    check_table_claims,
-    experiment_spec,
-    format_table,
-    format_verdicts,
-    run_experiment,
-)
+from repro.eval import check_table_claims, experiment_spec, format_table, format_verdicts
+from repro.orchestrator import Orchestrator, OrchestratorConfig
 
 from conftest import store_results, write_text
 
@@ -25,8 +20,8 @@ SPEC = experiment_spec("table1")
 MODEL = "preact_resnet18"
 
 
-def run_attack_column(runner, attack: str):
-    result = run_experiment(SPEC, runner=runner, attacks=(attack,))
+def run_attack_column(attack: str):
+    result = Orchestrator(OrchestratorConfig(workers=0)).run(SPEC, attacks=(attack,)).experiment
     aggregates = result.results[MODEL][attack]
     baseline = result.baselines[MODEL][attack]
     store_results(f"table1_{attack}", aggregates, baseline)
@@ -43,10 +38,8 @@ def run_attack_column(runner, attack: str):
 
 
 @pytest.mark.parametrize("attack", SPEC.attacks)
-def test_table1_attack_column(benchmark, runner, attack):
-    aggregates = benchmark.pedantic(
-        run_attack_column, args=(runner, attack), rounds=1, iterations=1,
-    )
+def test_table1_attack_column(benchmark, attack):
+    aggregates = benchmark.pedantic(run_attack_column, args=(attack,), rounds=1, iterations=1)
     # Regeneration contract: one row per (defense, SPC) cell.
     expected = len(SPEC.defenses) * len(SPEC.profile.spc_values)
     assert len(aggregates) == expected

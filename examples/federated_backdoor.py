@@ -49,7 +49,7 @@ def main() -> None:
     print(f"== 1. FedAvg with {num_clients} clients, 1 malicious (boost=4), {rounds} rounds")
     model = build_model("preact_resnet18", num_classes=10, seed=args.seed + 1)
     start = time.time()
-    _server, log = run_federated_backdoor(
+    log = run_federated_backdoor(
         model, train, test, attack,
         num_clients=num_clients, num_malicious=1, rounds=rounds,
         local_epochs=2, boost=4.0, lr=0.05, seed=args.seed,
@@ -61,7 +61,7 @@ def main() -> None:
 
     print("== 2. Same run under trimmed-mean aggregation")
     robust_model = build_model("preact_resnet18", num_classes=10, seed=args.seed + 1)
-    _server2, log2 = run_federated_backdoor(
+    log2 = run_federated_backdoor(
         robust_model, train, test, attack,
         num_clients=num_clients, num_malicious=1, rounds=rounds,
         local_epochs=2, boost=4.0, lr=0.05, aggregation="trimmed_mean", seed=args.seed,

@@ -6,13 +6,18 @@ Examples::
     python -m repro demo --fast                  # quickstart pipeline
     python -m repro experiment table1            # regenerate a paper table
     python -m repro experiment figure2 --models preact_resnet18
-    python -m repro orchestrate table1 --workers 4    # parallel, fault-tolerant
-    python -m repro orchestrate table1 --workers 4 --resume   # finish a crashed run
+    python -m repro experiment table1 --resume   # finish a crashed run
+    python -m repro orchestrate table1 --workers 2 --task-timeout 900   # pooled, with timeouts
+    python -m repro orchestrate tableF --clients 64   # federated grid
     python -m repro attack badnets --model vgg19_bn   # train + report baseline
     python -m repro serve --strip --traffic adversarial   # defense-serving gateway
     python -m repro serve --http 8080                 # JSON-over-HTTP front
     python -m repro watch ~/.cache/repro/runs/table1-abc   # live run dashboard
     python -m repro registry gc --dry-run             # preview checkpoint GC
+
+``experiment`` is an alias of ``orchestrate``: both run the grid's task DAG,
+inline by default, and write the run ledger and telemetry that ``repro
+watch`` tails.
 """
 
 from __future__ import annotations
@@ -29,7 +34,6 @@ from .eval import (
     BenchmarkRunner,
     ScenarioConfig,
     experiment_spec,
-    run_experiment,
 )
 from .models import MODEL_NAMES
 from .orchestrator import Orchestrator, OrchestratorConfig
@@ -52,22 +56,11 @@ def build_parser() -> argparse.ArgumentParser:
     demo.add_argument("--spc", type=int, default=10)
     demo.add_argument("--seed", type=int, default=0)
 
-    experiment = sub.add_parser("experiment", help="regenerate a paper table/figure")
-    experiment.add_argument(
-        "experiment_id",
-        choices=[
-            e for e in EXPERIMENT_IDS
-            if e.startswith(("table", "figure")) and e not in FEDERATED_EXPERIMENT_IDS
-        ],
-    )
-    experiment.add_argument("--profile", choices=("quick", "paper"), default=None)
-    experiment.add_argument("--attacks", nargs="+", default=None)
-    experiment.add_argument("--models", nargs="+", default=None)
-    experiment.add_argument("--seed", type=int, default=0)
-
     orchestrate = sub.add_parser(
         "orchestrate",
-        help="run an experiment grid on a parallel, fault-tolerant, resumable worker pool",
+        aliases=["experiment"],
+        help="regenerate a paper table/figure: a resumable task DAG, run inline "
+        "or on a fault-tolerant worker pool",
     )
     orchestrate.add_argument(
         "experiment_id",
@@ -78,8 +71,8 @@ def build_parser() -> argparse.ArgumentParser:
     orchestrate.add_argument("--models", nargs="+", default=None)
     orchestrate.add_argument("--seed", type=int, default=0)
     orchestrate.add_argument(
-        "--workers", type=int, default=None,
-        help="worker processes (default: CPU count; 0 = run inline)",
+        "--workers", type=int, default=0,
+        help="worker processes (default: 0 = run inline)",
     )
     orchestrate.add_argument(
         "--resume", action="store_true",
@@ -87,7 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     orchestrate.add_argument(
         "--task-timeout", type=float, default=None,
-        help="per-task wall-clock limit in seconds (workers >= 1 only)",
+        help="per-task wall-clock limit in seconds (needs --workers >= 1)",
     )
     orchestrate.add_argument(
         "--max-retries", type=int, default=2,
@@ -251,24 +244,9 @@ def _cmd_demo(args) -> int:
     return 0
 
 
-def _cmd_experiment(args) -> int:
-    spec = experiment_spec(args.experiment_id, profile=args.profile)
-    result = run_experiment(
-        spec,
-        attacks=tuple(args.attacks) if args.attacks else None,
-        models=tuple(args.models) if args.models else None,
-        root_seed=args.seed,
-    )
-    print(result.table_text())
-    return 0
-
-
 def _cmd_orchestrate(args) -> int:
-    import os
-
-    workers = args.workers if args.workers is not None else (os.cpu_count() or 1)
     config = OrchestratorConfig(
-        workers=workers,
+        workers=args.workers,
         task_timeout=args.task_timeout,
         max_retries=args.max_retries,
         run_dir=args.run_dir,
@@ -523,14 +501,15 @@ def _cmd_registry(args) -> int:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     if args.command == "list":
         return _cmd_list()
     if args.command == "demo":
         return _cmd_demo(args)
-    if args.command == "experiment":
-        return _cmd_experiment(args)
-    if args.command == "orchestrate":
+    if args.command in ("orchestrate", "experiment"):
+        if args.task_timeout is not None and args.workers <= 0:
+            parser.error("--task-timeout needs --workers >= 1: an inline task cannot be preempted")
         return _cmd_orchestrate(args)
     if args.command == "attack":
         return _cmd_attack(args)

@@ -1,4 +1,4 @@
-"""Evaluation harness: ACC/ASR/RA metrics, SPC budgets, grid runner, reports."""
+"""Evaluation harness: ACC/ASR/RA metrics, SPC budgets, experiment grids, reports."""
 
 from .budget import DefenderBudget, budget_trials
 from .claims import Claim, ClaimVerdict, TABLE_CLAIMS, check_table_claims, format_verdicts
@@ -10,7 +10,6 @@ from .experiments import (
     ExperimentSpec,
     experiment_spec,
     get_profile,
-    run_experiment,
     scenario_configs,
 )
 from .metrics import (
@@ -71,6 +70,5 @@ __all__ = [
     "ExperimentSpec",
     "experiment_spec",
     "get_profile",
-    "run_experiment",
     "scenario_configs",
 ]

@@ -1,9 +1,9 @@
 """Predefined experiment grids for every paper table and figure.
 
 Each experiment is a declarative grid over (dataset, model, attacks,
-defenses, SPC values, trials); :func:`run_experiment` executes it through
-:class:`~repro.eval.runner.BenchmarkRunner` and returns both raw aggregates
-and the formatted paper-style table.
+defenses, SPC values, trials); :class:`~repro.orchestrator.Orchestrator`
+compiles it into a task DAG and returns an :class:`ExperimentResult` with
+both raw aggregates and the formatted paper-style table.
 
 Two profiles control cost:
 
@@ -26,7 +26,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .metrics import BackdoorMetrics
 from .reporting import format_table, scatter_series
-from .runner import AggregateResult, BenchmarkRunner, ScenarioConfig
+from .runner import AggregateResult, ScenarioConfig
 
 __all__ = [
     "ExperimentProfile",
@@ -35,7 +35,6 @@ __all__ = [
     "get_profile",
     "experiment_spec",
     "scenario_configs",
-    "run_experiment",
     "EXPERIMENT_IDS",
     "FEDERATED_EXPERIMENT_IDS",
 ]
@@ -50,8 +49,8 @@ EXPERIMENT_IDS = (
     "ablation_scoring", "ablation_finetune", "ablation_stopping",
 )
 
-# Experiments that run on the federated scheduler (orchestrator-only; the
-# serial run_experiment path has no notion of rounds or client shards).
+# Experiments that run on the federated scheduler (rounds and client
+# shards rather than the attack x defense grid).
 FEDERATED_EXPERIMENT_IDS = ("tableF",)
 
 
@@ -165,16 +164,23 @@ class ExperimentResult:
     baselines: Dict[str, Dict[str, BackdoorMetrics]]
 
     def table_text(self) -> str:
-        """Paper-style table for each model in the experiment."""
+        """Paper-style table for every model with a baseline.
+
+        Models and attacks outside a sliced run (``--models``) or whose
+        backdoor training failed have no baseline and are left out.
+        """
         sections = []
         for model in self.spec.models:
-            sections.append(
-                format_table(
-                    self.results[model],
-                    self.baselines[model],
-                    title=f"{self.spec.title} — {model}",
+            baselines = self.baselines.get(model, {})
+            present = {
+                attack: aggregates
+                for attack, aggregates in self.results.get(model, {}).items()
+                if attack in baselines
+            }
+            if present:
+                sections.append(
+                    format_table(present, baselines, title=f"{self.spec.title} — {model}")
                 )
-            )
         return "\n\n".join(sections)
 
     def scatter(self, model: str):
@@ -211,8 +217,8 @@ def experiment_spec(experiment_id: str, profile: Optional[str] = None) -> Experi
         )
     if experiment_id in FEDERATED_EXPERIMENT_IDS:
         raise KeyError(
-            f"{experiment_id!r} is a federated grid with no serial path; run it "
-            "via 'repro orchestrate tableF' (repro.federated.federated_spec)"
+            f"{experiment_id!r} is a federated grid; resolve it with "
+            "repro.federated.federated_spec ('repro orchestrate tableF')"
         )
     raise KeyError(f"unknown experiment {experiment_id!r}; choose from {EXPERIMENT_IDS}")
 
@@ -226,9 +232,9 @@ def scenario_configs(
     """Resolve the (model, attack) cells of a grid to concrete configs.
 
     This is the single source of truth for scenario construction: the
-    serial :func:`run_experiment` path and the orchestrator's DAG builder
-    both call it, so their ``ScenarioConfig.fingerprint()`` values — and
-    therefore their cached artifacts — are identical by construction.
+    orchestrator's DAG builder and its result assembly both call it, so
+    their ``ScenarioConfig.fingerprint()`` values — and therefore the
+    cached artifacts every run shares — agree by construction.
     """
     prof = spec.profile
     num_classes = (
@@ -255,36 +261,3 @@ def scenario_configs(
                 config_kwargs["attack_kwargs"] = tuple(sorted(attack_kwargs.items()))
             cells.append((model, attack, ScenarioConfig(**config_kwargs)))
     return cells
-
-
-def run_experiment(
-    spec: ExperimentSpec,
-    runner: Optional[BenchmarkRunner] = None,
-    attacks: Optional[Tuple[str, ...]] = None,
-    models: Optional[Tuple[str, ...]] = None,
-    root_seed: int = 0,
-) -> ExperimentResult:
-    """Execute (a slice of) an experiment grid.
-
-    ``attacks`` / ``models`` restrict the grid — the per-attack benchmark
-    functions use this so each pytest-benchmark entry covers one attack.
-    """
-    runner = runner or BenchmarkRunner(verbose=True)
-    prof = spec.profile
-
-    results: Dict[str, Dict[str, List[AggregateResult]]] = {}
-    baselines: Dict[str, Dict[str, BackdoorMetrics]] = {}
-    for model, attack, config in scenario_configs(spec, attacks, models, root_seed):
-        results.setdefault(model, {})
-        baselines.setdefault(model, {})
-        scenario = runner.prepare(config)
-        baselines[model][attack] = scenario.baseline
-        results[model][attack] = runner.run_grid(
-            scenario,
-            defenses=list(spec.defenses),
-            spc_values=list(prof.spc_values),
-            num_trials=prof.num_trials,
-            defense_kwargs=prof.defense_kwargs,
-            root_seed=root_seed,
-        )
-    return ExperimentResult(spec=spec, results=results, baselines=baselines)

@@ -19,7 +19,7 @@ import hashlib
 import json
 import os
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -29,13 +29,12 @@ from ..attacks.poisoner import train_backdoored_model
 from ..data import make_synth_cifar, make_synth_gtsrb
 from ..data.dataset import ImageDataset
 from ..defenses import build_defense
-from ..defenses.base import DefenderData
 from ..models import build_model
 from ..nn.module import Module
 from ..orchestrator.artifacts import ArtifactStore
 from ..training import TrainConfig
 from ..utils.logging import get_logger
-from .budget import DefenderBudget, budget_trials
+from .budget import DefenderBudget
 from .metrics import BackdoorMetrics, evaluate_backdoor_metrics
 
 __all__ = [
@@ -252,7 +251,11 @@ def _build_dataset(config: ScenarioConfig) -> Tuple[ImageDataset, ImageDataset, 
 
 
 class BenchmarkRunner:
-    """Run attack→defense→metrics grids.
+    """Prepare scenarios and run single defense trials.
+
+    The orchestrator's ``train`` and ``trial`` tasks call :meth:`prepare`
+    and :meth:`run_defense_trial`; its ``aggregate`` tasks fold the trials
+    of one (defense, SPC) cell with :meth:`AggregateResult.from_trials`.
 
     Parameters
     ----------
@@ -371,41 +374,3 @@ class BenchmarkRunner:
             metrics=metrics,
             details=report.details,
         )
-
-    def run_cell(
-        self,
-        scenario: ScenarioData,
-        defense_name: str,
-        spc: int,
-        num_trials: int = 5,
-        defense_kwargs: Optional[Dict] = None,
-        root_seed: int = 0,
-    ) -> AggregateResult:
-        """All trials of one (defense, SPC) cell, aggregated."""
-        trials = [
-            self.run_defense_trial(scenario, defense_name, budget, defense_kwargs)
-            for budget in budget_trials(spc, num_trials, root_seed)
-        ]
-        return AggregateResult.from_trials(trials)
-
-    def run_grid(
-        self,
-        scenario: ScenarioData,
-        defenses: List[str],
-        spc_values: List[int],
-        num_trials: int = 5,
-        defense_kwargs: Optional[Dict[str, Dict]] = None,
-        root_seed: int = 0,
-    ) -> List[AggregateResult]:
-        """Full defense × SPC grid for one scenario."""
-        defense_kwargs = defense_kwargs or {}
-        results = []
-        for spc in spc_values:
-            for name in defenses:
-                results.append(
-                    self.run_cell(
-                        scenario, name, spc, num_trials,
-                        defense_kwargs.get(name), root_seed,
-                    )
-                )
-        return results

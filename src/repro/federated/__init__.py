@@ -1,9 +1,10 @@
 """Federated-learning substrate (paper §I's outsourced-training threat).
 
-Implements FedAvg / trimmed-mean servers, honest and model-replacement
-malicious clients, IID and Dirichlet data partitioning, and an end-to-end
-federated-backdoor runner whose compromised global model can be handed to
-any defense in :mod:`repro.defenses` / :mod:`repro.core`.
+Implements FedAvg / trimmed-mean / Krum aggregation, honest and
+model-replacement malicious clients, IID and Dirichlet data partitioning,
+an in-memory federated-backdoor run whose compromised global model can be
+handed to any defense in :mod:`repro.defenses` / :mod:`repro.core`, and
+the sharded tableF scheduler on the orchestrator.
 """
 
 from .client import FederatedClient, MaliciousClient
@@ -14,7 +15,7 @@ from .scheduler import (
     build_federated_dag,
     federated_spec,
 )
-from .server import FederatedServer, fedavg, krum, trimmed_mean
+from .server import AGGREGATIONS, aggregate, fedavg, krum, trimmed_mean
 from .simulation import (
     FederatedRunLog,
     run_federated_backdoor,
@@ -27,7 +28,8 @@ from .threat import ThreatModel, build_clients
 __all__ = [
     "FederatedClient",
     "MaliciousClient",
-    "FederatedServer",
+    "AGGREGATIONS",
+    "aggregate",
     "fedavg",
     "trimmed_mean",
     "krum",

@@ -11,7 +11,7 @@ updates.
 from __future__ import annotations
 
 import copy
-from typing import Dict, Optional
+from typing import Dict
 
 import numpy as np
 
@@ -59,21 +59,18 @@ class FederatedClient:
     def num_samples(self) -> int:
         return len(self.dataset)
 
-    def _training_data(self, round_index: Optional[int] = None) -> ImageDataset:
+    def _training_data(self, round_index: int) -> ImageDataset:
         return self.dataset
 
     def local_update(
-        self,
-        model_template: Module,
-        global_state: StateDict,
-        round_index: Optional[int] = None,
+        self, model_template: Module, global_state: StateDict, round_index: int
     ) -> StateDict:
         """Train a local copy from the global weights; return new weights.
 
-        ``round_index`` (when given) keys all per-round randomness, so the
-        update is a pure function of ``(client, round, global_state)`` — the
-        property the sharded scheduler relies on to re-execute a client task
-        on any worker (or on resume) and obtain bitwise-identical weights.
+        ``round_index`` keys all per-round randomness, so the update is a
+        pure function of ``(client, round, global_state)`` — the property
+        the sharded scheduler relies on to re-execute a client task on any
+        worker (or on resume) and obtain bitwise-identical weights.
         """
         local = copy.deepcopy(model_template)
         local.load_state_dict(global_state)
@@ -81,10 +78,7 @@ class FederatedClient:
             epochs=self.epochs,
             batch_size=self.batch_size,
             lr=self.lr,
-            shuffle_seed=(
-                self.client_id if round_index is None
-                else self.client_id + 100_003 * (round_index + 1)
-            ),
+            shuffle_seed=self.client_id + 100_003 * (round_index + 1),
         )
         train_classifier(local, self._training_data(round_index), config)
         return local.state_dict()
@@ -124,17 +118,10 @@ class MaliciousClient(FederatedClient):
         self.poison_ratio = poison_ratio
         self.boost = boost
         self.seed = seed
-        self._rng = np.random.default_rng(seed)
 
-    def _training_data(self, round_index: Optional[int] = None) -> ImageDataset:
-        # With a round index the poison draw is a pure function of
-        # (seed, client, round); without one the stateful RNG preserves the
-        # legacy sequential behaviour.
-        rng = (
-            self._rng
-            if round_index is None
-            else np.random.default_rng([self.seed, self.client_id, round_index])
-        )
+    def _training_data(self, round_index: int) -> ImageDataset:
+        # The poison draw is a pure function of (seed, client, round).
+        rng = np.random.default_rng([self.seed, self.client_id, round_index])
         # Non-IID shards can be tiny or pure-target-class; a compromised
         # client still always poisons at least one relabelable sample if it
         # holds any (and trains plainly otherwise).
@@ -145,10 +132,7 @@ class MaliciousClient(FederatedClient):
         return poisoned
 
     def local_update(
-        self,
-        model_template: Module,
-        global_state: StateDict,
-        round_index: Optional[int] = None,
+        self, model_template: Module, global_state: StateDict, round_index: int
     ) -> StateDict:
         update = super().local_update(model_template, global_state, round_index)
         if self.boost == 1.0:

@@ -1,7 +1,7 @@
 """Sharded federated round scheduler on the orchestrator substrate.
 
-The serial :func:`~repro.federated.simulation.run_federated_backdoor` loop
-holds every client in one process.  This module compiles a federated
+The in-memory :func:`~repro.federated.simulation.run_federated_backdoor`
+loop holds every client in one process.  This module compiles a federated
 experiment into the orchestrator's task DAG instead, so hundreds to
 thousands of Dirichlet non-IID clients fan out across the worker pool::
 
@@ -39,7 +39,8 @@ from ..orchestrator.artifacts import ArtifactStore, content_hash
 from ..orchestrator.dag import Task, TaskGraph
 from ..orchestrator.ledger import TaskRecord
 from ..utils.logging import get_logger
-from .threat import ATTACK_MODES, ThreatModel
+from .server import AGGREGATIONS
+from .threat import ThreatModel
 
 __all__ = [
     "FederatedScenario",
@@ -100,10 +101,14 @@ class FederatedScenario:
             raise ValueError(f"rounds must be >= 1, got {self.rounds}")
         if self.partition not in ("iid", "dirichlet"):
             raise ValueError(f"unknown partition {self.partition!r}")
-        if self.attack_mode not in ATTACK_MODES:
-            raise ValueError(f"unknown attack_mode {self.attack_mode!r}")
         if not 0.0 < self.client_fraction <= 1.0:
             raise ValueError(f"client_fraction must be in (0, 1], got {self.client_fraction}")
+        if self.aggregation not in AGGREGATIONS:
+            raise ValueError(
+                f"unknown aggregation {self.aggregation!r}; choose from {AGGREGATIONS}"
+            )
+        # Rejects a malicious_fraction outside [0, 1) and an unknown attack_mode.
+        self.threat()
 
     def fingerprint(self) -> str:
         """Stable hash identifying this cell's artifacts and task ids."""
@@ -345,11 +350,6 @@ class FederatedOrchestrationResult:
         return line
 
 
-def _default_run_dir(spec: FederatedSpec, grid_hash: str) -> str:
-    cache_root = os.environ.get("REPRO_CACHE_DIR", os.path.expanduser("~/.cache/repro"))
-    return os.path.join(cache_root, "runs", f"{spec.experiment_id}-{grid_hash[:12]}")
-
-
 class FederatedOrchestrator:
     """Fault-tolerant, parallel, resumable federated grid executor.
 
@@ -366,7 +366,7 @@ class FederatedOrchestrator:
         self.config = config or OrchestratorConfig()
 
     def run(self, spec: FederatedSpec) -> FederatedOrchestrationResult:
-        from ..orchestrator.orchestrator import run_ledgered_graph
+        from ..orchestrator.orchestrator import _default_run_dir, run_ledgered_graph
         from .tasks import execute_federated_task
 
         cfg = self.config

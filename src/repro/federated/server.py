@@ -1,23 +1,24 @@
-"""Federated server: client sampling, FedAvg aggregation, robust variants.
+"""Federated server-side aggregation: FedAvg and robust variants.
 
 Besides plain FedAvg (McMahan et al., 2017), the server supports
 coordinate-wise **trimmed-mean** aggregation (Yin et al., 2018) as the
 standard robust baseline — useful for showing that simple robust
 aggregation only partially blunts model-replacement backdoors, which
-motivates post-hoc repair (Grad-Prune) at the server.
+motivates post-hoc repair (Grad-Prune) at the server — and Krum
+(Blanchard et al., 2017).  :func:`aggregate` is the one dispatch both
+federated runners (the in-memory loop and the scheduler's ``fed_round``
+task) call.
 """
 
 from __future__ import annotations
 
-import copy
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Sequence
 
 import numpy as np
 
-from ..nn.module import Module
-from .client import FederatedClient
+__all__ = ["AGGREGATIONS", "aggregate", "fedavg", "trimmed_mean", "krum"]
 
-__all__ = ["FederatedServer", "fedavg", "trimmed_mean", "krum"]
+AGGREGATIONS = ("fedavg", "trimmed_mean", "krum")
 
 StateDict = Dict[str, np.ndarray]
 
@@ -84,77 +85,31 @@ def krum(updates: Sequence[StateDict], num_malicious: int = 1) -> StateDict:
     return {key: value.copy() for key, value in updates[winner].items()}
 
 
-class FederatedServer:
-    """Round orchestration over a fixed client population.
+def aggregate(
+    name: str,
+    updates: Sequence[StateDict],
+    weights: Sequence[float],
+    num_malicious: int,
+) -> StateDict:
+    """Fold one round's client updates with the named rule.
 
-    Parameters
-    ----------
-    model:
-        The global model (mutated in place each round).
-    clients:
-        Participating clients (honest and/or malicious).
-    client_fraction:
-        Fraction of clients sampled per round.
-    aggregation:
-        ``"fedavg"``, ``"trimmed_mean"``, or ``"krum"``.
-    trim:
-        Per-side trim count for trimmed-mean; doubles as Krum's assumed
-        malicious count.
-    seed:
-        Client-sampling seed.
+    ``weights`` are the clients' sample counts (FedAvg); ``num_malicious``
+    is Krum's assumed attacker count ``f``.  Trimmed mean drops one update
+    per side.
     """
+    if name == "fedavg":
+        return fedavg(updates, weights)
+    if name == "trimmed_mean":
+        return trimmed_mean(updates)
+    if name == "krum":
+        return krum(updates, num_malicious=num_malicious)
+    raise ValueError(f"unknown aggregation {name!r}; choose from {AGGREGATIONS}")
 
-    def __init__(
-        self,
-        model: Module,
-        clients: Sequence[FederatedClient],
-        client_fraction: float = 1.0,
-        aggregation: str = "fedavg",
-        trim: int = 1,
-        seed: int = 0,
-    ) -> None:
-        if not clients:
-            raise ValueError("need at least one client")
-        if not 0.0 < client_fraction <= 1.0:
-            raise ValueError(f"client_fraction must be in (0, 1], got {client_fraction}")
-        if aggregation not in ("fedavg", "trimmed_mean", "krum"):
-            raise ValueError(f"unknown aggregation {aggregation!r}")
-        self.model = model
-        self.clients = list(clients)
-        self.client_fraction = client_fraction
-        self.aggregation = aggregation
-        self.trim = trim
-        self._rng = np.random.default_rng(seed)
 
-    def sample_clients(self) -> List[FederatedClient]:
-        """Draw this round's participants."""
-        count = max(1, int(round(self.client_fraction * len(self.clients))))
-        indices = self._rng.choice(len(self.clients), size=count, replace=False)
-        return [self.clients[i] for i in indices]
-
-    def run_round(self, round_index: Optional[int] = None) -> List[int]:
-        """One federated round; returns the participating client ids.
-
-        ``round_index`` keys per-round client randomness (see
-        :meth:`FederatedClient.local_update`); omitting it keeps the legacy
-        stateful-RNG behaviour.
-        """
-        participants = self.sample_clients()
-        global_state = self.model.state_dict()
-        updates = [
-            c.local_update(self.model, global_state, round_index) for c in participants
-        ]
-        if self.aggregation == "fedavg":
-            new_state = fedavg(updates, [c.num_samples for c in participants])
-        elif self.aggregation == "trimmed_mean":
-            new_state = trimmed_mean(updates, trim=self.trim)
-        else:
-            new_state = krum(updates, num_malicious=self.trim)
-        self.model.load_state_dict(new_state)
-        return [c.client_id for c in participants]
-
-    def run(self, rounds: int) -> List[List[int]]:
-        """Run multiple rounds; returns per-round participant ids."""
-        if rounds < 1:
-            raise ValueError(f"rounds must be >= 1, got {rounds}")
-        return [self.run_round(r) for r in range(rounds)]
+def _state_delta_norm(before: StateDict, after: StateDict) -> float:
+    """L2 norm of a global-model update (aggregation-norm telemetry)."""
+    total = 0.0
+    for key, old in before.items():
+        diff = np.asarray(after[key], dtype=np.float64) - np.asarray(old, dtype=np.float64)
+        total += float((diff * diff).sum())
+    return float(np.sqrt(total))

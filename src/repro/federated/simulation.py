@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 import numpy as np
 
@@ -13,7 +13,7 @@ from ..eval.metrics import BackdoorMetrics, evaluate_backdoor_metrics
 from ..nn.module import Module
 from ..telemetry import emit
 from .client import FederatedClient, MaliciousClient
-from .server import FederatedServer
+from .server import AGGREGATIONS, _state_delta_norm, aggregate
 
 __all__ = [
     "split_dataset_iid",
@@ -119,15 +119,6 @@ class FederatedRunLog:
         return [m.acc for m in self.rounds]
 
 
-def _state_delta_norm(before, after) -> float:
-    """L2 norm of the global-model update (aggregation norm telemetry)."""
-    total = 0.0
-    for key, old in before.items():
-        diff = np.asarray(after[key], dtype=np.float64) - np.asarray(old, dtype=np.float64)
-        total += float((diff * diff).sum())
-    return float(np.sqrt(total))
-
-
 def run_federated_backdoor(
     model: Module,
     train_set: ImageDataset,
@@ -145,8 +136,14 @@ def run_federated_backdoor(
     alpha: float = 0.5,
     poison_ratio: float = 0.3,
     seed: int = 0,
-) -> Tuple[FederatedServer, FederatedRunLog]:
+) -> FederatedRunLog:
     """Run a full federated training with embedded malicious clients.
+
+    The first ``num_malicious`` clients are compromised.  Each round
+    samples ``client_fraction`` of the clients, trains them from the
+    global weights and folds their updates with :func:`aggregate` (Krum
+    assumes ``num_malicious`` attackers); ``model`` holds the global model
+    and ends with the final round's weights, ready to hand to a defense.
 
     ``partition`` selects IID or Dirichlet(``alpha``) client sharding, and
     ``poison_ratio`` sets the malicious clients' per-round local poisoning
@@ -154,12 +151,14 @@ def run_federated_backdoor(
     as a ``federated.round`` event (round index, ACC/ASR/RA, aggregation
     norm), so runs show up live in ``repro watch``.
 
-    Returns the server (holding the final global model) and per-round
-    metrics, so callers can both inspect the attack's dynamics and hand the
-    compromised global model to a defense.
+    Returns the per-round metrics of the global model.
     """
     if not 0 <= num_malicious < num_clients:
         raise ValueError("need 0 <= num_malicious < num_clients")
+    if not 0.0 < client_fraction <= 1.0:
+        raise ValueError(f"client_fraction must be in (0, 1], got {client_fraction}")
+    if aggregation not in AGGREGATIONS:
+        raise ValueError(f"unknown aggregation {aggregation!r}; choose from {AGGREGATIONS}")
     rng = np.random.default_rng(seed)
     shards = split_dataset(train_set, num_clients, partition=partition, alpha=alpha, rng=rng)
     clients: List[FederatedClient] = []
@@ -176,10 +175,8 @@ def run_federated_backdoor(
             clients.append(
                 FederatedClient(client_id, shard, epochs=local_epochs, lr=lr)
             )
-    server = FederatedServer(
-        model, clients, client_fraction=client_fraction,
-        aggregation=aggregation, seed=seed,
-    )
+    sampler = np.random.default_rng(seed)
+    per_round = max(1, int(round(client_fraction * num_clients)))
     emit(
         "federated.run_started", _SOURCE,
         num_clients=num_clients, num_malicious=num_malicious, rounds=rounds,
@@ -188,8 +185,14 @@ def run_federated_backdoor(
     )
     log = FederatedRunLog()
     for round_index in range(rounds):
-        before = {k: v.copy() for k, v in model.state_dict().items()}
-        participants = server.run_round(round_index)
+        participants = [
+            clients[i] for i in sampler.choice(num_clients, size=per_round, replace=False)
+        ]
+        before = model.state_dict()
+        updates = [c.local_update(model, before, round_index) for c in participants]
+        model.load_state_dict(
+            aggregate(aggregation, updates, [c.num_samples for c in participants], num_malicious)
+        )
         metrics = evaluate_backdoor_metrics(model, test_set, attack)
         log.rounds.append(metrics)
         emit(
@@ -204,4 +207,4 @@ def run_federated_backdoor(
         rounds=len(log.rounds),
         acc=log.final.acc, asr=log.final.asr, ra=log.final.ra,
     )
-    return server, log
+    return log

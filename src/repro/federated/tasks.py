@@ -29,15 +29,16 @@ from ..data.dataset import ImageDataset
 from ..data.synthetic import make_synth_cifar, make_synth_gtsrb
 from ..defenses import build_defense
 from ..eval.budget import DefenderBudget
-from ..eval.metrics import BackdoorMetrics, evaluate_backdoor_metrics
+from ..eval.metrics import evaluate_backdoor_metrics
 from ..models import build_model
 from ..nn.module import Module
 from ..orchestrator.artifacts import ArtifactStore
 from ..orchestrator.dag import Task
+from ..orchestrator.runtime import _metrics_dict
 from ..telemetry import emit
 from .client import FederatedClient, MaliciousClient
 from .scheduler import FederatedScenario, state_key, update_key
-from .server import fedavg, krum, trimmed_mean
+from .server import _state_delta_norm, aggregate
 from .simulation import split_dataset
 from .threat import build_clients
 
@@ -142,10 +143,6 @@ def _cell(ctx: Dict, scenario: FederatedScenario) -> FederatedCell:
     return _CELLS[fingerprint]
 
 
-def _metrics_dict(metrics: BackdoorMetrics) -> Dict[str, float]:
-    return {"acc": float(metrics.acc), "asr": float(metrics.asr), "ra": float(metrics.ra)}
-
-
 def _global_state(
     store: ArtifactStore, cell: FederatedCell, fingerprint: str, round_index: int
 ) -> Dict[str, np.ndarray]:
@@ -159,14 +156,6 @@ def _global_state(
             "artifact store — cannot start round without the previous aggregate"
         )
     return state
-
-
-def _state_delta_norm(before: Dict[str, np.ndarray], after: Dict[str, np.ndarray]) -> float:
-    total = 0.0
-    for key, old in before.items():
-        diff = np.asarray(after[key], dtype=np.float64) - np.asarray(old, dtype=np.float64)
-        total += float((diff * diff).sum())
-    return float(np.sqrt(total))
 
 
 def _execute_fed_client(ctx: Dict, task: Task) -> Dict:
@@ -213,14 +202,10 @@ def _execute_fed_round(ctx: Dict, task: Task) -> Dict:
             )
         updates.append(update)
         weights.append(float(cell.clients[client_id].num_samples))
-    if scenario.aggregation == "fedavg":
-        new_state = fedavg(updates, weights)
-    elif scenario.aggregation == "trimmed_mean":
-        new_state = trimmed_mean(updates)
-    elif scenario.aggregation == "krum":
-        new_state = krum(updates, num_malicious=scenario.threat().num_malicious(scenario.num_clients))
-    else:
-        raise ValueError(f"unknown aggregation {scenario.aggregation!r}")
+    new_state = aggregate(
+        scenario.aggregation, updates, weights,
+        scenario.threat().num_malicious(scenario.num_clients),
+    )
     previous = _global_state(store, cell, fingerprint, round_index)
     agg_norm = _state_delta_norm(previous, new_state)
     key = state_key(fingerprint, round_index)

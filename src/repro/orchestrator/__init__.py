@@ -9,7 +9,7 @@ Layers (each usable on its own):
 - :mod:`~repro.orchestrator.pool` — retrying worker pool with per-task
   timeouts and deterministic fault injection.
 - :mod:`~repro.orchestrator.orchestrator` — compiles an experiment spec
-  into the DAG and runs it (``repro orchestrate``).
+  into the DAG and runs it (``repro experiment`` / ``repro orchestrate``).
 
 ``Orchestrator`` / ``OrchestratorConfig`` / ``build_experiment_dag`` are
 re-exported lazily: the evaluation layer imports the artifact store from

@@ -1,21 +1,20 @@
 """Compile an experiment spec into a task DAG and run it fault-tolerantly.
 
-``Orchestrator.run`` is the parallel, resumable counterpart of
-:func:`repro.eval.experiments.run_experiment`:
+``Orchestrator.run`` is the one runner for the paper's experiment grids
+(``repro experiment`` / ``repro orchestrate``):
 
-- the grid is compiled by the same :func:`scenario_configs` /
-  :func:`budget_trials` code paths, so task identities (scenario
-  fingerprints, trial-cache keys) — and therefore all cached artifacts —
-  are byte-identical between the serial and orchestrated paths;
+- the grid is compiled by :func:`scenario_configs` / :func:`budget_trials`,
+  so task identities (scenario fingerprints, trial-cache keys) — and
+  therefore all cached artifacts — depend only on the grid;
 - every task state change is appended to a JSONL run ledger; ``--resume``
   replays the ledger and re-runs only tasks not recorded as done;
-- workers execute tasks through a retrying pool with per-task timeouts;
-  a permanently failed cell is reported and skipped, never fatal.
+- tasks run inline (``workers=0``, the default) or on a retrying worker
+  pool with per-task timeouts; a permanently failed cell is reported and
+  skipped, never fatal.
 
-The produced aggregates are numerically identical to the serial path:
-training and defense trials are deterministic functions of their seeds,
-and the orchestrator runs exactly the same (config, defense, budget)
-tuples — only the schedule differs.
+The aggregates do not depend on the schedule: training and defense trials
+are deterministic functions of their seeds, so inline, pooled and resumed
+runs produce bitwise-identical numbers.
 """
 
 from __future__ import annotations
@@ -28,7 +27,6 @@ from typing import Callable, Dict, List, Optional, Tuple
 from ..eval.budget import budget_trials
 from ..eval.experiments import ExperimentResult, ExperimentSpec, scenario_configs
 from ..eval.metrics import BackdoorMetrics
-from ..eval.reporting import format_table
 from ..eval.runner import AggregateResult, TrialCache
 from ..telemetry import TELEMETRY_DIR_ENV, LoggerSink, bus, release_env_sink
 from ..utils.logging import get_logger
@@ -162,21 +160,7 @@ class OrchestrationResult:
 
     def table_text(self) -> str:
         """Paper-style tables for every cell that completed."""
-        sections = []
-        for model in self.experiment.spec.models:
-            per_attack = self.experiment.results.get(model, {})
-            baselines = self.experiment.baselines.get(model, {})
-            present = {a: r for a, r in per_attack.items() if a in baselines}
-            if not present:
-                continue
-            sections.append(
-                format_table(
-                    present,
-                    baselines,
-                    title=f"{self.experiment.spec.title} — {model}",
-                )
-            )
-        return "\n\n".join(sections)
+        return self.experiment.table_text()
 
     def summary(self) -> str:
         parts = [f"{status}={count}" for status, count in sorted(self.counts.items())]
@@ -189,7 +173,8 @@ class OrchestrationResult:
         return line
 
 
-def _default_run_dir(spec: ExperimentSpec, grid_hash: str) -> str:
+def _default_run_dir(spec, grid_hash: str) -> str:
+    """``<cache dir>/runs/<experiment>-<grid hash>`` for any grid spec."""
     cache_root = os.environ.get("REPRO_CACHE_DIR", os.path.expanduser("~/.cache/repro"))
     return os.path.join(cache_root, "runs", f"{spec.experiment_id}-{grid_hash[:12]}")
 
@@ -431,7 +416,7 @@ class Orchestrator:
         root_seed: int,
         values: Dict[str, Dict],
     ) -> Dict:
-        """Fold task results back into the serial-path result shape."""
+        """Fold task results into an :class:`ExperimentResult`."""
         prof = spec.profile
         results: Dict[str, Dict[str, List[AggregateResult]]] = {}
         baselines: Dict[str, Dict[str, BackdoorMetrics]] = {}
@@ -446,7 +431,7 @@ class Orchestrator:
                 continue
             baselines[model][attack] = BackdoorMetrics(**train_value["baseline"])
             aggregates: List[AggregateResult] = []
-            # Same cell order as BenchmarkRunner.run_grid: SPC-major.
+            # SPC-major cell order, as in the DAG.
             for spc in prof.spc_values:
                 for defense in spec.defenses:
                     value = values.get(f"agg:{fingerprint}:{defense}:{spc}")

@@ -1,12 +1,12 @@
-"""Fault-tolerant task execution: multiprocessing pool + inline fallback.
+"""Fault-tolerant task execution: inline or on a multiprocessing pool.
 
 Execution model
 ---------------
 ``run_tasks`` drains a :class:`~repro.orchestrator.dag.TaskGraph`:
 
-- ``workers == 0`` runs every task inline in the calling process (no
-  timeout preemption, but identical retry/backoff/fault-injection
-  semantics — useful for tests and debugging).
+- ``workers == 0`` runs every task inline in the calling process, with
+  identical retry/backoff/fault-injection semantics.  Nothing can preempt
+  an inline task, so a ``task_timeout`` is refused (``ValueError``).
 - ``workers >= 1`` forks that many worker processes, each connected to the
   parent by its own duplex pipe.  The parent therefore always knows which
   task a worker is running and since when, which makes per-task timeouts
@@ -375,6 +375,8 @@ def run_tasks(
     every state change (``started`` / ``finished`` / ``failed`` / ``retried``
     / ``skipped``) — the orchestrator uses it to write the run ledger.
     """
+    if workers <= 0 and task_timeout is not None:
+        raise ValueError("task_timeout needs workers >= 1: an inline task cannot be preempted")
     ctx = ctx or {}
     driver = _Driver(graph, max_retries, retry_backoff, on_event)
     if workers <= 0:

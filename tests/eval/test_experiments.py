@@ -58,8 +58,9 @@ class TestRunExperimentMicro:
     """End-to-end grid execution on a micro profile (seconds, not minutes)."""
 
     def test_micro_grid_runs_and_applies_model_overrides(self, tmp_path):
-        from repro.eval import BenchmarkRunner, ScenarioCache, TrialCache
-        from repro.eval.experiments import ExperimentProfile, ExperimentSpec, run_experiment
+        from repro.eval import ScenarioCache, ScenarioConfig
+        from repro.eval.experiments import ExperimentProfile, ExperimentSpec
+        from repro.orchestrator import Orchestrator, OrchestratorConfig
 
         profile = ExperimentProfile(
             name="micro",
@@ -77,21 +78,21 @@ class TestRunExperimentMicro:
             "micro", "micro test", "synth_cifar", ("preact_resnet18",),
             ("badnets",), ("ft", "clp"), profile,
         )
-        runner = BenchmarkRunner(
-            cache=ScenarioCache(str(tmp_path / "m")),
-            trial_cache=TrialCache(str(tmp_path / "t")),
+        orchestrator = Orchestrator(OrchestratorConfig(
+            workers=0,
+            run_dir=str(tmp_path / "run"),
+            model_cache_dir=str(tmp_path / "m"),
+            trial_cache_dir=str(tmp_path / "t"),
             verbose=False,
-        )
-        result = run_experiment(spec, runner=runner)
+        ))
+        result = orchestrator.run(spec).experiment
         aggregates = result.results["preact_resnet18"]["badnets"]
         assert len(aggregates) == 2  # two defenses x one SPC
         assert {a.defense for a in aggregates} == {"ft", "clp"}
         baseline = result.baselines["preact_resnet18"]["badnets"]
         assert 0 <= baseline.acc <= 1
-        # The override reached the scenario: its fingerprint differs from the
-        # default-lr config.
-        from repro.eval import ScenarioConfig
-
+        # The override reached the scenario: the backdoored checkpoint is
+        # stored under the override config's fingerprint, not the default's.
         default_config = ScenarioConfig(
             dataset="synth_cifar", model="preact_resnet18", attack="badnets",
             n_train=150, n_test=60, n_reservoir=120, num_classes=3, train_epochs=2,
@@ -101,15 +102,17 @@ class TestRunExperimentMicro:
             n_train=150, n_test=60, n_reservoir=120, num_classes=3, train_epochs=2,
             train_lr=0.03,
         )
-        assert default_config.fingerprint() != override_config.fingerprint()
+        models = ScenarioCache(str(tmp_path / "m")).artifacts
+        assert models.get_state(override_config.fingerprint()) is not None
+        assert models.get_state(default_config.fingerprint()) is None
         assert result.table_text()  # renders
 
 
 class TestExperimentResultHelpers:
-    def _tiny_result(self):
+    def _tiny_result(self, experiment_id="table1"):
         from repro.eval import AggregateResult, BackdoorMetrics
 
-        spec = experiment_spec("table1")
+        spec = experiment_spec(experiment_id)
         aggregates = [AggregateResult("ft", 2, 0.8, 0.0, 0.3, 0.0, 0.5, 0.0, 1)]
         return ExperimentResult(
             spec=spec,
@@ -121,6 +124,13 @@ class TestExperimentResultHelpers:
         text = self._tiny_result().table_text()
         assert "Table I" in text
         assert "badnets" in text
+
+    def test_table_text_renders_a_model_slice(self):
+        # figure2 --models preact_resnet18: the other three models have no
+        # results or baselines and are left out of the table.
+        text = self._tiny_result("figure2").table_text()
+        assert "Figure 2" in text and "preact_resnet18" in text
+        assert "vgg19_bn" not in text
 
     def test_scatter_extracts_series(self):
         series = self._tiny_result().scatter("preact_resnet18")

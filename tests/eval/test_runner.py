@@ -109,13 +109,6 @@ class TestDefenseTrials:
         for key in before:
             assert np.array_equal(before[key], after[key])
 
-    def test_run_cell_aggregates(self, runner):
-        scenario = runner.prepare(tiny_config())
-        agg = runner.run_cell(scenario, "clp", spc=4, num_trials=2)
-        assert agg.num_trials == 2
-        assert 0 <= agg.acc_mean <= 1
-        assert agg.acc_std >= 0
-
 
 class TestAggregateResult:
     def test_from_trials_statistics(self):

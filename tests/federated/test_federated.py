@@ -5,7 +5,6 @@ import pytest
 
 from repro.federated import (
     FederatedClient,
-    FederatedServer,
     MaliciousClient,
     fedavg,
     run_federated_backdoor,
@@ -105,7 +104,7 @@ class TestClients:
         client = FederatedClient(0, make_tiny_dataset(30, seed=0), epochs=1, lr=0.05)
         model = TinyConvNet(seed=0)
         state = model.state_dict()
-        update = client.local_update(model, state)
+        update = client.local_update(model, state, round_index=0)
         assert any(not np.array_equal(update[k], state[k]) for k in state)
         # Global model untouched by the client's local training.
         assert all(np.array_equal(model.state_dict()[k], state[k]) for k in state)
@@ -123,8 +122,8 @@ class TestClients:
         state = model.state_dict()
         plain = MaliciousClient(0, ds, tiny_attack, boost=1.0, seed=0)
         boosted = MaliciousClient(0, ds, tiny_attack, boost=3.0, seed=0)
-        u1 = plain.local_update(model, state)
-        u2 = boosted.local_update(model, state)
+        u1 = plain.local_update(model, state, round_index=0)
+        u2 = boosted.local_update(model, state, round_index=0)
         key = next(iter(state))
         d1 = np.abs(u1[key] - state[key]).sum()
         d2 = np.abs(u2[key] - state[key]).sum()
@@ -136,37 +135,52 @@ class TestClients:
 
 
 class TestServer:
-    def test_round_updates_global_model(self):
-        clients = [
-            FederatedClient(i, make_tiny_dataset(30, seed=i), epochs=1) for i in range(3)
-        ]
+    """The server side of run_federated_backdoor: sampling, aggregation, checks."""
+
+    def test_round_updates_global_model(self, tiny_train, tiny_test, tiny_attack):
         model = TinyConvNet(seed=0)
-        before = {k: v.copy() for k, v in model.state_dict().items()}
-        server = FederatedServer(model, clients, seed=0)
-        participants = server.run_round()
-        assert len(participants) == 3
+        before = model.state_dict()
+        log = run_federated_backdoor(
+            model, tiny_train, tiny_test, tiny_attack,
+            num_clients=3, num_malicious=0, rounds=1, seed=0,
+        )
+        assert len(log.rounds) == 1
         after = model.state_dict()
         assert any(not np.array_equal(before[k], after[k]) for k in before)
 
-    def test_client_fraction_sampling(self):
-        clients = [FederatedClient(i, make_tiny_dataset(20, seed=i)) for i in range(4)]
-        server = FederatedServer(TinyConvNet(seed=0), clients, client_fraction=0.5, seed=1)
-        assert len(server.sample_clients()) == 2
+    def test_client_fraction_sampling(self, tiny_train, tiny_test, tiny_attack):
+        sink = MemorySink()
+        bus().attach(sink)
+        try:
+            run_federated_backdoor(
+                TinyConvNet(seed=0), tiny_train, tiny_test, tiny_attack,
+                num_clients=4, num_malicious=1, rounds=2, client_fraction=0.5, seed=1,
+            )
+        finally:
+            bus().detach(sink)
+        rounds = [e for e in sink.events if e.event == "federated.round"]
+        assert [e.fields["participants"] for e in rounds] == [2, 2]
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            FederatedServer(TinyConvNet(), [])
-        clients = [FederatedClient(0, make_tiny_dataset(10))]
-        with pytest.raises(ValueError):
-            FederatedServer(TinyConvNet(), clients, client_fraction=0.0)
-        with pytest.raises(ValueError):
-            FederatedServer(TinyConvNet(), clients, aggregation="median_of_means")
+    def test_validation(self, tiny_train, tiny_test, tiny_attack, monkeypatch):
+        def no_training(*args, **kwargs):
+            raise AssertionError("a client trained before the run was validated")
+
+        monkeypatch.setattr(FederatedClient, "local_update", no_training)
+        for bad in (
+            {"num_clients": 0, "num_malicious": 0},
+            {"client_fraction": 0.0},
+            {"aggregation": "median_of_means"},
+        ):
+            with pytest.raises(ValueError):
+                run_federated_backdoor(
+                    TinyConvNet(), tiny_train, tiny_test, tiny_attack, rounds=1, **bad
+                )
 
 
 class TestEndToEnd:
     def test_federated_backdoor_embeds_and_learns(self, tiny_train, tiny_test, tiny_attack):
         model = TinyConvNet(seed=0)
-        server, log = run_federated_backdoor(
+        log = run_federated_backdoor(
             model, tiny_train, tiny_test, tiny_attack,
             num_clients=4, num_malicious=1, rounds=6,
             local_epochs=2, boost=4.0, lr=0.08, seed=0,
@@ -177,7 +191,7 @@ class TestEndToEnd:
 
     def test_no_malicious_no_backdoor(self, tiny_train, tiny_test, tiny_attack):
         model = TinyConvNet(seed=0)
-        _server, log = run_federated_backdoor(
+        log = run_federated_backdoor(
             model, tiny_train, tiny_test, tiny_attack,
             num_clients=4, num_malicious=0, rounds=4, local_epochs=2, lr=0.08, seed=0,
         )
@@ -200,7 +214,7 @@ class TestEndToEnd:
         self, tiny_train, tiny_test, tiny_attack
     ):
         model = TinyConvNet(seed=0)
-        _server, log = run_federated_backdoor(
+        log = run_federated_backdoor(
             model, tiny_train, tiny_test, tiny_attack,
             num_clients=3, num_malicious=1, rounds=2, local_epochs=1,
             partition="dirichlet", alpha=0.3, poison_ratio=0.5, lr=0.05, seed=1,

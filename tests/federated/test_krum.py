@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.federated import FederatedClient, FederatedServer, krum
-from tests.conftest import TinyConvNet, make_tiny_dataset
+from repro.federated import krum, run_federated_backdoor
+from repro.telemetry import MemorySink, bus
+from tests.conftest import TinyConvNet
 
 
 def states(values):
@@ -38,12 +39,22 @@ class TestKrum:
         candidates = [u["w"][0] for u in updates]
         assert result["w"][0] in candidates
 
-    def test_server_krum_round(self):
-        clients = [
-            FederatedClient(i, make_tiny_dataset(30, seed=i), epochs=1) for i in range(4)
-        ]
-        server = FederatedServer(
-            TinyConvNet(seed=0), clients, aggregation="krum", trim=1, seed=0
-        )
-        participants = server.run_round()
-        assert len(participants) == 4
+    def test_server_krum_round(self, tiny_train, tiny_test, tiny_attack):
+        sink = MemorySink()
+        bus().attach(sink)
+        try:
+            log = run_federated_backdoor(
+                TinyConvNet(seed=0), tiny_train, tiny_test, tiny_attack,
+                num_clients=4, num_malicious=1, rounds=1, aggregation="krum", seed=0,
+            )
+        finally:
+            bus().detach(sink)
+        assert len(log.rounds) == 1
+        (event,) = [e for e in sink.events if e.event == "federated.round"]
+        assert event.fields["participants"] == 4
+        # Krum's f is the run's malicious count: 4 updates cannot tolerate 2.
+        with pytest.raises(ValueError, match="Krum"):
+            run_federated_backdoor(
+                TinyConvNet(seed=0), tiny_train, tiny_test, tiny_attack,
+                num_clients=4, num_malicious=2, rounds=1, aggregation="krum", seed=0,
+            )

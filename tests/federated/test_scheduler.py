@@ -82,6 +82,13 @@ class TestSpec:
             FederatedScenario(partition="sorted")
         with pytest.raises(ValueError):
             FederatedScenario(client_fraction=0.0)
+        # Refused at construction, before any client task could run.
+        with pytest.raises(ValueError, match="aggregation"):
+            FederatedScenario(aggregation="median_of_means")
+        with pytest.raises(ValueError, match="malicious_fraction"):
+            FederatedScenario(malicious_fraction=1.5)
+        with pytest.raises(ValueError, match="malicious_fraction"):
+            federated_spec("quick", malicious_fractions=(1.5,)).scenarios()
 
     def test_fingerprint_sensitivity(self):
         a = FederatedScenario()

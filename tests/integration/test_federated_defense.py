@@ -16,7 +16,7 @@ class TestFederatedThenRepair:
         self, tiny_train, tiny_test, tiny_reservoir, tiny_attack
     ):
         model = TinyConvNet(seed=0)
-        _server, log = run_federated_backdoor(
+        log = run_federated_backdoor(
             model, tiny_train, tiny_test, tiny_attack,
             num_clients=4, num_malicious=1, rounds=6,
             local_epochs=2, boost=4.0, lr=0.08, seed=0,
@@ -40,13 +40,13 @@ class TestFederatedThenRepair:
         self, tiny_train, tiny_test, tiny_attack
     ):
         fedavg_model = TinyConvNet(seed=0)
-        _s1, fedavg_log = run_federated_backdoor(
+        fedavg_log = run_federated_backdoor(
             fedavg_model, tiny_train, tiny_test, tiny_attack,
             num_clients=4, num_malicious=1, rounds=4,
             local_epochs=2, boost=4.0, lr=0.08, seed=0,
         )
         robust_model = TinyConvNet(seed=0)
-        _s2, robust_log = run_federated_backdoor(
+        robust_log = run_federated_backdoor(
             robust_model, tiny_train, tiny_test, tiny_attack,
             num_clients=4, num_malicious=1, rounds=4,
             local_epochs=2, boost=4.0, lr=0.08,

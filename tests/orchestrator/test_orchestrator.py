@@ -1,4 +1,4 @@
-"""Orchestrator integration: DAG compilation, serial equivalence, fault/resume.
+"""Orchestrator integration: DAG compilation, golden values, fault/resume.
 
 Uses a deliberately tiny grid (150 train samples, 2 epochs, 3 classes) so a
 full train → defend → aggregate round trip stays in the seconds range.
@@ -9,13 +9,7 @@ import os
 
 import pytest
 
-from repro.eval import (
-    BenchmarkRunner,
-    ScenarioCache,
-    TrialCache,
-    run_experiment,
-    scenario_configs,
-)
+from repro.eval import TrialCache, scenario_configs
 from repro.eval.experiments import ExperimentProfile, ExperimentSpec
 from repro.orchestrator import FAULT_RATE_ENV
 from repro.orchestrator.orchestrator import (
@@ -114,38 +108,6 @@ class TestDagBuilder:
             if task.kind == "aggregate":
                 assert len(task.deps) == TINY_PROFILE.num_trials
                 assert all(dep.startswith("trial:") for dep in task.deps)
-
-
-class TestSerialEquivalence:
-    def test_workers4_matches_run_experiment(self, tmp_path):
-        """Acceptance: orchestrated aggregates == serial, bit for bit."""
-        spec = tiny_spec()
-        serial_runner = BenchmarkRunner(
-            cache=ScenarioCache(str(tmp_path / "serial_models")),
-            trial_cache=TrialCache(str(tmp_path / "serial_trials")),
-            verbose=False,
-        )
-        serial = run_experiment(spec, runner=serial_runner)
-        result = orchestrator_for(tmp_path, workers=4).run(spec)
-        assert result.ok and result.counts == {"done": 7}
-
-        model, attack = "preact_resnet18", "badnets"
-        serial_baseline = serial.baselines[model][attack]
-        orch_baseline = result.experiment.baselines[model][attack]
-        assert (serial_baseline.acc, serial_baseline.asr, serial_baseline.ra) == (
-            orch_baseline.acc, orch_baseline.asr, orch_baseline.ra,
-        )
-        serial_aggs = serial.results[model][attack]
-        orch_aggs = result.experiment.results[model][attack]
-        assert len(serial_aggs) == len(orch_aggs)
-        for ours, theirs in zip(orch_aggs, serial_aggs):
-            assert (ours.defense, ours.spc, ours.num_trials) == (
-                theirs.defense, theirs.spc, theirs.num_trials,
-            )
-            assert (ours.acc_mean, ours.acc_std) == (theirs.acc_mean, theirs.acc_std)
-            assert (ours.asr_mean, ours.asr_std) == (theirs.asr_mean, theirs.asr_std)
-            assert (ours.ra_mean, ours.ra_std) == (theirs.ra_mean, theirs.ra_std)
-        assert result.table_text()  # renders without the serial helper
 
 
 class TestGoldenGrid:

@@ -104,6 +104,13 @@ class TestInline:
         assert outcomes["a"].ok and outcomes["c"].ok  # siblings unharmed
         assert [task_id for _, task_id, _ in events.of("skipped")] == ["d"]
 
+    def test_task_timeout_is_refused(self):
+        # Nothing can preempt an inline task, so a timeout would be ignored.
+        events = Events()
+        with pytest.raises(ValueError, match="workers >= 1"):
+            run_tasks(TaskGraph(chain()), ok_executor, task_timeout=5.0, on_event=events)
+        assert events.log == []  # refused before any task started
+
 
 class TestFaultInjection:
     def test_roll_deterministic(self):

@@ -76,27 +76,37 @@ class TestListCommand:
 
 
 class TestExperimentFlagForwarding:
-    """--attacks / --models / --profile must reach run_experiment intact."""
+    """--attacks / --models / --profile must reach the inline orchestrator intact."""
 
     def _capture(self, monkeypatch):
         calls = {}
 
-        def fake_run_experiment(spec, attacks=None, models=None, root_seed=0):
-            calls.update(spec=spec, attacks=attacks, models=models, root_seed=root_seed)
+        def fake_run(orchestrator, spec, attacks=None, models=None, root_seed=0):
+            calls.update(
+                workers=orchestrator.config.workers,
+                spec=spec, attacks=attacks, models=models, root_seed=root_seed,
+            )
 
             class _Result:
+                ok = True
+
                 @staticmethod
                 def table_text():
                     return "(table)"
 
+                @staticmethod
+                def summary():
+                    return "orchestrate: done=1"
+
             return _Result()
 
-        monkeypatch.setattr("repro.cli.run_experiment", fake_run_experiment)
+        monkeypatch.setattr("repro.cli.Orchestrator.run", fake_run)
         return calls
 
     def test_defaults_pass_none_filters(self, monkeypatch, capsys):
         calls = self._capture(monkeypatch)
         assert main(["experiment", "table1"]) == 0
+        assert calls["workers"] == 0
         assert calls["spec"].experiment_id == "table1"
         assert calls["attacks"] is None
         assert calls["models"] is None
@@ -111,6 +121,7 @@ class TestExperimentFlagForwarding:
             "--models", "preact_resnet18",
             "--seed", "7",
         ]) == 0
+        assert calls["workers"] == 0
         assert calls["attacks"] == ("badnets", "blended")
         assert calls["models"] == ("preact_resnet18",)
         assert calls["root_seed"] == 7
@@ -128,7 +139,7 @@ class TestOrchestrateCommand:
     def test_parser_defaults(self):
         args = build_parser().parse_args(["orchestrate", "table1"])
         assert args.command == "orchestrate"
-        assert args.workers is None  # resolved to CPU count at run time
+        assert args.workers == 0  # inline, like OrchestratorConfig
         assert args.resume is False
         assert args.max_retries == 2
         assert args.task_timeout is None
@@ -149,6 +160,17 @@ class TestOrchestrateCommand:
     def test_invalid_experiment_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["orchestrate", "nope"])
+
+    def test_inline_task_timeout_is_a_usage_error(self, monkeypatch, capsys):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the grid must not start")
+
+        monkeypatch.setattr("repro.cli.Orchestrator.run", unreachable)
+        for command in ("orchestrate", "experiment"):
+            with pytest.raises(SystemExit) as exit_info:
+                main([command, "table2", "--attacks", "badnets", "--task-timeout", "900"])
+            assert exit_info.value.code == 2
+            assert "--workers" in capsys.readouterr().err
 
     def test_wiring_reaches_orchestrator(self, monkeypatch, capsys):
         captured = {}
@@ -211,11 +233,10 @@ class TestOrchestrateCommand:
 
 
 class TestOrchestrateFederated:
-    def test_tableF_only_reachable_via_orchestrate(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["experiment", "tableF"])
-        args = build_parser().parse_args(["orchestrate", "tableF"])
-        assert args.experiment_id == "tableF"
+    def test_tableF_reachable_via_both_names(self):
+        for command in ("experiment", "orchestrate"):
+            args = build_parser().parse_args([command, "tableF", "--clients", "8"])
+            assert args.experiment_id == "tableF" and args.clients == [8]
 
     def test_parser_federated_flags(self):
         args = build_parser().parse_args([
