@@ -62,6 +62,15 @@ GOLDEN = [
         0.0,
         id="max-rounds",
     ),
+    pytest.param(
+        GradPruneConfig(alpha=0.0, prune_patience=2, max_rounds=40),
+        [("features.0", 6, False), ("features.0", 5, False), ("features.0", 7, False)],
+        "unlearning loss did not improve for 2 rounds",
+        37,
+        1.0,
+        0.0,
+        id="patience",
+    ),
 ]
 
 
