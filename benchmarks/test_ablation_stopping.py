@@ -5,24 +5,17 @@ Sweeps the two user-facing knobs the paper advertises as "intuitive":
 ``P_p``.  Reports pruned-filter counts and post-prune metrics so the
 trade-off surface is visible.  Fine-tuning is skipped to isolate the
 stopping rule.
-
-``test_ablation_stopping_adaptive`` extends the sweep with the adaptive
-policy (plateau + score-mass exhaustion, ``repro.core.stopping``): it must
-match the fixed-``P_p`` run's final ASR/ACC within tolerance while never
-taking more rounds — the drop-in-replacement claim.
 """
 
 import copy
-import json
-import os
 
 import pytest
 
-from repro.core import AdaptiveStopping, GradientPruner
+from repro.core import GradientPruner
 from repro.eval import DefenderBudget, ScenarioConfig, evaluate_backdoor_metrics, get_profile
 from repro.models import PruningMask
 
-from conftest import OUT_DIR, write_text
+from conftest import write_text
 
 PROFILE = get_profile()
 SWEEP = [
@@ -78,81 +71,3 @@ def test_ablation_stopping_point(benchmark, scenario, label, max_acc_drop, patie
     assert history.num_pruned >= 0
     assert 0.0 <= metrics.acc <= 1.0
 
-
-# Tolerance for the adaptive-vs-fixed final metrics (absolute ACC/ASR gap).
-ADAPTIVE_TOL = 0.05
-FIXED_PATIENCE = 10
-ADAPTIVE_WINDOW = 5  # strictly < FIXED_PATIENCE: the no-more-rounds guarantee
-# Generous accuracy budget (the drop20 sweep point) so the run is decided by
-# the stopping policies under test, not by the alpha floor on round one.
-ADAPTIVE_MAX_ACC_DROP = 0.20
-
-
-def test_ablation_stopping_adaptive(scenario):
-    """Adaptive stopping as a drop-in for fixed P_p: same endpoint, fewer rounds."""
-    data = DefenderBudget(spc=50, trial=0, seed=31).draw(
-        scenario.reservoir, attack=scenario.attack
-    )
-
-    def arm(stopping):
-        model = copy.deepcopy(scenario.backdoored_model)
-        mask = PruningMask(model)
-        pruner = GradientPruner(
-            max_acc_drop=ADAPTIVE_MAX_ACC_DROP, patience=FIXED_PATIENCE,
-            stopping=stopping,
-        )
-        history = pruner.prune(
-            model, data.backdoor_train(), data.clean_val, data.backdoor_val(), mask=mask
-        )
-        metrics = evaluate_backdoor_metrics(model, scenario.test_set, scenario.attack)
-        return history, metrics
-
-    fixed_history, fixed_metrics = arm(None)
-    adaptive_history, adaptive_metrics = arm(
-        AdaptiveStopping(window=ADAPTIVE_WINDOW, rel_improvement=1e-3)
-    )
-
-    acc_gap = abs(adaptive_metrics.acc - fixed_metrics.acc)
-    asr_gap = abs(adaptive_metrics.asr - fixed_metrics.asr)
-    payload = {
-        "fixed": {
-            "policy": fixed_history.stop_policy,
-            "patience": FIXED_PATIENCE,
-            "rounds": len(fixed_history.rounds),
-            "num_pruned": fixed_history.num_pruned,
-            "acc": fixed_metrics.acc, "asr": fixed_metrics.asr, "ra": fixed_metrics.ra,
-            "stop_reason": fixed_history.stop_reason,
-        },
-        "adaptive": {
-            "policy": adaptive_history.stop_policy,
-            "window": ADAPTIVE_WINDOW,
-            "rounds": len(adaptive_history.rounds),
-            "num_pruned": adaptive_history.num_pruned,
-            "acc": adaptive_metrics.acc, "asr": adaptive_metrics.asr,
-            "ra": adaptive_metrics.ra,
-            "stop_reason": adaptive_history.stop_reason,
-        },
-        "acc_gap": acc_gap,
-        "asr_gap": asr_gap,
-        "tolerance": ADAPTIVE_TOL,
-    }
-    os.makedirs(OUT_DIR, exist_ok=True)
-    with open(os.path.join(OUT_DIR, "ablation_stopping_adaptive.json"), "w") as handle:
-        json.dump(payload, handle, indent=2)
-    row = (
-        f"A3 adaptive   window={ADAPTIVE_WINDOW} vs P_p={FIXED_PATIENCE}  "
-        f"rounds {len(adaptive_history.rounds)} vs {len(fixed_history.rounds)}  "
-        f"ACC {adaptive_metrics.acc * 100:6.2f} vs {fixed_metrics.acc * 100:6.2f} | "
-        f"ASR {adaptive_metrics.asr * 100:6.2f} vs {fixed_metrics.asr * 100:6.2f}  "
-        f"[{adaptive_history.stop_reason}]"
-    )
-    write_text("ablation_stopping_adaptive", row)
-    print("\n" + row)
-
-    assert adaptive_history.stop_policy == "adaptive"
-    assert fixed_history.stop_policy == "patience"
-    # Never slower than the fixed rule it replaces...
-    assert len(adaptive_history.rounds) <= len(fixed_history.rounds)
-    # ...and it lands on the same defense endpoint.
-    assert acc_gap <= ADAPTIVE_TOL, f"ACC gap {acc_gap:.3f} > {ADAPTIVE_TOL}"
-    assert asr_gap <= ADAPTIVE_TOL, f"ASR gap {asr_gap:.3f} > {ADAPTIVE_TOL}"

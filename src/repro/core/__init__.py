@@ -6,14 +6,6 @@ from .defense import GradPruneConfig, GradPruneDefense
 from .evaluator import FusedEvalReport, FusedEvaluator
 from .pruner import GradientPruner, PruningHistory, PruningRound
 from .scoring import compute_filter_scores, filter_scores_from_grads, top_filter
-from .stopping import (
-    STOPPING_POLICIES,
-    AdaptiveStopping,
-    PatienceStopping,
-    RoundSignals,
-    StoppingPolicy,
-    make_stopping,
-)
 from .tuner import FineTuneHistory, FineTuner
 from .unlearning import unlearning_loss_backward, unlearning_loss_value
 
@@ -28,12 +20,6 @@ __all__ = [
     "GradientPruner",
     "PruningHistory",
     "PruningRound",
-    "StoppingPolicy",
-    "PatienceStopping",
-    "AdaptiveStopping",
-    "RoundSignals",
-    "STOPPING_POLICIES",
-    "make_stopping",
     "FineTuner",
     "FineTuneHistory",
     "GradPruneConfig",

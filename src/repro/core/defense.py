@@ -14,15 +14,14 @@ The defender's knobs are exactly the paper's: an acceptable accuracy drop
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 from ..defenses.base import Defense, DefenderData, DefenseReport
 from ..models.pruning_utils import PruningMask
 from ..nn.module import Module
 from ..telemetry import emit
 from .pruner import GradientPruner, PruningHistory
-from .stopping import make_stopping
 from .tuner import FineTuneHistory, FineTuner
 
 __all__ = ["GradPruneConfig", "GradPruneDefense"]
@@ -43,10 +42,6 @@ class GradPruneConfig:
     tune_batch_size: int = 32
     seed: int = 0
     skip_finetune: bool = False  # ablation hook (A2)
-    # Stopping rule: "patience" (the paper's fixed P_p) or "adaptive"
-    # (plateau/score-mass detection over the streamed round signals).
-    stopping: str = "patience"
-    stopping_kwargs: Dict = field(default_factory=dict)
 
 
 class GradPruneDefense(Defense):
@@ -69,15 +64,9 @@ class GradPruneDefense(Defense):
         backdoor_train = data.backdoor_train()
         backdoor_val = data.backdoor_val()
 
-        stopping_kwargs = dict(config.stopping_kwargs)
-        if config.stopping == "patience" and "patience" not in stopping_kwargs:
-            stopping_kwargs["patience"] = config.prune_patience
-        stopping = make_stopping(config.stopping, **stopping_kwargs)
-
         emit(
             "defense_started", "core.defense",
-            defense=self.name, stopping=config.stopping,
-            skip_finetune=config.skip_finetune, seed=config.seed,
+            defense=self.name, skip_finetune=config.skip_finetune, seed=config.seed,
         )
         mask = PruningMask(model)
         pruner = GradientPruner(
@@ -86,7 +75,6 @@ class GradPruneDefense(Defense):
             patience=config.prune_patience,
             max_rounds=config.max_rounds,
             batch_size=config.batch_size,
-            stopping=stopping,
         )
         prune_history: PruningHistory = pruner.prune(
             model, backdoor_train, data.clean_val, backdoor_val, mask=mask
@@ -113,8 +101,7 @@ class GradPruneDefense(Defense):
         emit(
             "defense_finished", "core.defense",
             defense=self.name, num_pruned=prune_history.num_pruned,
-            sparsity=mask.sparsity(), stopping=prune_history.stop_policy,
-            prune_stop_reason=prune_history.stop_reason,
+            sparsity=mask.sparsity(), prune_stop_reason=prune_history.stop_reason,
             tune_stop_reason=tune_history.stop_reason if tune_history else "skipped",
         )
         return DefenseReport(
@@ -124,7 +111,6 @@ class GradPruneDefense(Defense):
                 "num_pruned": prune_history.num_pruned,
                 "sparsity": mask.sparsity(),
                 "prune_stop_reason": prune_history.stop_reason,
-                "stop_policy": prune_history.stop_policy,
                 "prune_history": prune_history,
                 "tune_history": tune_history,
                 "tune_stop_reason": tune_history.stop_reason if tune_history else "skipped",

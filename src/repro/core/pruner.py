@@ -8,12 +8,9 @@ Each round:
    held-out *validation* data.
 
 The loop stops when the validation clean accuracy falls below the threshold
-``alpha`` (the offending prune is rolled back) or when the configured
-:class:`~repro.core.stopping.StoppingPolicy` says so — by default the
-paper's fixed patience ``P_p``
-(:class:`~repro.core.stopping.PatienceStopping`); pass
-:class:`~repro.core.stopping.AdaptiveStopping` for the plateau/score-mass
-rule evaluated in the ``ablation_stopping_adaptive`` benchmark.
+``alpha`` (the offending prune is rolled back) or after ``P_p`` rounds
+without a new best validation unlearning loss, the initial loss counting as
+the first best.
 
 Both per-round validation metrics come from one fused forward sweep
 (:class:`repro.core.evaluator.FusedEvaluator`) over a conv–BN-folded
@@ -23,8 +20,8 @@ wall time.
 
 Every round is also published on the telemetry bus
 (:mod:`repro.telemetry`) as a ``prune_round`` event — filter identity and
-score, loss/accuracy trajectory, per-phase timings, and the stopping
-policy's internal state — bracketed by ``prune_started`` /
+score, loss/accuracy trajectory, per-phase timings, and the patience
+state (best loss, rounds since it improved) — bracketed by ``prune_started`` /
 ``prune_finished``.  With no sink attached the emission is a no-op check.
 """
 
@@ -40,7 +37,6 @@ from ..nn.module import Module
 from ..telemetry import emit
 from .evaluator import FusedEvaluator
 from .scoring import compute_filter_scores, top_filter
-from .stopping import PatienceStopping, RoundSignals, StoppingPolicy
 
 __all__ = ["PruningRound", "PruningHistory", "GradientPruner"]
 
@@ -74,7 +70,6 @@ class PruningHistory:
     initial_val_accuracy: float = float("nan")
     initial_val_loss: float = float("nan")
     stop_reason: str = ""
-    stop_policy: str = "patience"
     initial_eval_seconds: float = 0.0
     num_folded_layers: int = 0
 
@@ -113,16 +108,12 @@ class GradientPruner:
         clean accuracy they are willing to spend).
     patience:
         The paper's ``P_p``: rounds without validation-loss improvement
-        before stopping.  Ignored when ``stopping`` is given.
+        before stopping.
     max_rounds:
         Hard cap on pruning rounds (safety net; the paper's loop is bounded
         by the filter count).
     batch_size:
         Batch size for loss/score computation.
-    stopping:
-        A :class:`~repro.core.stopping.StoppingPolicy` instance replacing
-        the default ``PatienceStopping(patience)``.  The accuracy floor
-        ``alpha`` applies regardless of policy.
     """
 
     def __init__(
@@ -132,7 +123,6 @@ class GradientPruner:
         patience: int = 10,
         max_rounds: Optional[int] = None,
         batch_size: int = 128,
-        stopping: Optional[StoppingPolicy] = None,
     ) -> None:
         if alpha is not None and not 0.0 <= alpha <= 1.0:
             raise ValueError(f"alpha must be in [0, 1], got {alpha}")
@@ -145,7 +135,6 @@ class GradientPruner:
         self.patience = patience
         self.max_rounds = max_rounds
         self.batch_size = batch_size
-        self.stopping = stopping
 
     def prune(
         self,
@@ -161,8 +150,7 @@ class GradientPruner:
         drive the stopping rule, never the scores (paper §IV-B's split).
         """
         mask = mask if mask is not None else PruningMask(model)
-        policy = self.stopping if self.stopping is not None else PatienceStopping(self.patience)
-        history = PruningHistory(stop_policy=policy.name)
+        history = PruningHistory()
         evaluator = FusedEvaluator(model, clean_val, backdoor_val, batch_size=self.batch_size)
         initial = evaluator.evaluate()
         history.initial_val_accuracy = initial.accuracy
@@ -173,12 +161,13 @@ class GradientPruner:
         if alpha is None:
             alpha = max(0.0, history.initial_val_accuracy - self.max_acc_drop)
 
-        policy.reset(history.initial_val_loss)
+        best_loss = history.initial_val_loss
+        since_improvement = 0
         round_index = 0
         max_rounds = self.max_rounds if self.max_rounds is not None else float("inf")
         emit(
             "prune_started", _SOURCE,
-            policy=policy.name, alpha=alpha, max_rounds=self.max_rounds,
+            patience=self.patience, alpha=alpha, max_rounds=self.max_rounds,
             initial_val_accuracy=initial.accuracy,
             initial_val_loss=initial.unlearning_loss,
             num_folded_layers=evaluator.num_folded,
@@ -212,27 +201,22 @@ class GradientPruner:
                 eval_seconds=report.seconds,
             )
 
-            broke_floor = val_acc < alpha
             stop_reason: Optional[str] = None
-            if broke_floor:
+            if val_acc < alpha:
                 # This prune broke the main task: roll it back and stop.
                 mask.unprune(target, saved)
                 record.rolled_back = True
                 stop_reason = (
                     f"validation accuracy {val_acc:.4f} fell below alpha={alpha:.4f}"
                 )
+            elif val_loss < best_loss:
+                best_loss = val_loss
+                since_improvement = 0
+            else:
+                since_improvement += 1
+                if since_improvement >= self.patience:
+                    stop_reason = f"unlearning loss did not improve for {self.patience} rounds"
             history.rounds.append(record)
-            if stop_reason is None:
-                stop_reason = policy.update(
-                    RoundSignals(
-                        round_index=round_index,
-                        val_loss=val_loss,
-                        val_accuracy=val_acc,
-                        top_score=top_score,
-                        score_mass=score_mass,
-                        num_pruned=history.num_pruned,
-                    )
-                )
             emit(
                 "prune_round", _SOURCE,
                 round=round_index, layer=target.layer, filter=target.index,
@@ -240,7 +224,7 @@ class GradientPruner:
                 val_loss=val_loss, val_acc=val_acc,
                 rolled_back=record.rolled_back, num_pruned=history.num_pruned,
                 score_seconds=score_seconds, eval_seconds=report.seconds,
-                policy=policy.name, policy_state=policy.state(),
+                best_loss=best_loss, since_improvement=since_improvement,
             )
             if stop_reason is not None:
                 history.stop_reason = stop_reason
@@ -249,12 +233,10 @@ class GradientPruner:
         else:
             history.stop_reason = f"reached max_rounds={self.max_rounds}"
 
-        if not history.stop_reason:
-            history.stop_reason = f"reached max_rounds={self.max_rounds}"
         emit(
             "prune_finished", _SOURCE,
             rounds=len(history.rounds), num_pruned=history.num_pruned,
-            stop_reason=history.stop_reason, policy=policy.name,
+            stop_reason=history.stop_reason,
             per_layer=history.per_layer_pruned(),
             score_seconds=history.total_score_seconds,
             eval_seconds=history.total_eval_seconds,

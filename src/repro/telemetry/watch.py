@@ -9,7 +9,8 @@ emit through ``REPRO_TELEMETRY_DIR``) — folds the records into a
 - task progress (queued/running/done/failed), completion rate and ETA;
 - live ASR/ACC proxies folded from finished trial results;
 - the pruning hot loop: rounds, unlearning-loss sparkline, clean-accuracy
-  trajectory, per-layer prune counts, stop policy state;
+  trajectory, per-layer prune counts, rounds since the best loss against
+  ``P_p``;
 - recovery-tuning epochs and serving swaps when those events appear.
 
 Everything here is pure fold-and-render over dicts: :class:`JsonlTail`
@@ -130,7 +131,8 @@ class WatchState:
     prune_accs: deque = field(default_factory=lambda: deque(maxlen=120))
     per_layer: Counter = field(default_factory=Counter)
     num_pruned: int = 0
-    prune_policy: str = ""
+    prune_patience: Optional[int] = None  # P_p from prune_started
+    prune_stall: int = 0  # rounds since the best unlearning loss
     prune_stop_reason: str = ""
     # Recovery tuning.
     tune_epochs: int = 0
@@ -175,7 +177,9 @@ class WatchState:
             self.per_layer.clear()
             self.num_pruned = 0
             self.prune_stop_reason = ""
-            self.prune_policy = str(record.get("policy", ""))
+            self.prune_stall = 0
+            patience = record.get("patience")
+            self.prune_patience = patience if isinstance(patience, int) else None
         elif event == "prune_round":
             self.prune_rounds += 1
             if isinstance(record.get("val_loss"), (int, float)):
@@ -186,6 +190,8 @@ class WatchState:
                 self.per_layer[str(record["layer"])] += 1
             if isinstance(record.get("num_pruned"), int):
                 self.num_pruned = record["num_pruned"]
+            if isinstance(record.get("since_improvement"), int):
+                self.prune_stall = record["since_improvement"]
         elif event == "prune_finished":
             self.prune_stop_reason = str(record.get("stop_reason", ""))
         elif event == "tune_epoch":
@@ -341,10 +347,13 @@ def render_dashboard(state: WatchState, width: int = 78, now: Optional[float] = 
     if state.prune_rounds:
         loss_now = state.prune_losses[-1] if state.prune_losses else float("nan")
         acc_now = state.prune_accs[-1] if state.prune_accs else float("nan")
-        policy = f" policy={state.prune_policy}" if state.prune_policy else ""
+        stall = (
+            f"  stall {state.prune_stall}/{state.prune_patience}"
+            if state.prune_patience is not None else ""
+        )
         lines.append(
             f" prune   round {state.prune_rounds}  pruned={state.num_pruned}"
-            f"  loss {loss_now:.3f}  acc {acc_now * 100:5.1f}%{policy}"
+            f"  loss {loss_now:.3f}  acc {acc_now * 100:5.1f}%{stall}"
         )
         if state.prune_losses:
             lines.append(f"   loss  {sparkline(state.prune_losses, width - 10)}")

@@ -8,6 +8,7 @@ import pytest
 from repro.core import FusedEvalReport, GradientPruner
 from repro.data.splits import defender_split
 from repro.models import PruningMask
+from repro.telemetry import MemorySink, TelemetryBus, set_bus
 from repro.training import evaluate_accuracy
 
 
@@ -135,6 +136,24 @@ class TestPatienceRule:
         history = _scripted_prune(monkeypatch, pruning_setup, [0.5, 0.5, 0.1], patience=1)
         assert len(history.rounds) == 1
         assert history.stop_reason == "unlearning loss did not improve for 1 rounds"
+
+    def test_events_carry_the_patience_state(self, monkeypatch, pruning_setup):
+        sink = MemorySink()
+        bus = TelemetryBus()
+        bus.attach(sink)
+        previous = set_bus(bus)
+        try:
+            losses = [1.0, 1.1, 0.9, 0.95, 0.95]
+            _scripted_prune(monkeypatch, pruning_setup, losses, patience=2)
+        finally:
+            set_bus(previous)
+        (started,) = sink.named("prune_started")
+        assert started.fields["patience"] == 2
+        rounds = [e.fields for e in sink.named("prune_round")]
+        assert [r["best_loss"] for r in rounds] == pytest.approx([1.0, 0.9, 0.9, 0.9])
+        assert [r["since_improvement"] for r in rounds] == [1, 0, 1, 2]
+        (finished,) = sink.named("prune_finished")
+        assert finished.fields["rounds"] == len(rounds)
 
 
 class TestPruningEffect:

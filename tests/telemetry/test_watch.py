@@ -110,29 +110,33 @@ class TestWatchStateFolding:
 
     def test_prune_rounds_folded(self):
         state = WatchState()
-        state.apply({"event": "prune_started", "policy": "adaptive"})
-        for i in range(3):
+        state.apply({"event": "prune_started", "patience": 3})
+        for i, loss in enumerate([0.9, 1.0, 1.1]):
             state.apply(
                 {
                     "event": "prune_round",
                     "round": i,
                     "layer": "conv1",
-                    "val_loss": 1.0 - 0.1 * i,
+                    "val_loss": loss,
                     "val_acc": 0.9,
                     "num_pruned": i + 1,
+                    "best_loss": 0.9,
+                    "since_improvement": i,
                 }
             )
-        state.apply({"event": "prune_finished", "stop_reason": "plateau"})
+        reason = "unlearning loss did not improve for 3 rounds"
+        state.apply({"event": "prune_finished", "stop_reason": reason})
         assert state.prune_rounds == 3
         assert state.num_pruned == 3
         assert state.per_layer["conv1"] == 3
-        assert state.prune_policy == "adaptive"
-        assert state.prune_stop_reason == "plateau"
+        assert state.prune_patience == 3
+        assert state.prune_stall == 2
+        assert state.prune_stop_reason == reason
 
     def test_new_prune_run_resets_trajectories(self):
         state = WatchState()
         state.apply({"event": "prune_round", "round": 0, "val_loss": 1.0, "layer": "a"})
-        state.apply({"event": "prune_started", "policy": "patience"})
+        state.apply({"event": "prune_started", "patience": 5})
         assert state.prune_rounds == 0
         assert len(state.prune_losses) == 0
 
@@ -205,9 +209,10 @@ class TestRender:
         state.apply({"event": "queued", "task": "t0", "kind": "train"})
         state.apply({"event": "finished", "task": "t0", "ts": 1.0,
                      "result": {"metrics": {"acc": 0.91, "asr": 0.04, "ra": 0.8}}})
-        state.apply({"event": "prune_started", "policy": "adaptive"})
+        state.apply({"event": "prune_started", "patience": 5})
         state.apply({"event": "prune_round", "round": 0, "layer": "conv2",
-                     "val_loss": 0.7, "val_acc": 0.88, "num_pruned": 1})
+                     "val_loss": 0.7, "val_acc": 0.88, "num_pruned": 1,
+                     "best_loss": 0.6, "since_improvement": 1})
         return state
 
     def test_render_contains_key_sections(self):
@@ -216,7 +221,7 @@ class TestRender:
         assert "tasks" in frame
         assert "ASR" in frame and "ACC" in frame
         assert "prune" in frame
-        assert "policy=adaptive" in frame
+        assert "stall 1/5" in frame
 
     def test_render_federated_section(self):
         state = self._folded_state()
