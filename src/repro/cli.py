@@ -62,10 +62,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="regenerate a paper table/figure: a resumable task DAG, run inline "
         "or on a fault-tolerant worker pool",
     )
-    orchestrate.add_argument(
-        "experiment_id",
-        choices=[e for e in EXPERIMENT_IDS if e.startswith(("table", "figure"))],
-    )
+    orchestrate.add_argument("experiment_id", choices=EXPERIMENT_IDS)
     orchestrate.add_argument("--profile", choices=("quick", "paper"), default=None)
     orchestrate.add_argument("--attacks", nargs="+", default=None)
     orchestrate.add_argument("--models", nargs="+", default=None)
@@ -220,7 +217,7 @@ def _cmd_list() -> int:
     print("models:      " + ", ".join(MODEL_NAMES))
     print("attacks:     " + ", ".join(sorted(ATTACK_REGISTRY)))
     print("defenses:    " + ", ".join(sorted(DEFENSE_REGISTRY)))
-    print("experiments: " + ", ".join(e for e in EXPERIMENT_IDS if e.startswith(("table", "figure"))))
+    print("experiments: " + ", ".join(EXPERIMENT_IDS))
     return 0
 
 

@@ -44,10 +44,7 @@ ALL_DEFENSES = ("ft", "fp", "nad", "clp", "ft_sam", "anp", "grad_prune")
 FIG2_DEFENSES = ("ft_sam", "anp", "grad_prune")
 FIG2_MODELS = ("preact_resnet18", "vgg19_bn", "efficientnet_b3", "mobilenet_v3_large")
 
-EXPERIMENT_IDS = (
-    "table1", "table2", "figure1", "figure2", "tableF",
-    "ablation_scoring", "ablation_finetune", "ablation_stopping",
-)
+EXPERIMENT_IDS = ("table1", "table2", "figure1", "figure2", "tableF")
 
 # Experiments that run on the federated scheduler (rounds and client
 # shards rather than the attack x defense grid).

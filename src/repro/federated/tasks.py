@@ -133,12 +133,11 @@ def _store(ctx: Dict) -> ArtifactStore:
     return _STORE
 
 
-def _cell(ctx: Dict, scenario: FederatedScenario) -> FederatedCell:
+def _cell(scenario: FederatedScenario) -> FederatedCell:
     fingerprint = scenario.fingerprint()
     if fingerprint not in _CELLS:
         _CELLS[fingerprint] = build_cell(scenario)
-        limit = int(ctx.get("max_cached_cells", _MAX_CACHED_CELLS))
-        while len(_CELLS) > limit:
+        while len(_CELLS) > _MAX_CACHED_CELLS:
             _CELLS.pop(next(iter(_CELLS)))
     return _CELLS[fingerprint]
 
@@ -164,7 +163,7 @@ def _execute_fed_client(ctx: Dict, task: Task) -> Dict:
     round_index: int = payload["round"]
     client_id: int = payload["client"]
     store = _store(ctx)
-    cell = _cell(ctx, scenario)
+    cell = _cell(scenario)
     fingerprint = scenario.fingerprint()
     client = cell.clients[client_id]
     update = client.local_update(
@@ -186,7 +185,7 @@ def _execute_fed_round(ctx: Dict, task: Task) -> Dict:
     scenario: FederatedScenario = payload["scenario"]
     round_index: int = payload["round"]
     store = _store(ctx)
-    cell = _cell(ctx, scenario)
+    cell = _cell(scenario)
     fingerprint = scenario.fingerprint()
     # Fixed client-id order: aggregation must not depend on which worker
     # finished first, or resumed runs would drift numerically.
@@ -238,7 +237,7 @@ def _execute_fed_defense(ctx: Dict, task: Task) -> Dict:
     round_index: int = payload["round"]
     defense_name: str = payload["defense"]
     store = _store(ctx)
-    cell = _cell(ctx, scenario)
+    cell = _cell(scenario)
     fingerprint = scenario.fingerprint()
     state = store.get_state(state_key(fingerprint, round_index))
     if state is None:

@@ -60,8 +60,7 @@ def _scenario(ctx: Dict, config) -> ScenarioData:
     fingerprint = config.fingerprint()
     if fingerprint not in _SCENARIOS:
         _SCENARIOS[fingerprint] = runner.prepare(config)
-        limit = int(ctx.get("max_cached_scenarios", _MAX_CACHED_SCENARIOS))
-        while len(_SCENARIOS) > limit:
+        while len(_SCENARIOS) > _MAX_CACHED_SCENARIOS:
             _SCENARIOS.pop(next(iter(_SCENARIOS)))
     return _SCENARIOS[fingerprint]
 

@@ -2,8 +2,15 @@
 
 import pytest
 
-from repro.eval import ExperimentResult, experiment_spec, get_profile
+from repro.eval import (
+    EXPERIMENT_IDS,
+    FEDERATED_EXPERIMENT_IDS,
+    ExperimentResult,
+    experiment_spec,
+    get_profile,
+)
 from repro.eval.experiments import ALL_ATTACKS, ALL_DEFENSES, FIG2_DEFENSES, FIG2_MODELS
+from repro.federated import federated_spec
 
 
 class TestProfiles:
@@ -52,6 +59,14 @@ class TestSpecs:
     def test_unknown_experiment_raises(self):
         with pytest.raises(KeyError):
             experiment_spec("table42")
+
+    def test_every_listed_id_resolves(self):
+        for experiment_id in EXPERIMENT_IDS:
+            if experiment_id in FEDERATED_EXPERIMENT_IDS:
+                spec = federated_spec(profile="quick")
+            else:
+                spec = experiment_spec(experiment_id, profile="quick")
+            assert spec.experiment_id == experiment_id
 
 
 class TestRunExperimentMicro:
