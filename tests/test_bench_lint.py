@@ -1,6 +1,6 @@
 """Repo-policy lint: bench workloads carry wall-clock guards and stay out of tier-1.
 
-Two standing rules, enforced as tests so they survive refactors:
+Three standing rules, enforced as tests so they survive refactors:
 
 1. Every file that marks tests ``pytest.mark.bench`` (open-loop soak or
    timing workloads) must reference ``hard_timeout`` — a wedged drain
@@ -9,8 +9,13 @@ Two standing rules, enforced as tests so they survive refactors:
    ``-m 'not bench'`` in ``addopts`` and declares the marker, and the
    telemetry soak test actually carries the marker so the default run
    skips it.
+3. Every recorded ``benchmarks/out/BENCH_*.json`` carries a ``host`` block
+   (``cpu_count``, ``blas``, ``thread_env``), so a number is never read
+   without the machine it was measured on.
 """
 
+import glob
+import json
 import os
 import re
 
@@ -71,3 +76,16 @@ class TestTierOneSelection:
         assert re.search(
             r"^pytestmark\s*=\s*pytest\.mark\.bench", _source(soak), re.MULTILINE
         ), "the telemetry soak test must be deselected from tier-1 runs"
+
+
+class TestBenchProvenance:
+    def test_every_bench_json_records_its_host(self):
+        paths = sorted(glob.glob(os.path.join(REPO_ROOT, "benchmarks", "out", "BENCH_*.json")))
+        assert paths, "expected recorded BENCH_*.json files"
+        offenders = []
+        for path in paths:
+            with open(path, encoding="utf-8") as handle:
+                host = json.load(handle).get("host")
+            if not isinstance(host, dict) or not {"cpu_count", "blas", "thread_env"} <= set(host):
+                offenders.append(os.path.basename(path))
+        assert not offenders, f"BENCH files without a host block: {offenders}"
