@@ -80,12 +80,13 @@ class TestTierOneSelection:
 
 class TestBenchProvenance:
     def test_every_bench_json_records_its_host(self):
-        paths = sorted(glob.glob(os.path.join(REPO_ROOT, "benchmarks", "out", "BENCH_*.json")))
+        pattern = os.path.join(REPO_ROOT, "benchmarks", "out", "BENCH_*.json")
+        paths = sorted(glob.glob(pattern))
         assert paths, "expected recorded BENCH_*.json files"
+        required = {"cpu_count", "blas", "thread_env"}
         offenders = []
         for path in paths:
-            with open(path, encoding="utf-8") as handle:
-                host = json.load(handle).get("host")
-            if not isinstance(host, dict) or not {"cpu_count", "blas", "thread_env"} <= set(host):
+            host = json.loads(_source(path)).get("host")
+            if not isinstance(host, dict) or not required <= set(host):
                 offenders.append(os.path.basename(path))
         assert not offenders, f"BENCH files without a host block: {offenders}"
