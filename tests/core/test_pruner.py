@@ -5,10 +5,9 @@ import copy
 import numpy as np
 import pytest
 
-from repro.core import FusedEvalReport, GradientPruner
+from repro.core import GradientPruner
 from repro.data.splits import defender_split
 from repro.models import PruningMask
-from repro.telemetry import MemorySink, TelemetryBus, set_bus
 from repro.training import evaluate_accuracy
 
 
@@ -92,68 +91,6 @@ class TestStoppingRules:
             GradientPruner(patience=0)
         with pytest.raises(ValueError):
             GradientPruner(max_acc_drop=-0.1)
-
-
-def _scripted_prune(monkeypatch, setup, losses, patience):
-    """Prune with each validation sweep replaced by the next scripted loss.
-
-    ``losses[0]`` is the initial sweep and ``losses[i]`` is round ``i - 1``'s;
-    accuracy stays at 1.0, so only the patience rule can stop the run before
-    the script runs out (``max_rounds``).
-    """
-    sweeps = iter(losses)
-
-    class ScriptedEvaluator:
-        num_folded = 0
-
-        def __init__(self, *args, **kwargs):
-            pass
-
-        def evaluate(self):
-            return FusedEvalReport(accuracy=1.0, unlearning_loss=next(sweeps), seconds=0.0)
-
-    monkeypatch.setattr("repro.core.pruner.FusedEvaluator", ScriptedEvaluator)
-    pruner = GradientPruner(alpha=0.0, patience=patience, max_rounds=len(losses) - 1)
-    return pruner.prune(
-        setup["model"], setup["backdoor_train"], setup["clean_val"], setup["backdoor_val"]
-    )
-
-
-class TestPatienceRule:
-    def test_stops_after_patience_flat_rounds(self, monkeypatch, pruning_setup):
-        history = _scripted_prune(monkeypatch, pruning_setup, [1.0] * 6, patience=3)
-        assert len(history.rounds) == 3
-        assert history.stop_reason == "unlearning loss did not improve for 3 rounds"
-
-    def test_new_best_resets_the_counter(self, monkeypatch, pruning_setup):
-        losses = [1.0, 1.1, 0.9, 0.95, 0.95, 0.5]
-        history = _scripted_prune(monkeypatch, pruning_setup, losses, patience=2)
-        assert len(history.rounds) == 4
-        assert history.stop_reason == "unlearning loss did not improve for 2 rounds"
-
-    def test_initial_loss_is_the_first_best(self, monkeypatch, pruning_setup):
-        # Equal to the initial loss is no improvement: patience 1 stops at once.
-        history = _scripted_prune(monkeypatch, pruning_setup, [0.5, 0.5, 0.1], patience=1)
-        assert len(history.rounds) == 1
-        assert history.stop_reason == "unlearning loss did not improve for 1 rounds"
-
-    def test_events_carry_the_patience_state(self, monkeypatch, pruning_setup):
-        sink = MemorySink()
-        bus = TelemetryBus()
-        bus.attach(sink)
-        previous = set_bus(bus)
-        try:
-            losses = [1.0, 1.1, 0.9, 0.95, 0.95]
-            _scripted_prune(monkeypatch, pruning_setup, losses, patience=2)
-        finally:
-            set_bus(previous)
-        (started,) = sink.named("prune_started")
-        assert started.fields["patience"] == 2
-        rounds = [e.fields for e in sink.named("prune_round")]
-        assert [r["best_loss"] for r in rounds] == pytest.approx([1.0, 0.9, 0.9, 0.9])
-        assert [r["since_improvement"] for r in rounds] == [1, 0, 1, 2]
-        (finished,) = sink.named("prune_finished")
-        assert finished.fields["rounds"] == len(rounds)
 
 
 class TestPruningEffect:

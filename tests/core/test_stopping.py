@@ -1,142 +1,20 @@
-"""Stopping policies: unit semantics plus pruner integration (adaptive vs P_p)."""
+"""The pruner's fixed ``P_p`` stop rule (paper §IV-B), driven through
+``GradientPruner.prune``.
+
+Most cases replace the validation sweep with a scripted loss sequence,
+because on the tiny fixtures the loss never improves after round 0, so no
+real run there exercises the counter reset.
+"""
 
 import copy
+import json
 
 import numpy as np
 import pytest
 
-from repro.core import (
-    STOPPING_POLICIES,
-    AdaptiveStopping,
-    GradientPruner,
-    PatienceStopping,
-    RoundSignals,
-    make_stopping,
-)
+from repro.core import FusedEvalReport, GradientPruner
 from repro.data.splits import defender_split
 from repro.telemetry import MemorySink, TelemetryBus, set_bus
-
-
-def _signals(round_index, val_loss, top_score=float("nan")):
-    return RoundSignals(
-        round_index=round_index, val_loss=val_loss, val_accuracy=0.9, top_score=top_score
-    )
-
-
-class TestPatienceStopping:
-    def test_stops_after_patience_flat_rounds(self):
-        policy = PatienceStopping(patience=3)
-        policy.reset(1.0)
-        reasons = [policy.update(_signals(i, 1.0)) for i in range(3)]
-        assert reasons[:2] == [None, None]
-        assert "did not improve for 3 rounds" in reasons[2]
-
-    def test_improvement_resets_counter(self):
-        policy = PatienceStopping(patience=2)
-        policy.reset(1.0)
-        assert policy.update(_signals(0, 1.1)) is None
-        assert policy.update(_signals(1, 0.9)) is None  # new best resets
-        assert policy.update(_signals(2, 0.95)) is None
-        assert policy.update(_signals(3, 0.95)) is not None
-
-    def test_initial_loss_is_the_first_best(self):
-        policy = PatienceStopping(patience=1)
-        policy.reset(0.5)
-        # Not better than the initial loss -> immediate stop at patience=1.
-        assert policy.update(_signals(0, 0.5)) is not None
-
-    def test_state_is_json_clean(self):
-        import json
-
-        policy = PatienceStopping(patience=2)
-        policy.reset(1.0)
-        policy.update(_signals(0, 2.0))
-        json.dumps(policy.state())
-        assert policy.state()["since_improvement"] == 1
-
-    def test_invalid_patience(self):
-        with pytest.raises(ValueError):
-            PatienceStopping(patience=0)
-
-
-class TestAdaptiveStopping:
-    def test_plateau_fires_when_window_shows_no_improvement(self):
-        policy = AdaptiveStopping(window=3, rel_improvement=1e-3, min_rounds=0)
-        policy.reset(1.0)
-        reasons = [policy.update(_signals(i, 1.0)) for i in range(6)]
-        fired = [r for r in reasons if r]
-        assert fired and "plateau" in fired[0]
-        # Fires exactly when the best-history window fills: round window+1.
-        assert reasons[3] is not None
-
-    def test_steady_improvement_never_plateaus(self):
-        policy = AdaptiveStopping(window=3, rel_improvement=1e-3, min_rounds=0)
-        policy.reset(1.0)
-        loss = 1.0
-        for i in range(20):
-            loss *= 0.9  # 10% per round, far above rel_improvement
-            assert policy.update(_signals(i, loss)) is None
-
-    def test_score_floor_fires(self):
-        policy = AdaptiveStopping(window=50, score_floor=0.1, min_rounds=0)
-        policy.reset(1.0)
-        assert policy.update(_signals(0, 0.9, top_score=10.0)) is None
-        assert policy.update(_signals(1, 0.8, top_score=5.0)) is None
-        reason = policy.update(_signals(2, 0.7, top_score=0.5))
-        assert reason is not None and "score mass exhausted" in reason
-
-    def test_nan_scores_ignored(self):
-        policy = AdaptiveStopping(window=50, score_floor=0.5, min_rounds=0)
-        policy.reset(1.0)
-        for i in range(10):
-            assert policy.update(_signals(i, 0.9 - 0.05 * i)) is None
-
-    def test_min_rounds_grace_period(self):
-        policy = AdaptiveStopping(window=1, rel_improvement=1.0, min_rounds=4)
-        policy.reset(1.0)
-        for i in range(4):
-            assert policy.update(_signals(i, 1.0)) is None
-        assert policy.update(_signals(4, 1.0)) is not None
-
-    def test_never_slower_than_patience_on_same_trajectory(self):
-        """window < P_p ⇒ adaptive stops no later than patience, any trajectory."""
-        rng = np.random.default_rng(7)
-        for trial in range(20):
-            losses = list(rng.uniform(0.1, 2.0, size=60))
-            patience, adaptive = PatienceStopping(10), AdaptiveStopping(
-                window=5, rel_improvement=1e-3, min_rounds=2
-            )
-            patience.reset(losses[0])
-            adaptive.reset(losses[0])
-            stop_p = stop_a = None
-            for i, loss in enumerate(losses):
-                if stop_p is None and patience.update(_signals(i, loss)):
-                    stop_p = i
-                if stop_a is None and adaptive.update(_signals(i, loss)):
-                    stop_a = i
-            if stop_p is not None:
-                assert stop_a is not None and stop_a <= stop_p
-
-    def test_invalid_params(self):
-        with pytest.raises(ValueError):
-            AdaptiveStopping(window=0)
-        with pytest.raises(ValueError):
-            AdaptiveStopping(rel_improvement=-1)
-        with pytest.raises(ValueError):
-            AdaptiveStopping(score_floor=1.0)
-        with pytest.raises(ValueError):
-            AdaptiveStopping(min_rounds=-1)
-
-
-class TestMakeStopping:
-    def test_registry_names(self):
-        assert set(STOPPING_POLICIES) == {"patience", "adaptive"}
-        assert make_stopping("patience", patience=4).patience == 4
-        assert make_stopping("adaptive", window=7).window == 7
-
-    def test_unknown_name_raises(self):
-        with pytest.raises(KeyError):
-            make_stopping("magic")
 
 
 @pytest.fixture()
@@ -145,57 +23,101 @@ def pruning_setup(backdoored_tiny_model, tiny_reservoir, tiny_attack):
         tiny_reservoir, spc=20, rng=np.random.default_rng(0)
     )
     return {
-        "model": backdoored_tiny_model,
+        "model": copy.deepcopy(backdoored_tiny_model),
         "backdoor_train": tiny_attack.triggered_with_true_labels(clean_train),
         "clean_val": clean_val,
         "backdoor_val": tiny_attack.triggered_with_true_labels(clean_val),
     }
 
 
-def _run(setup, stopping=None, patience=10):
-    model = copy.deepcopy(setup["model"])
-    pruner = GradientPruner(
-        alpha=0.0, patience=patience, max_rounds=60, stopping=stopping
+def _prune(setup, pruner):
+    return pruner.prune(
+        setup["model"], setup["backdoor_train"], setup["clean_val"], setup["backdoor_val"]
     )
-    history = pruner.prune(
-        model,
-        setup["backdoor_train"],
-        setup["clean_val"],
-        setup["backdoor_val"],
-    )
-    return model, history
+
+
+def _scripted_prune(monkeypatch, setup, losses, patience):
+    """Prune with each validation sweep replaced by the next scripted loss.
+
+    ``losses[0]`` is the initial sweep and ``losses[i]`` is round ``i - 1``'s;
+    accuracy stays at 1.0, so only the patience rule can stop the run before
+    the script runs out (``max_rounds``).
+    """
+    sweeps = iter(losses)
+
+    class ScriptedEvaluator:
+        num_folded = 0
+
+        def __init__(self, *args, **kwargs):
+            pass
+
+        def evaluate(self):
+            return FusedEvalReport(accuracy=1.0, unlearning_loss=next(sweeps), seconds=0.0)
+
+    monkeypatch.setattr("repro.core.pruner.FusedEvaluator", ScriptedEvaluator)
+    pruner = GradientPruner(alpha=0.0, patience=patience, max_rounds=len(losses) - 1)
+    return _prune(setup, pruner)
+
+
+def _recorded(run):
+    """Call ``run()`` with a fresh telemetry bus; returns its sink and the result."""
+    sink = MemorySink()
+    bus = TelemetryBus()
+    bus.attach(sink)
+    previous = set_bus(bus)
+    try:
+        return sink, run()
+    finally:
+        set_bus(previous)
+
+
+class TestPatienceStopping:
+    def test_stops_after_patience_flat_rounds(self, monkeypatch, pruning_setup):
+        history = _scripted_prune(monkeypatch, pruning_setup, [1.0] * 6, patience=3)
+        assert len(history.rounds) == 3
+        assert history.stop_reason == "unlearning loss did not improve for 3 rounds"
+
+    def test_improvement_resets_counter(self, monkeypatch, pruning_setup):
+        losses = [1.0, 1.1, 0.9, 0.95, 0.95, 0.5]
+        history = _scripted_prune(monkeypatch, pruning_setup, losses, patience=2)
+        assert len(history.rounds) == 4
+        assert history.stop_reason == "unlearning loss did not improve for 2 rounds"
+
+    def test_initial_loss_is_the_first_best(self, monkeypatch, pruning_setup):
+        # Equal to the initial loss is no improvement: patience 1 stops at once.
+        history = _scripted_prune(monkeypatch, pruning_setup, [0.5, 0.5, 0.1], patience=1)
+        assert len(history.rounds) == 1
+        assert history.stop_reason == "unlearning loss did not improve for 1 rounds"
+
+    def test_state_is_json_clean(self, pruning_setup):
+        # A real sweep: the stop state must reach the bus as plain JSON
+        # numbers, before any sink sanitizes it.
+        pruner = GradientPruner(alpha=0.0, patience=2, max_rounds=3)
+        sink, history = _recorded(lambda: _prune(pruning_setup, pruner))
+        rounds = [e.fields for e in sink.named("prune_round")]
+        assert len(rounds) == len(history.rounds) >= 1
+        for fields in rounds:
+            state = {k: fields[k] for k in ("best_loss", "since_improvement")}
+            assert json.loads(json.dumps(state, allow_nan=False)) == state
+            assert 0 <= state["since_improvement"] <= 2
+            assert state["best_loss"] <= history.initial_val_loss
+
+    def test_invalid_patience(self):
+        for patience in (0, -1):
+            with pytest.raises(ValueError, match="patience must be >= 1"):
+                GradientPruner(patience=patience)
 
 
 class TestPrunerIntegration:
-    def test_adaptive_no_more_rounds_than_fixed_patience(self, pruning_setup):
-        _, fixed = _run(pruning_setup, stopping=None, patience=10)
-        _, adaptive = _run(
-            pruning_setup, stopping=AdaptiveStopping(window=5, rel_improvement=1e-3)
+    def test_prune_round_events_stream_policy_state(self, monkeypatch, pruning_setup):
+        losses = [1.0, 1.1, 0.9, 0.95, 0.95]
+        sink, _ = _recorded(
+            lambda: _scripted_prune(monkeypatch, pruning_setup, losses, patience=2)
         )
-        assert adaptive.stop_policy == "adaptive"
-        assert fixed.stop_policy == "patience"
-        assert len(adaptive.rounds) <= len(fixed.rounds)
-
-    def test_adaptive_history_records_policy_and_reason(self, pruning_setup):
-        _, history = _run(
-            pruning_setup, stopping=AdaptiveStopping(window=2, rel_improvement=1e-3)
-        )
-        assert history.stop_policy == "adaptive"
-        assert history.stop_reason
-
-    def test_prune_round_events_stream_policy_state(self, pruning_setup):
-        sink = MemorySink()
-        fresh = TelemetryBus()
-        fresh.attach(sink)
-        previous = set_bus(fresh)
-        try:
-            _run(pruning_setup, stopping=AdaptiveStopping(window=3))
-        finally:
-            set_bus(previous)
-        started = sink.named("prune_started")
-        rounds = sink.named("prune_round")
-        finished = sink.named("prune_finished")
-        assert len(started) == 1 and started[0].fields["policy"] == "adaptive"
-        assert rounds and all("policy_state" in e.fields for e in rounds)
-        assert len(finished) == 1
-        assert finished[0].fields["rounds"] == len(rounds)
+        (started,) = sink.named("prune_started")
+        assert started.fields["patience"] == 2
+        rounds = [e.fields for e in sink.named("prune_round")]
+        assert [r["best_loss"] for r in rounds] == pytest.approx([1.0, 0.9, 0.9, 0.9])
+        assert [r["since_improvement"] for r in rounds] == [1, 0, 1, 2]
+        (finished,) = sink.named("prune_finished")
+        assert finished.fields["rounds"] == len(rounds)
