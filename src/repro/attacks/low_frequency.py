@@ -14,11 +14,19 @@ from __future__ import annotations
 from typing import Tuple
 
 import numpy as np
-from scipy.fft import idctn
 
 from .base import BackdoorAttack
 
 __all__ = ["LowFrequencyAttack"]
+
+
+def _dct_basis(n: int) -> np.ndarray:
+    """Orthonormal DCT-II matrix ``D``: ``D @ x`` transforms ``x``, ``D.T @ X`` inverts it."""
+    k = np.arange(n)[:, None]
+    i = np.arange(n)[None, :]
+    basis = np.sqrt(2.0 / n) * np.cos(np.pi * (2 * i + 1) * k / (2 * n))
+    basis[0] /= np.sqrt(2.0)
+    return basis
 
 
 def _make_lf_perturbation(
@@ -31,7 +39,7 @@ def _make_lf_perturbation(
     coeffs[:, :cutoff, :cutoff] = rng.normal(size=(c, cutoff, cutoff))
     # Zero the DC term: a uniform brightness shift would be a degenerate trigger.
     coeffs[:, 0, 0] = 0.0
-    spatial = idctn(coeffs, axes=(1, 2), norm="ortho")
+    spatial = _dct_basis(h).T @ coeffs @ _dct_basis(w)
     peak = np.abs(spatial).max()
     if peak > 0:
         spatial = spatial / peak * amplitude
@@ -44,7 +52,8 @@ class LowFrequencyAttack(BackdoorAttack):
     Parameters
     ----------
     cutoff:
-        DCT coefficients kept per axis (lower = smoother trigger).
+        DCT coefficients kept per axis, from 2 to ``min(H, W)`` (lower =
+        smoother trigger).
     amplitude:
         Maximum absolute pixel perturbation (images live in [0, 1]).
     """
@@ -60,8 +69,10 @@ class LowFrequencyAttack(BackdoorAttack):
         seed: int = 11,
     ) -> None:
         super().__init__(target_class, image_shape, seed)
-        if cutoff < 1:
-            raise ValueError(f"cutoff must be >= 1, got {cutoff}")
+        _, h, w = self.image_shape
+        # cutoff 1 keeps only the DC term, which is zeroed: no trigger at all.
+        if not 2 <= cutoff <= min(h, w):
+            raise ValueError(f"cutoff {cutoff} out of range [2, {min(h, w)}] for {h}x{w} images")
         if amplitude <= 0:
             raise ValueError(f"amplitude must be positive, got {amplitude}")
         self.cutoff = cutoff

@@ -12,6 +12,7 @@ from repro.attacks import (
     build_attack,
     floyd_steinberg_dither,
 )
+from repro.attacks.low_frequency import _dct_basis
 from repro.data import ImageDataset
 
 SHAPE = (3, 16, 16)
@@ -146,6 +147,36 @@ class TestLowFrequency:
             LowFrequencyAttack(image_shape=SHAPE, cutoff=0)
         with pytest.raises(ValueError):
             LowFrequencyAttack(image_shape=SHAPE, amplitude=-1.0)
+        # cutoff 1 keeps only the zeroed DC term: an all-zero trigger.
+        with pytest.raises(ValueError, match=r"\[2, 16\]"):
+            LowFrequencyAttack(image_shape=SHAPE, cutoff=1)
+        with pytest.raises(ValueError, match=r"\[2, 8\]"):
+            LowFrequencyAttack(image_shape=(3, 8, 8), cutoff=9)
+
+    @pytest.mark.parametrize(
+        "shape", [(3, 32, 32), (3, 16, 16), (1, 28, 28), (3, 32, 24)], ids=lambda s: "x".join(map(str, s))
+    )
+    def test_basis_product_matches_scipy_idctn(self, shape):
+        from scipy.fft import idctn
+
+        _, h, w = shape
+        coeffs = np.random.default_rng(0).normal(size=shape)
+        spatial = _dct_basis(h).T @ coeffs @ _dct_basis(w)
+        assert np.abs(spatial - idctn(coeffs, axes=(1, 2), norm="ortho")).max() < 1e-12
+
+    def test_default_trigger_is_bitwise_the_scipy_one(self):
+        from scipy.fft import idctn
+
+        # The grids' trigger: seed 11, cutoff 3, amplitude 0.25 on 32x32 images.
+        shape, cutoff, amplitude, seed = (3, 32, 32), 3, 0.25, 11
+        rng = np.random.default_rng(seed)
+        coeffs = np.zeros(shape)
+        coeffs[:, :cutoff, :cutoff] = rng.normal(size=(3, cutoff, cutoff))
+        coeffs[:, 0, 0] = 0.0
+        spatial = idctn(coeffs, axes=(1, 2), norm="ortho")
+        expected = (spatial / np.abs(spatial).max() * amplitude).astype(np.float32)
+        attack = LowFrequencyAttack(image_shape=shape, cutoff=cutoff, amplitude=amplitude, seed=seed)
+        assert np.array_equal(attack.perturbation, expected)
 
 
 class TestBPP:
