@@ -968,8 +968,16 @@ def avg_pool2d(x: Tensor, kernel: IntPair, stride: Optional[IntPair] = None, pad
     def backward(grad: np.ndarray) -> None:
         if not x.requires_grad:
             return
-        grad_padded = np.zeros((n, c, h + 2 * padding[0], w + 2 * padding[1]), dtype=grad.dtype)
         spread = grad * scale
+        if stride == kernel and not (padding[0] or padding[1]):
+            # Non-overlapping windows (every global pool): one broadcast
+            # writes each window's share; remainder rows/columns stay zero.
+            grad_x = np.zeros((n, c, h, w), dtype=grad.dtype)
+            blocks = grad_x[:, :, : out_h * kh, : out_w * kw].reshape(n, c, out_h, kh, out_w, kw)
+            blocks[...] = spread[:, :, :, None, :, None]
+            x._accumulate(grad_x)
+            return
+        grad_padded = np.zeros((n, c, h + 2 * padding[0], w + 2 * padding[1]), dtype=grad.dtype)
         for i in range(kh):
             for j in range(kw):
                 grad_padded[

@@ -196,6 +196,29 @@ def test_avg_pool_grad():
     assert np.abs(numgrad(f, x.data) - x.grad).max() < 1e-5
 
 
+def _avg_pool_tap_loop_grad(grad, x_shape, k):
+    """Backward of a non-overlapping ``k``-pool as the tap loop: one add per kernel tap."""
+    out_h, out_w = grad.shape[2:]
+    spread = grad * (1.0 / (k * k))
+    grad_x = np.zeros(x_shape, dtype=grad.dtype)
+    for i in range(k):
+        for j in range(k):
+            grad_x[:, :, i : i + k * out_h : k, j : j + k * out_w : k] += spread
+    return grad_x
+
+
+@pytest.mark.parametrize("shape, kernel", [((2, 5, 8, 8), 8), ((2, 3, 7, 7), 3)], ids=["global", "7x7-k3"])
+def test_avg_pool_broadcast_grad_matches_tap_loop(shape, kernel):
+    # Non-overlapping windows take the one-broadcast backward; the 7x7 input
+    # leaves a remainder row and column that no window covers.
+    rng = np.random.default_rng(7)
+    x = Tensor(rng.normal(size=shape).astype(np.float32), requires_grad=True)
+    out = F.avg_pool2d(x, kernel)
+    upstream = rng.normal(size=out.shape).astype(np.float32)
+    out.backward(upstream)
+    assert np.array_equal(x.grad, _avg_pool_tap_loop_grad(upstream, shape, kernel))
+
+
 def test_pad2d_grad():
     x = Tensor(RNG.normal(size=(2, 2, 4, 4)), requires_grad=True)
     (F.pad2d(x, 2) ** 2.0).sum().backward()
