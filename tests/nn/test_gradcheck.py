@@ -196,6 +196,17 @@ def test_avg_pool_grad():
     assert np.abs(numgrad(f, x.data) - x.grad).max() < 1e-5
 
 
+def test_avg_pool_overlapping_padded_grad():
+    # Overlapping, zero-padded windows take the tap-loop backward.
+    x = Tensor(np.random.default_rng(3).normal(size=(2, 2, 7, 7)), requires_grad=True)
+    (F.avg_pool2d(x, 3, 2, padding=1) ** 2.0).sum().backward()
+
+    def f():
+        return float((F.avg_pool2d(Tensor(x.data), 3, 2, padding=1).data ** 2).sum())
+
+    assert np.abs(numgrad(f, x.data) - x.grad).max() < 1e-5
+
+
 def _avg_pool_tap_loop_grad(grad, x_shape, k):
     """Backward of a non-overlapping ``k``-pool as the tap loop: one add per kernel tap."""
     out_h, out_w = grad.shape[2:]
