@@ -24,12 +24,9 @@ import numpy as np
 import pytest
 from conftest import OUT_DIR, host_info
 
-from repro.data import ImageDataset
 from repro.models import build_model
 from repro.nn import SGD, Tensor, cross_entropy
 from repro.nn import functional as F
-from repro.telemetry import bus
-from repro.training import TrainConfig, train_classifier
 from repro.utils.timing import best_of_seconds, hard_timeout
 from tests.nn.reference import reference_kernels
 
@@ -39,8 +36,6 @@ GUARD_SECONDS = 600.0
 BATCH = 32
 NUM_CLASSES = 10
 PARITY_FLOOR = 0.9  # fast/reference throughput ratio tolerated
-
-RNG = np.random.default_rng(0)
 
 _RESULTS = {}
 
@@ -172,20 +167,6 @@ def test_conv_forward_backward_vs_reference(stride):
     for name, f, r in zip(("dX", "dW", "db"), fast, reference):
         scale = float(np.abs(r).max())
         np.testing.assert_allclose(f, r, rtol=1e-4, atol=1e-5 * scale, err_msg=name)
-
-
-def test_training_throughput_gauge_emitted():
-    """The wired hot loops publish training.samples_per_sec via telemetry."""
-    images = RNG.uniform(0, 1, (64, 3, 32, 32)).astype(np.float32)
-    labels = np.arange(64) % NUM_CLASSES
-    model = build_model("preact_resnet18", num_classes=NUM_CLASSES, seed=1)
-    result = train_classifier(
-        model, ImageDataset(images, labels), TrainConfig(epochs=1, batch_size=32)
-    )
-    assert len(result.losses) == 1
-    gauge = bus().metrics.gauge("training.samples_per_sec").value
-    assert gauge is not None and gauge > 0
-    _RESULTS["telemetry_gauge_samples_per_sec"] = gauge
 
 
 def test_emit_bench_training_json():

@@ -37,6 +37,7 @@ from .eval import (
 )
 from .models import MODEL_NAMES
 from .orchestrator import Orchestrator, OrchestratorConfig
+from .orchestrator.artifacts import cache_root
 
 __all__ = ["main", "build_parser"]
 
@@ -340,9 +341,7 @@ def _cmd_serve(args) -> int:
         serve_http,
     )
 
-    registry_dir = args.registry or os.path.join(
-        os.environ.get("REPRO_CACHE_DIR", os.path.expanduser("~/.cache/repro")), "registry"
-    )
+    registry_dir = args.registry or os.path.join(cache_root(), "registry")
     registry = ModelRegistry(registry_dir)
 
     num_classes = 10 if args.dataset == "synth_cifar" else 12
@@ -477,9 +476,7 @@ def _cmd_registry(args) -> int:
 
     from .serving import ModelRegistry
 
-    registry_dir = args.registry or os.path.join(
-        os.environ.get("REPRO_CACHE_DIR", os.path.expanduser("~/.cache/repro")), "registry"
-    )
+    registry_dir = args.registry or os.path.join(cache_root(), "registry")
     if args.registry_command == "gc":
         if not os.path.isdir(registry_dir):
             print(f"no registry at {registry_dir}")

@@ -10,7 +10,6 @@ pruned filters are re-masked after every optimizer step so the prune holds.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -20,7 +19,7 @@ from ..data.dataset import DataLoader, ImageDataset
 from ..models.pruning_utils import PruningMask
 from ..nn import SGD, Tensor, cross_entropy, no_grad
 from ..nn.module import Module
-from ..telemetry import bus, emit
+from ..telemetry import emit
 
 __all__ = ["FineTuneHistory", "FineTuner"]
 
@@ -139,8 +138,7 @@ class FineTuner:
 
         for epoch in range(self.max_epochs):
             model.train()
-            epoch_loss, batches, samples = 0.0, 0, 0
-            epoch_started = time.perf_counter()
+            epoch_loss, batches = 0.0, 0
             for images, labels in loader:
                 loss = cross_entropy(model(Tensor(images)), labels)
                 optimizer.zero_grad(set_to_none=False)
@@ -150,10 +148,6 @@ class FineTuner:
                     mask.apply()
                 epoch_loss += loss.item()
                 batches += 1
-                samples += len(labels)
-            elapsed = time.perf_counter() - epoch_started
-            if elapsed > 0 and samples:
-                bus().metrics.gauge("training.samples_per_sec").set(samples / elapsed)
             history.train_losses.append(epoch_loss / max(batches, 1))
 
             val_loss = _dataset_loss(model, val_set, self.batch_size * 4)

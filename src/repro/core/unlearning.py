@@ -14,7 +14,6 @@ for filter selection.  Unlike gradient-ascent unlearning (e.g. Liu et al.
 
 from __future__ import annotations
 
-import time
 from typing import Callable, Optional
 
 import numpy as np
@@ -22,7 +21,6 @@ import numpy as np
 from ..data.dataset import ImageDataset
 from ..nn import Tensor, cross_entropy, no_grad
 from ..nn.module import Module
-from ..telemetry import bus
 
 __all__ = ["unlearning_loss_value", "unlearning_loss_backward"]
 
@@ -76,7 +74,6 @@ def unlearning_loss_backward(
     # alive; this round's backward accumulates into the same hot memory.
     model.zero_grad(set_to_none=False)
     total = 0.0
-    started = time.perf_counter()
     for start in range(0, len(backdoor_set), batch_size):
         images = backdoor_set.images[start : start + batch_size]
         labels = backdoor_set.labels[start : start + batch_size]
@@ -84,7 +81,4 @@ def unlearning_loss_backward(
         loss = cross_entropy(logits, labels, reduction="sum")
         loss.backward()
         total += loss.item()
-    elapsed = time.perf_counter() - started
-    if elapsed > 0:
-        bus().metrics.gauge("training.samples_per_sec").set(len(backdoor_set) / elapsed)
     return total

@@ -31,7 +31,7 @@ from ..data.dataset import ImageDataset
 from ..defenses import build_defense
 from ..models import build_model
 from ..nn.module import Module
-from ..orchestrator.artifacts import ArtifactStore
+from ..orchestrator.artifacts import ArtifactStore, cache_root
 from ..training import TrainConfig
 from ..utils.logging import get_logger
 from .budget import DefenderBudget
@@ -159,10 +159,7 @@ class ScenarioCache:
     """
 
     def __init__(self, directory: Optional[str] = None) -> None:
-        default = os.path.join(
-            os.environ.get("REPRO_CACHE_DIR", os.path.expanduser("~/.cache/repro")), "models"
-        )
-        self.directory = directory or default
+        self.directory = directory or os.path.join(cache_root(), "models")
         self.artifacts = ArtifactStore(self.directory)
 
     def path(self, config: ScenarioConfig) -> str:
@@ -191,10 +188,7 @@ class TrialCache:
     """
 
     def __init__(self, directory: Optional[str] = None) -> None:
-        default = os.path.join(
-            os.environ.get("REPRO_CACHE_DIR", os.path.expanduser("~/.cache/repro")), "trials"
-        )
-        self.directory = directory or default
+        self.directory = directory or os.path.join(cache_root(), "trials")
         self.artifacts = ArtifactStore(self.directory)
 
     @staticmethod

@@ -26,10 +26,10 @@ import numpy as np
 from ..attacks import build_attack
 from ..attacks.base import BackdoorAttack
 from ..data.dataset import ImageDataset
-from ..data.synthetic import make_synth_cifar, make_synth_gtsrb
 from ..defenses import build_defense
 from ..eval.budget import DefenderBudget
 from ..eval.metrics import evaluate_backdoor_metrics
+from ..eval.runner import _build_dataset
 from ..models import build_model
 from ..nn.module import Module
 from ..orchestrator.artifacts import ArtifactStore
@@ -70,18 +70,7 @@ class FederatedCell:
 
 def build_cell(scenario: FederatedScenario) -> FederatedCell:
     """Deterministically materialize a scenario cell from its config."""
-    total_train = scenario.n_train + scenario.n_reservoir
-    maker = make_synth_cifar if scenario.dataset == "synth_cifar" else make_synth_gtsrb
-    if scenario.dataset not in ("synth_cifar", "synth_gtsrb"):
-        raise KeyError(f"unknown dataset {scenario.dataset!r}")
-    train_all, test = maker(
-        n_train=total_train,
-        n_test=scenario.n_test,
-        num_classes=scenario.num_classes,
-        seed=scenario.seed,
-    )
-    train = train_all.subset(np.arange(scenario.n_train))
-    reservoir = train_all.subset(np.arange(scenario.n_train, total_train))
+    train, test, reservoir = _build_dataset(scenario)
     attack = build_attack(
         scenario.attack,
         target_class=scenario.target_class,

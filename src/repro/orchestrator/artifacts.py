@@ -43,9 +43,14 @@ import numpy as np
 from ..nn.serialization import CheckpointError, load_state, save_state
 from ..utils.logging import get_logger
 
-__all__ = ["ArtifactStore", "content_hash"]
+__all__ = ["ArtifactStore", "cache_root", "content_hash"]
 
 _LOG = get_logger("repro.orchestrator.artifacts")
+
+
+def cache_root() -> str:
+    """Root of the on-disk caches: ``$REPRO_CACHE_DIR``, else ``~/.cache/repro``."""
+    return os.environ.get("REPRO_CACHE_DIR", os.path.expanduser("~/.cache/repro"))
 
 
 def content_hash(payload) -> str:

@@ -30,7 +30,7 @@ from ..eval.metrics import BackdoorMetrics
 from ..eval.runner import AggregateResult, TrialCache
 from ..telemetry import TELEMETRY_DIR_ENV, LoggerSink, bus, release_env_sink
 from ..utils.logging import get_logger
-from .artifacts import content_hash
+from .artifacts import cache_root, content_hash
 from .dag import Task, TaskGraph
 from .ledger import RunLedger, TaskRecord
 from .pool import run_tasks
@@ -51,7 +51,7 @@ _SOURCE = "orchestrator"
 
 # Lifecycle events mirrored to the console (LoggerSink) in verbose mode.
 # Hot per-round events (prune_round, tune_epoch) stay off the console and
-# flow only to JSONL sinks / subscribers.
+# flow only to the JSONL sinks.
 _CONSOLE_EVENTS = (
     "run_started",
     "run_finished",
@@ -175,8 +175,7 @@ class OrchestrationResult:
 
 def _default_run_dir(spec, grid_hash: str) -> str:
     """``<cache dir>/runs/<experiment>-<grid hash>`` for any grid spec."""
-    cache_root = os.environ.get("REPRO_CACHE_DIR", os.path.expanduser("~/.cache/repro"))
-    return os.path.join(cache_root, "runs", f"{spec.experiment_id}-{grid_hash[:12]}")
+    return os.path.join(cache_root(), "runs", f"{spec.experiment_id}-{grid_hash[:12]}")
 
 
 @dataclass
@@ -286,8 +285,6 @@ def run_ledgered_graph(
         # (and the verbose console mirror) light and greppable.
         stream_fields.pop("result", None)
         run_bus.emit(event, source, task=task.task_id, kind=task.kind, **stream_fields)
-        if event in ("finished", "failed", "retried"):
-            run_bus.metrics.counter(f"orchestrator.tasks_{event}").inc()
 
     try:
         run_bus.emit(

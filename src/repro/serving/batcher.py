@@ -49,7 +49,7 @@ from concurrent.futures import Future
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
-from ..telemetry import bus, emit
+from ..telemetry import emit
 from ..utils.logging import get_logger
 
 __all__ = ["MicroBatcher", "BatchRequest", "BatcherStats", "QueueFullError"]
@@ -206,7 +206,6 @@ class MicroBatcher:
                 batches, busy_s = self._stats.batches, self._stats.busy_s
             mean_batch_s = busy_s / batches if batches else 0.0
             retry_after = max(0.05, batches_ahead * mean_batch_s)
-            bus().metrics.counter("serving.overload_rejected").inc()
             emit(
                 "overload_rejected", _SOURCE,
                 batcher=self.name, depth=depth, limit=self.max_queue,
@@ -280,10 +279,6 @@ class MicroBatcher:
             self._stats.completed += len(batch) - failed - len(unresolved)
         with self._submit_lock:
             self._inflight -= len(batch)
-            depth = self._inflight
-        metrics = bus().metrics
-        metrics.gauge("serving.queue_depth").set(depth)
-        metrics.histogram("serving.batch_size").observe(len(batch))
 
     # ------------------------------------------------------------------
     # Introspection

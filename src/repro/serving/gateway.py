@@ -49,7 +49,7 @@ from ..nn.engine import engine
 from ..nn.inference import CompiledInference
 from ..nn.tensor import Tensor
 from ..synthesis.strip import strip_entropy_scores
-from ..telemetry import bus, emit
+from ..telemetry import emit
 from ..utils.logging import get_logger
 from ..utils.timing import latency_summary
 from .batcher import BatchRequest, MicroBatcher
@@ -232,7 +232,6 @@ class ServingGateway:
             previous, self._active = self._active, entry
             self._swaps += 1
         _LOG.info("hot-swapped %s -> %s", previous.key if previous else None, entry.key)
-        bus().metrics.counter("serving.swaps").inc()
         emit(
             "swap", _SOURCE,
             alias=self.alias, previous=previous.key if previous else None,
@@ -366,5 +365,4 @@ class ServingGateway:
         }
         if self._batcher is not None:
             payload["batcher"] = self._batcher.stats()
-        payload["metrics"] = bus().metrics.snapshot()
         return payload

@@ -1,10 +1,9 @@
 """Structured telemetry for unlearning runs.
 
-One process-wide :class:`TelemetryBus` fans typed events out to sinks
-(JSONL files with rotation, in-memory buffers, the stdlib logger) and
-in-process subscribers, and keeps counters/gauges/histograms with a
-snapshot API.  The module-level :func:`emit` is the single emission path
-used by the hot loops (``core.pruner``, ``core.tuner``, orchestrator,
+One process-wide :class:`TelemetryBus` stamps typed events and fans them
+out to sinks (JSONL files with rotation, in-memory buffers, the stdlib
+logger).  The module-level :func:`emit` is the single emission path used
+by the hot loops (``core.pruner``, ``core.tuner``, orchestrator,
 serving); with nothing attached it reduces to one boolean check, so
 instrumentation stays in place at zero practical cost (bounded by the
 ``BENCH_telemetry.json`` microbenchmark).
@@ -23,10 +22,8 @@ from .bus import (
     release_env_sink,
     reset_bus,
     set_bus,
-    telemetry_run,
 )
 from .events import RESERVED_KEYS, TelemetryEvent, sanitize_value
-from .metrics import Counter, Gauge, Histogram, MetricsRegistry
 from .sinks import JsonlSink, LoggerSink, MemorySink, Sink
 
 __all__ = [
@@ -37,14 +34,9 @@ __all__ = [
     "release_env_sink",
     "reset_bus",
     "set_bus",
-    "telemetry_run",
     "TelemetryEvent",
     "sanitize_value",
     "RESERVED_KEYS",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
     "Sink",
     "MemorySink",
     "JsonlSink",

@@ -1,44 +1,36 @@
 """The in-process telemetry event bus.
 
-One :class:`TelemetryBus` per process fans typed events out to attached
-sinks (JSONL files, ring buffers, loggers) and in-process subscribers
-(callables), and owns the process's
-:class:`~repro.telemetry.metrics.MetricsRegistry`.  Instrumented code
-calls :func:`emit` unconditionally; when nothing is attached the call is a
-single attribute check and an immediate return, which is what keeps the
-instrumented pruning round within the <5% overhead budget recorded in
+One :class:`TelemetryBus` per process stamps typed events and fans them
+out to attached sinks (JSONL files, ring buffers, loggers).  Instrumented
+code calls :func:`emit` unconditionally; when nothing is attached the call
+is a single attribute check and an immediate return, which is what keeps
+the instrumented pruning round within the <5% overhead budget recorded in
 ``BENCH_telemetry.json`` even with telemetry compiled into every hot loop.
 
 Process-global wiring
 ---------------------
 
-``bus()`` returns the process-wide default bus.  Two ways to light it up:
+``bus()`` returns the process-wide default bus.  When the
+``REPRO_TELEMETRY_DIR`` environment variable is set, the default bus
+lazily attaches ``<dir>/telemetry-<pid>.jsonl`` on first use.  The
+orchestrator exports it for the run directory before spawning workers, so
+events emitted *inside worker processes* (per-round pruning signals) land
+in per-pid files next to the run ledger, where ``repro watch`` picks them
+all up.
 
-- :func:`telemetry_run` — context manager that attaches a rotating
-  :class:`~repro.telemetry.sinks.JsonlSink` under a run directory for the
-  duration of a run (what ``repro orchestrate`` / ``repro defend`` use);
-- the ``REPRO_TELEMETRY_DIR`` environment variable — when set, the default
-  bus lazily attaches ``<dir>/telemetry-<pid>.jsonl`` on first use.  The
-  orchestrator exports it for the run directory before spawning workers,
-  so events emitted *inside worker processes* (per-round pruning signals)
-  land in per-pid files next to the run ledger, where ``repro watch``
-  picks them all up.
-
-Subscriber or sink exceptions never propagate into the instrumented code:
-they increment the ``telemetry.dropped`` counter, the offender is detached
+Sink exceptions never propagate into the instrumented code: they are
+counted in :attr:`TelemetryBus.dropped`, the offending sink is detached
 after repeated failures, and the emit returns normally.
 """
 
 from __future__ import annotations
 
-import contextlib
 import os
 import threading
-from typing import Callable, Iterator, List, Optional
+from typing import List, Optional
 
 from ..utils.logging import get_logger
 from .events import TelemetryEvent
-from .metrics import MetricsRegistry
 from .sinks import JsonlSink, Sink
 
 __all__ = [
@@ -48,7 +40,6 @@ __all__ = [
     "reset_bus",
     "release_env_sink",
     "emit",
-    "telemetry_run",
     "TELEMETRY_DIR_ENV",
 ]
 
@@ -56,20 +47,18 @@ _LOG = get_logger("repro.telemetry")
 
 TELEMETRY_DIR_ENV = "REPRO_TELEMETRY_DIR"
 
-# A sink/subscriber is detached after this many consecutive failures.
+# A sink is detached after this many consecutive failures.
 _MAX_FAILURES = 3
-
-Subscriber = Callable[[TelemetryEvent], None]
 
 
 class TelemetryBus:
-    """Thread-safe publish/subscribe hub with attached sinks and metrics."""
+    """Thread-safe fan-out of stamped events to the attached sinks."""
 
     def __init__(self) -> None:
-        self.metrics = MetricsRegistry()
         self._sinks: List[Sink] = []
-        self._subscribers: List[Subscriber] = []
         self._failures: dict = {}
+        # Sink writes that raised, over the bus's lifetime.
+        self.dropped = 0
         self._lock = threading.Lock()
         self._seq = 0
         # Fast-path flag: emit() bails immediately while nothing listens.
@@ -80,11 +69,11 @@ class TelemetryBus:
     # ------------------------------------------------------------------
     @property
     def active(self) -> bool:
-        """True when at least one sink or subscriber is attached."""
+        """True when at least one sink is attached."""
         return self._active
 
     def _refresh_active(self) -> None:
-        self._active = bool(self._sinks or self._subscribers)
+        self._active = bool(self._sinks)
 
     def attach(self, sink: Sink) -> Sink:
         """Attach a sink; returns it (for later :meth:`detach`)."""
@@ -119,21 +108,6 @@ class TelemetryBus:
             except Exception:  # noqa: BLE001 — observability must not kill work
                 pass
 
-    def subscribe(self, fn: Subscriber) -> Subscriber:
-        """Register an in-process callback; returns it (for unsubscribe)."""
-        with self._lock:
-            if fn not in self._subscribers:
-                self._subscribers.append(fn)
-            self._refresh_active()
-        return fn
-
-    def unsubscribe(self, fn: Subscriber) -> None:
-        with self._lock:
-            if fn in self._subscribers:
-                self._subscribers.remove(fn)
-            self._failures.pop(id(fn), None)
-            self._refresh_active()
-
     # ------------------------------------------------------------------
     # Emission
     # ------------------------------------------------------------------
@@ -145,54 +119,44 @@ class TelemetryBus:
             self._seq += 1
             record = TelemetryEvent(event=event, source=source, seq=self._seq, fields=fields)
             sinks = list(self._sinks)
-            subscribers = list(self._subscribers)
-        for target in sinks:
-            self._deliver(target, record, is_sink=True)
-        for target in subscribers:
-            self._deliver(target, record, is_sink=False)
+        for sink in sinks:
+            self._deliver(sink, record)
         return record
 
-    def _deliver(self, target, record: TelemetryEvent, is_sink: bool) -> None:
+    def _deliver(self, sink: Sink, record: TelemetryEvent) -> None:
         try:
-            if is_sink:
-                target.write(record)
-            else:
-                target(record)
-            self._failures.pop(id(target), None)
+            sink.write(record)
+            self._failures.pop(id(sink), None)
         except Exception as exc:  # noqa: BLE001 — observers must not kill the loop
-            self.metrics.counter("telemetry.dropped").inc()
-            failures = self._failures.get(id(target), 0) + 1
-            self._failures[id(target)] = failures
+            with self._lock:
+                self.dropped += 1
+                failures = self._failures.get(id(sink), 0) + 1
+                self._failures[id(sink)] = failures
             _LOG.warning(
-                "telemetry %s failed on %s (%d/%d): %s",
-                "sink" if is_sink else "subscriber",
+                "telemetry sink failed on %s (%d/%d): %s",
                 record.event, failures, _MAX_FAILURES, exc,
             )
             if failures >= _MAX_FAILURES:
-                if is_sink:
-                    self.detach(target)
-                else:
-                    self.unsubscribe(target)
-                _LOG.warning("detached failing telemetry %s", "sink" if is_sink else "subscriber")
+                self.detach(sink)
+                _LOG.warning("detached failing telemetry sink")
 
     # ------------------------------------------------------------------
     # Introspection / lifecycle
     # ------------------------------------------------------------------
     def snapshot(self) -> dict:
-        """Metrics snapshot plus bus wiring facts (JSON-clean)."""
-        payload = self.metrics.snapshot()
-        payload["bus"] = {
-            "events_emitted": self._seq,
-            "sinks": len(self._sinks),
-            "subscribers": len(self._subscribers),
+        """Bus wiring facts and delivery counts (JSON-clean)."""
+        return {
+            "bus": {
+                "events_emitted": self._seq,
+                "sinks": len(self._sinks),
+                "dropped": self.dropped,
+            }
         }
-        return payload
 
     def close(self) -> None:
-        """Detach and close every sink, drop subscribers, keep metrics."""
+        """Detach and close every sink; the counts survive."""
         with self._lock:
             sinks, self._sinks = self._sinks, []
-            self._subscribers = []
             self._failures.clear()
             self._refresh_active()
         for sink in sinks:
@@ -299,20 +263,3 @@ def emit(event: str, source: str = "", **fields) -> Optional[TelemetryEvent]:
         _ensure_env_sink()
     return _BUS.emit(event, source, **fields)
 
-
-@contextlib.contextmanager
-def telemetry_run(
-    run_dir: str,
-    filename: str = "telemetry.jsonl",
-    max_bytes: Optional[int] = 16 * 1024 * 1024,
-    backups: int = 3,
-    target: Optional[TelemetryBus] = None,
-) -> Iterator[JsonlSink]:
-    """Attach a rotating per-run JSONL sink for the duration of a block."""
-    owner = target if target is not None else bus()
-    sink = JsonlSink(os.path.join(run_dir, filename), max_bytes=max_bytes, backups=backups)
-    owner.attach(sink)
-    try:
-        yield sink
-    finally:
-        owner.detach(sink, close=True)

@@ -140,18 +140,13 @@ class JsonlSink(Sink):
 class LoggerSink(Sink):
     """Mirror (a filtered subset of) the stream as ``event=...`` log lines."""
 
-    def __init__(
-        self,
-        logger: logging.Logger,
-        events: Optional[Iterable[str]] = None,
-        level: int = logging.INFO,
-    ) -> None:
+    def __init__(self, logger: logging.Logger, events: Optional[Iterable[str]] = None) -> None:
         self.logger = logger
         self.events = frozenset(events) if events is not None else None
-        self.level = level
 
     def write(self, event: TelemetryEvent) -> None:
         if self.events is not None and event.event not in self.events:
             return
-        if self.logger.isEnabledFor(self.level):
+        # log_event writes at INFO.
+        if self.logger.isEnabledFor(logging.INFO):
             log_event(self.logger, event.event, **event.fields)

@@ -7,7 +7,6 @@ training loop instead of per-caller copies.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional
 
@@ -17,7 +16,6 @@ from .data.dataset import DataLoader, ImageDataset
 from .nn import SGD, Tensor, cross_entropy, no_grad
 from .nn.module import Module
 from .nn.optim import Optimizer
-from .telemetry import bus
 
 __all__ = ["TrainConfig", "TrainResult", "train_classifier", "evaluate_accuracy", "predict"]
 
@@ -89,8 +87,6 @@ def train_classifier(
             optimizer.lr *= config.lr_decay_factor
         epoch_loss = 0.0
         batches = 0
-        samples = 0
-        epoch_started = time.perf_counter()
         for images, labels in loader:
             logits = model(Tensor(images))
             loss = cross_entropy(logits, labels)
@@ -99,10 +95,6 @@ def train_classifier(
             optimizer.step()
             epoch_loss += loss.item()
             batches += 1
-            samples += len(labels)
-        elapsed = time.perf_counter() - epoch_started
-        if elapsed > 0 and samples:
-            bus().metrics.gauge("training.samples_per_sec").set(samples / elapsed)
         mean_loss = epoch_loss / max(batches, 1)
         result.losses.append(mean_loss)
         if config.verbose:

@@ -98,6 +98,24 @@ class TestJsonArtifacts:
         assert not os.path.exists(store.path("k", ".json") + ".sha256")
 
 
+class TestCacheRoot:
+    def test_env_var_roots_every_default_directory(self, tmp_path, monkeypatch, capsys):
+        from repro.cli import main
+        from repro.eval import experiment_spec
+        from repro.eval.runner import ScenarioCache, TrialCache
+        from repro.orchestrator.orchestrator import _default_run_dir
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        assert ScenarioCache().directory == os.path.join(str(tmp_path), "models")
+        assert TrialCache().directory == os.path.join(str(tmp_path), "trials")
+        run_dir = _default_run_dir(experiment_spec("table1"), "0" * 64)
+        assert os.path.dirname(run_dir) == os.path.join(str(tmp_path), "runs")
+        assert main(["registry", "gc"]) == 1
+        assert capsys.readouterr().out.strip() == (
+            f"no registry at {os.path.join(str(tmp_path), 'registry')}"
+        )
+
+
 class _RacingStore(ArtifactStore):
     """Store whose publish sequence runs a callback between atomic steps."""
 

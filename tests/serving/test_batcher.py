@@ -259,7 +259,7 @@ class TestAdmissionControl:
             assert events[0].fields["depth"] == 1
             assert events[0].fields["limit"] == 1
             assert events[0].fields["retry_after_s"] > 0
-            assert fresh.metrics.counter("serving.overload_rejected").value == 1
+            assert batcher.stats()["rejected"] == 1
         finally:
             set_bus(previous)
 

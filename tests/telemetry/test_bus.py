@@ -1,6 +1,7 @@
-"""TelemetryBus wiring: emit, sinks, subscribers, metrics, failure isolation."""
+"""TelemetryBus wiring: emit, sinks, failure isolation, snapshot."""
 
 import json
+import logging
 import os
 
 import pytest
@@ -8,17 +9,23 @@ import pytest
 from repro.telemetry import (
     TELEMETRY_DIR_ENV,
     JsonlSink,
+    LoggerSink,
     MemorySink,
     TelemetryBus,
     TelemetryEvent,
-    telemetry_run,
 )
 from repro.telemetry.bus import _MAX_FAILURES
+from repro.utils.logging import get_logger
 
 
 @pytest.fixture
 def fresh_bus():
     return TelemetryBus()
+
+
+class FailingSink(MemorySink):
+    def write(self, event):
+        raise OSError("disk gone")
 
 
 class TestFastPath:
@@ -53,12 +60,6 @@ class TestDelivery:
             fresh_bus.emit("e")
         assert [e.seq for e in sink.events] == [1, 2, 3, 4, 5]
 
-    def test_subscriber_called(self, fresh_bus):
-        seen = []
-        fresh_bus.subscribe(seen.append)
-        fresh_bus.emit("e", x=1)
-        assert len(seen) == 1 and seen[0].fields == {"x": 1}
-
     def test_fan_out_to_multiple_sinks(self, fresh_bus):
         first, second = fresh_bus.attach(MemorySink()), fresh_bus.attach(MemorySink())
         fresh_bus.emit("e")
@@ -74,19 +75,12 @@ class TestDelivery:
 
 class TestFailureIsolation:
     def test_failing_subscriber_never_raises_into_emitter(self, fresh_bus):
-        def bad(_event):
-            raise RuntimeError("observer bug")
-
-        fresh_bus.subscribe(bad)
+        fresh_bus.attach(FailingSink())
         fresh_bus.emit("e")  # must not raise
 
     def test_failing_sink_detached_after_max_failures(self, fresh_bus):
-        class BadSink(MemorySink):
-            def write(self, event):
-                raise OSError("disk gone")
-
         good = fresh_bus.attach(MemorySink())
-        fresh_bus.attach(BadSink())
+        fresh_bus.attach(FailingSink())
         for _ in range(_MAX_FAILURES + 2):
             fresh_bus.emit("e")
         # Good sink saw everything; the bad one is gone and the bus settles.
@@ -94,33 +88,26 @@ class TestFailureIsolation:
         assert fresh_bus.snapshot()["bus"]["sinks"] == 1
 
     def test_dropped_counter_increments(self, fresh_bus):
-        def bad(_event):
-            raise ValueError("no")
-
-        fresh_bus.subscribe(bad)
+        fresh_bus.attach(FailingSink())
         fresh_bus.emit("e")
-        assert fresh_bus.metrics.counter("telemetry.dropped").value == 1
+        assert fresh_bus.dropped == 1
 
 
 class TestMetricsSnapshot:
     def test_snapshot_shape(self, fresh_bus):
-        fresh_bus.metrics.counter("c").inc(2)
-        fresh_bus.metrics.gauge("g").set(1.5)
-        fresh_bus.metrics.histogram("h").observe(3.0)
-        snap = fresh_bus.snapshot()
-        assert snap["counters"]["c"] == 2
-        assert snap["gauges"]["g"] == 1.5
-        assert snap["histograms"]["h"]["count"] == 1
-        assert snap["bus"]["events_emitted"] == 0
+        assert fresh_bus.snapshot() == {"bus": {"events_emitted": 0, "sinks": 0, "dropped": 0}}
+        fresh_bus.attach(MemorySink())
+        fresh_bus.attach(FailingSink())
+        fresh_bus.emit("e")
+        fresh_bus.emit("e")
+        assert fresh_bus.snapshot()["bus"] == {"events_emitted": 2, "sinks": 2, "dropped": 2}
 
     def test_snapshot_is_json_clean(self, fresh_bus):
-        fresh_bus.metrics.histogram("h").observe(1.0)
-        json.dumps(fresh_bus.snapshot(), allow_nan=False)
-
-    def test_metric_type_collision_raises(self, fresh_bus):
-        fresh_bus.metrics.counter("x")
-        with pytest.raises(TypeError):
-            fresh_bus.metrics.gauge("x")
+        fresh_bus.attach(FailingSink())
+        fresh_bus.emit("e", loss=float("nan"))
+        snap = fresh_bus.snapshot()
+        assert json.loads(json.dumps(snap, allow_nan=False)) == snap
+        assert snap["bus"]["dropped"] == 1
 
 
 class TestJsonlSinkRotation:
@@ -158,15 +145,29 @@ class TestJsonlSinkRotation:
         assert (tmp_path / "deep" / "er" / "t.jsonl").exists()
 
 
-class TestRunContext:
-    def test_telemetry_run_attaches_and_detaches(self, tmp_path, fresh_bus):
-        with telemetry_run(str(tmp_path), target=fresh_bus):
-            assert fresh_bus.active
-            fresh_bus.emit("e", x=1)
-        assert not fresh_bus.active
-        lines = (tmp_path / "telemetry.jsonl").read_text().splitlines()
-        assert json.loads(lines[0])["x"] == 1
+class TestLoggerSink:
+    def _render(self, caplog, events, name):
+        logger = get_logger("repro.logger_sink_test")
+        logger.addHandler(caplog.handler)
+        try:
+            LoggerSink(logger, events=events).write(
+                TelemetryEvent(event=name, fields={"task": "t1", "worker": 2})
+            )
+        finally:
+            logger.removeHandler(caplog.handler)
+        return [r for r in caplog.records if r.name == "repro.logger_sink_test"]
 
+    def test_listed_event_renders_one_info_line(self, caplog):
+        records = self._render(caplog, ["finished"], "finished")
+        assert len(records) == 1
+        assert records[0].levelno == logging.INFO
+        assert records[0].getMessage() == "event=finished task=t1 worker=2"
+
+    def test_unlisted_event_renders_nothing(self, caplog):
+        assert self._render(caplog, ["finished"], "prune_round") == []
+
+
+class TestRunContext:
     def test_env_dir_attaches_per_pid_sink(self, tmp_path, monkeypatch):
         from repro.telemetry import bus as bus_accessor
         from repro.telemetry import emit, reset_bus
@@ -185,6 +186,7 @@ class TestRunContext:
 
     def test_close_detaches_everything(self, fresh_bus):
         fresh_bus.attach(MemorySink())
-        fresh_bus.subscribe(lambda e: None)
+        fresh_bus.attach(MemorySink())
         fresh_bus.close()
         assert not fresh_bus.active
+        assert fresh_bus.snapshot()["bus"]["sinks"] == 0

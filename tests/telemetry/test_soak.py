@@ -36,7 +36,7 @@ def test_sustained_emission_rotates_and_bounds_disk(tmp_path):
         bus.close()
 
     # The sink never dropped or detached: every emit was delivered.
-    assert bus.metrics.counter("telemetry.dropped").value == 0
+    assert bus.dropped == 0
     assert bus.snapshot()["bus"]["events_emitted"] == EVENTS
 
     # Disk usage is bounded by the rotation budget (live file + backups),
