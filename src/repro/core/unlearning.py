@@ -14,10 +14,6 @@ for filter selection.  Unlike gradient-ascent unlearning (e.g. Liu et al.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
-
-import numpy as np
-
 from ..data.dataset import ImageDataset
 from ..nn import Tensor, cross_entropy, no_grad
 from ..nn.module import Module
@@ -26,33 +22,22 @@ __all__ = ["unlearning_loss_value", "unlearning_loss_backward"]
 
 
 def unlearning_loss_value(
-    model: Module,
-    backdoor_set: ImageDataset,
-    batch_size: int = 128,
-    forward_fn: Optional[Callable[[Tensor], Tensor]] = None,
+    model: Module, backdoor_set: ImageDataset, batch_size: int = 128
 ) -> float:
     """Evaluate Eq. 2 (sum reduction) without building gradients.
 
     Used for the stopping rule: after each pruning round the loss is
     re-evaluated on the *validation* backdoor set.
-
-    Parameters
-    ----------
-    forward_fn:
-        Optional replacement forward (e.g. a
-        :class:`repro.nn.inference.CompiledInference` view of ``model``);
-        defaults to calling the model directly.
     """
     if len(backdoor_set) == 0:
         raise ValueError("empty backdoor set")
     model.eval()
-    forward = forward_fn if forward_fn is not None else model
     total = 0.0
     with no_grad():
         for start in range(0, len(backdoor_set), batch_size):
             images = backdoor_set.images[start : start + batch_size]
             labels = backdoor_set.labels[start : start + batch_size]
-            logits = forward(Tensor(images))
+            logits = model(Tensor(images))
             total += cross_entropy(logits, labels, reduction="sum").item()
     return total
 

@@ -112,12 +112,6 @@ class FederatedRunLog:
             )
         return self.rounds[-1]
 
-    def asr_trajectory(self) -> List[float]:
-        return [m.asr for m in self.rounds]
-
-    def acc_trajectory(self) -> List[float]:
-        return [m.acc for m in self.rounds]
-
 
 def run_federated_backdoor(
     model: Module,

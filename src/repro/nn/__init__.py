@@ -34,13 +34,7 @@ from .serialization import CheckpointError, load_module, load_state, save_module
 from . import functional
 from . import engine
 from .functional import Workspace, workspace
-from .inference import (
-    CompiledInference,
-    FoldChain,
-    compile_for_inference,
-    invalidate_compiled,
-    trace_fold_chains,
-)
+from .inference import CompiledInference, compile_for_inference, invalidate_compiled
 
 __all__ = [
     "Tensor",
@@ -90,8 +84,6 @@ __all__ = [
     "Workspace",
     "workspace",
     "CompiledInference",
-    "FoldChain",
     "compile_for_inference",
     "invalidate_compiled",
-    "trace_fold_chains",
 ]

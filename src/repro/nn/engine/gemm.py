@@ -1,13 +1,11 @@
-"""Inline GEMM executor with a fused epilogue.
+"""Inline GEMM executor with a bias-only epilogue.
 
 :class:`TiledGemmEngine` is the execution layer under the conv kernels.  Given
 the im2col operand ``a = (M, K)`` and packed weights ``b = (K, N)`` it
-computes ``a @ b`` plus an optional fused epilogue — per-column bias add
-(which, after conv–BN folding, *is* the batch-norm affine) and ReLU —
-in place on the GEMM output, so no un-activated intermediate is ever
-materialized.  The backward dW shape ``a.T @ b`` goes through
-:meth:`TiledGemmEngine.execute_tn`, which can accumulate into a gradient
-buffer.
+computes ``a @ b`` plus an optional per-column bias added in place on the
+GEMM output (after conv–BN folding that bias *is* the batch-norm affine).
+The backward dW shape ``a.T @ b`` goes through
+:meth:`TiledGemmEngine.execute_tn`.
 
 Every call is one BLAS call on the calling thread.  Parallelism comes from
 the BLAS library's own threads inside a GEMM and from orchestrator tasks
@@ -29,7 +27,7 @@ __all__ = ["TiledGemmEngine", "engine", "reset_engine"]
 
 
 class TiledGemmEngine:
-    """Inline BLAS GEMM + fused bias/ReLU epilogue, with call counters."""
+    """Inline BLAS GEMM + in-place bias epilogue, with call counters."""
 
     def __init__(self) -> None:
         # Cumulative since construction: long-lived callers (the serving
@@ -46,50 +44,33 @@ class TiledGemmEngine:
         a: np.ndarray,
         b: np.ndarray,
         bias: Optional[np.ndarray] = None,
-        activation: Optional[str] = None,
         out: Optional[np.ndarray] = None,
     ) -> np.ndarray:
-        """``a @ b`` with the bias/activation epilogue applied in place.
+        """``a @ b`` with ``bias`` added in place.
 
         ``a`` is ``(M, K)``, ``b`` is ``(K, N)``, ``bias`` broadcasts over
         rows as ``(N,)``.  Returns ``out`` (allocated fresh when omitted).
         """
-        if activation not in (None, "relu"):
-            raise ValueError(f"unsupported fused activation: {activation!r}")
         if out is None:
             out = np.empty((a.shape[0], b.shape[1]), dtype=a.dtype)
         self._count()
         np.matmul(a, b, out=out)
         if bias is not None:
             out += bias
-        if activation == "relu":
-            np.maximum(out, 0.0, out=out)
         return out
 
     def execute_tn(
-        self,
-        a: np.ndarray,
-        b: np.ndarray,
-        out: Optional[np.ndarray] = None,
-        accumulate: bool = False,
+        self, a: np.ndarray, b: np.ndarray, out: Optional[np.ndarray] = None
     ) -> np.ndarray:
         """``a.T @ b``: the backward-pass dW shape.
 
-        ``a`` is ``(R, M)`` and ``b`` is ``(R, N)``; the result is ``(M, N)``.
-        With ``accumulate=True`` the product is *added* into ``out`` (which
-        must be provided), matching how backward GEMMs feed shared gradient
-        buffers; otherwise ``out`` is overwritten (allocated fresh when
-        omitted).
+        ``a`` is ``(R, M)`` and ``b`` is ``(R, N)``; the result is ``(M, N)``,
+        written into ``out`` (allocated fresh when omitted).
         """
-        if accumulate and out is None:
-            raise ValueError("execute_tn(accumulate=True) requires an out buffer")
         if out is None:
             out = np.empty((a.shape[1], b.shape[1]), dtype=a.dtype)
         self._count()
-        if accumulate:
-            out += a.T @ b
-        else:
-            np.matmul(a.T, b, out=out)
+        np.matmul(a.T, b, out=out)
         return out
 
 

@@ -6,10 +6,10 @@ weight shape, for no-grad and gradient calls alike:
 - ``groups == 1``: a channels-last single-GEMM conv.  The unfold is written
   in ``(N*L, kh*kw*C_in)`` layout so one large BLAS GEMM replaces N small
   batched matmuls, and it runs through :mod:`repro.nn.engine` as one inline
-  BLAS call, with the conv bias (post-folding: the BN affine) and an
-  optionally fused ReLU applied in place on its output.  The gradient path
-  re-unfolds the input for the dW GEMM, and computes a stride-1 dX as a
-  gather: the conv of the padded upstream gradient with the flipped weight.
+  BLAS call, with the conv bias (post-folding: the BN affine) added in
+  place on its output.  The gradient path re-unfolds the input for the dW
+  GEMM, and computes a stride-1 dX as a gather: the conv of the padded
+  upstream gradient with the flipped weight.
 - ``groups == C_in`` (depthwise, with any channel multiplier
   ``C_out = m * C_in``): a direct tap loop over the zero-padded input, one
   strided view and one multiply-add per kernel tap, with no unfold at all.
@@ -19,8 +19,10 @@ weight shape, for no-grad and gradient calls alike:
 
 Other grouped convs (``1 < groups < C_in``; no model uses them) run each
 group through the ``groups == 1`` kernel and concatenate the outputs.
-:func:`im2col` and :func:`col2im` remain as the NCHW unfold/fold that
-:func:`conv_transpose2d` is built on.
+:func:`conv_transpose2d` runs on the same kernels: its forward is the
+``groups == 1`` dX scatter, its backward the conv forward and dW GEMM.  So
+every conv-family op has one unfold (:func:`_im2col_gemm`) and one scatter
+(:func:`_col2im_gemm`).
 
 Scratch (padded inputs, unfolds, packed weights, tap products, backward
 temporaries) comes from the one process-wide :class:`Workspace`, which
@@ -48,8 +50,6 @@ __all__ = [
     "batch_norm2d_train",
     "batch_norm2d_eval",
     "pad2d",
-    "im2col",
-    "col2im",
     "Workspace",
     "workspace",
 ]
@@ -165,13 +165,6 @@ def conv_output_size(size: int, kernel: int, stride: int, padding: int) -> int:
     return out
 
 
-def _pad_spatial(x: np.ndarray, ph: int, pw: int) -> np.ndarray:
-    """Zero-pad (N, C, H, W) spatially."""
-    if not (ph or pw):
-        return x
-    return np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
-
-
 def _channels_last(a: np.ndarray) -> bool:
     """Whether a logically-(N, C, H, W) array is stored as (N, H, W, C)."""
     return not a.flags.c_contiguous and a.transpose(0, 2, 3, 1).flags.c_contiguous
@@ -213,47 +206,6 @@ def _pad_channels_last(
         buf[:, :, :, w + pw :] = 0.0
     buf[:, :, ph : ph + h, pw : pw + w] = x
     return buf
-
-
-def _window_view(
-    x_padded: np.ndarray, n: int, c: int, out_h: int, out_w: int, kh: int, kw: int, sh: int, sw: int
-) -> np.ndarray:
-    """Read-only sliding-window view (N, C, out_h, out_w, kh, kw)."""
-    s = x_padded.strides
-    return np.lib.stride_tricks.as_strided(
-        x_padded,
-        shape=(n, c, out_h, out_w, kh, kw),
-        strides=(s[0], s[1], s[2] * sh, s[3] * sw, s[2], s[3]),
-        writeable=False,
-    )
-
-
-def im2col(
-    x: np.ndarray,
-    kernel: Tuple[int, int],
-    stride: Tuple[int, int],
-    padding: Tuple[int, int],
-) -> np.ndarray:
-    """Unfold ``x`` (N, C, H, W) into columns of shape (N, C*kh*kw, L).
-
-    ``L = out_h * out_w`` is the number of sliding-window positions.  The
-    result is laid out so that a convolution becomes ``weight_matrix @ cols``.
-    The copy is skipped entirely when the unfolded view is already contiguous
-    (1x1 kernels with unit stride).
-    """
-    n, c, h, w = x.shape
-    kh, kw = kernel
-    sh, sw = stride
-    ph, pw = padding
-    out_h = conv_output_size(h, kh, sh, ph)
-    out_w = conv_output_size(w, kw, sw, pw)
-    padded = _pad_spatial(x, ph, pw)
-
-    windows = _window_view(padded, n, c, out_h, out_w, kh, kw, sh, sw)
-    # (N, C, out_h, out_w, kh, kw) -> (N, C, kh, kw, out_h, out_w)
-    view = windows.transpose(0, 1, 4, 5, 2, 3)
-    # reshape copies only when the view is non-contiguous.
-    return view.reshape(n, c * kh * kw, out_h * out_w)
 
 
 def _im2col_gemm(
@@ -307,13 +259,14 @@ def _col2im_gemm(
 ) -> np.ndarray:
     """Fold single-GEMM-layout columns ``(N*L, kh*kw*C)`` back, summing overlaps.
 
-    The dX scatter of the convs the gather form does not cover: strided
-    convs, and ``padding >= kernel``.  It consumes the patch-major layout of
-    the training kernel's ``grad2d @ W_packedᵀ`` GEMM and scatter-adds in
-    ``(N, H, W, C)`` storage, each kernel-tap slice adding contiguous
-    ``C``-runs.  The returned array is a logically-``(N, C, H, W)`` transpose
-    view of the workspace's ``"bwd_pad"`` slab, so the caller must consume it
-    (accumulate into ``.grad``) before the next op touches the workspace.
+    The dX scatter of the convs the gather form does not cover (strided
+    convs, and ``padding >= kernel``), and the :func:`conv_transpose2d`
+    forward.  It consumes the patch-major layout of a ``rows @ W_packed``
+    GEMM and scatter-adds in ``(N, H, W, C)`` storage, each kernel-tap slice
+    adding contiguous ``C``-runs.  The returned array is a logically-``(N, C,
+    H, W)`` transpose view of the workspace's ``"bwd_pad"`` slab, so the
+    caller must consume it (accumulate into ``.grad``, or copy it) before the
+    next op touches the workspace.
     """
     n, c, h, w = x_shape
     kh, kw = kernel
@@ -333,33 +286,6 @@ def _col2im_gemm(
     return core.transpose(0, 3, 1, 2)
 
 
-def col2im(
-    cols: np.ndarray,
-    x_shape: Tuple[int, int, int, int],
-    kernel: Tuple[int, int],
-    stride: Tuple[int, int],
-    padding: Tuple[int, int],
-) -> np.ndarray:
-    """Fold columns produced by :func:`im2col` back, summing overlaps."""
-    n, c, h, w = x_shape
-    kh, kw = kernel
-    sh, sw = stride
-    ph, pw = padding
-    out_h = conv_output_size(h, kh, sh, ph)
-    out_w = conv_output_size(w, kw, sw, pw)
-
-    padded = np.zeros((n, c, h + 2 * ph, w + 2 * pw), dtype=cols.dtype)
-    cols = cols.reshape(n, c, kh, kw, out_h, out_w)
-    for i in range(kh):
-        h_end = i + sh * out_h
-        for j in range(kw):
-            w_end = j + sw * out_w
-            padded[:, :, i:h_end:sh, j:w_end:sw] += cols[:, :, i, j]
-    if ph or pw:
-        return padded[:, :, ph : ph + h, pw : pw + w]
-    return padded
-
-
 def _conv2d_infer(
     x: np.ndarray,
     weight: np.ndarray,
@@ -368,7 +294,6 @@ def _conv2d_infer(
     padding: Tuple[int, int],
     out_h: int,
     out_w: int,
-    activation: Optional[str] = None,
 ) -> np.ndarray:
     """No-grad ``groups == 1`` conv forward: workspace-backed unfold + one GEMM.
 
@@ -381,8 +306,8 @@ def _conv2d_infer(
     self-sustaining across a whole eval forward.  All intermediates (padded
     input, unfolded columns, transposed weights) live in the workspace;
     only the GEMM result, which escapes into the caller's graph, is freshly
-    allocated.  The GEMM plus its bias/``activation`` epilogue runs through
-    the engine (:mod:`repro.nn.engine`) as one inline BLAS call.
+    allocated.  The GEMM plus its bias epilogue runs through the engine
+    (:mod:`repro.nn.engine`) as one inline BLAS call.
     """
     from .engine.gemm import engine as _engine
 
@@ -404,7 +329,7 @@ def _conv2d_infer(
         else:
             w_mat = workspace().get("wmat", (k_flat, c_out), weight.dtype)
             np.copyto(w_mat.reshape(kh, kw, c_in, c_out), wt)
-    gemm = _engine().execute(cols, w_mat, bias=bias, activation=activation)
+    gemm = _engine().execute(cols, w_mat, bias=bias)
     return gemm.reshape(n, out_h, out_w, c_out).transpose(0, 3, 1, 2)
 
 
@@ -560,18 +485,14 @@ def _depthwise_infer(
     padding: Tuple[int, int],
     out_h: int,
     out_w: int,
-    activation: Optional[str] = None,
 ) -> np.ndarray:
-    """No-grad depthwise conv: workspace-padded input, tap loop, bias/ReLU epilogue.
+    """No-grad depthwise conv: workspace-padded input, tap loop, bias add.
 
-    ``bias`` and ``activation`` are how a folded depthwise conv→BN(→ReLU)
-    from :class:`repro.nn.inference.CompiledInference` runs.
+    ``bias`` is how a folded depthwise conv→BN from
+    :class:`repro.nn.inference.CompiledInference` runs.
     """
     xp = _pad_channels_last(x, padding, "pad")
-    out = _depthwise_forward(xp, weight, bias, stride, out_h, out_w)
-    if activation == "relu":
-        np.maximum(out, 0.0, out=out)
-    return out
+    return _depthwise_forward(xp, weight, bias, stride, out_h, out_w)
 
 
 def _depthwise_train(
@@ -647,7 +568,6 @@ def _grouped_conv2d(
     stride: Tuple[int, int],
     padding: Tuple[int, int],
     groups: int,
-    activation: Optional[str],
 ) -> Tensor:
     """``1 < groups < C_in``: each group through the ``groups == 1`` kernel.
 
@@ -669,7 +589,6 @@ def _grouped_conv2d(
                 None if bias is None else bias[out_slice],
                 stride,
                 padding,
-                activation=activation,
             )
         )
     return Tensor.concatenate(outs, axis=1)
@@ -682,7 +601,6 @@ def conv2d(
     stride: IntPair = 1,
     padding: IntPair = 0,
     groups: int = 1,
-    activation: Optional[str] = None,
 ) -> Tensor:
     """2-D cross-correlation over a batch of images.
 
@@ -699,12 +617,6 @@ def conv2d(
     groups:
         Channel groups; ``groups == C_in`` gives a depthwise convolution
         (``C_out = m * C_in`` for a channel multiplier ``m``).
-    activation:
-        Optional epilogue activation (``"relu"``) fused onto the conv
-        output.  Inference-only: set by :class:`repro.nn.inference
-        .CompiledInference` for traced conv→BN→ReLU chains; requesting it
-        on a gradient-requiring call is an error (no backward is recorded
-        for the fused activation).
     """
     stride = _pair(stride)
     padding = _pair(padding)
@@ -726,13 +638,6 @@ def conv2d(
         or weight.requires_grad
         or (bias is not None and bias.requires_grad)
     )
-    if activation not in (None, "relu"):
-        raise ValueError(f"unsupported fused activation: {activation!r}")
-    if activation is not None and needs_grad:
-        raise ValueError(
-            "conv2d(activation=...) is an inference-only fusion; it cannot be "
-            "used on a gradient-requiring call"
-        )
     # One kernel pair per weight shape: groups == 1 runs the single-GEMM
     # kernels (engine-dispatched GEMMs), groups == C_in (depthwise, any
     # channel multiplier) runs the tap loop, and other grouped convs compose
@@ -742,13 +647,11 @@ def conv2d(
     elif c_in_per_group == 1:
         train, infer = _depthwise_train, _depthwise_infer
     else:
-        return _grouped_conv2d(x, weight, bias, stride, padding, groups, activation)
+        return _grouped_conv2d(x, weight, bias, stride, padding, groups)
     if needs_grad:
         return train(x, weight, bias, stride, padding, out_h, out_w)
     bias_data = None if bias is None else bias.data
-    return Tensor(
-        infer(x.data, weight.data, bias_data, stride, padding, out_h, out_w, activation)
-    )
+    return Tensor(infer(x.data, weight.data, bias_data, stride, padding, out_h, out_w))
 
 
 def conv_transpose2d(
@@ -760,10 +663,14 @@ def conv_transpose2d(
 ) -> Tensor:
     """2-D transposed convolution (a.k.a. deconvolution).
 
-    The forward pass is exactly the data-gradient of :func:`conv2d`, so the
-    implementation reuses ``col2im``; the backward pass reuses ``im2col``
-    and collapses the batch into one engine GEMM per product.  Used by
-    decoder networks (e.g. the LIRA-style trigger generator).
+    The forward pass is exactly the dX of a ``groups == 1`` conv over the
+    output image, so it runs that scatter: one engine GEMM of the
+    channels-last input rows ``(N*H*W, C_in)`` with the weight packed as
+    ``(C_in, kh*kw*C_out)``, folded by :func:`_col2im_gemm`.  The backward
+    runs the conv kernels the other way round: dX is the conv of the
+    upstream gradient with the same weight (:func:`_conv2d_infer`), and dW
+    is one ``execute_tn`` of the input rows with the gradient's unfold.
+    Used by decoder networks (e.g. the LIRA-style trigger generator).
 
     Parameters
     ----------
@@ -778,6 +685,8 @@ def conv_transpose2d(
         Stride/padding of the *corresponding forward convolution*: output
         spatial size is ``(H - 1) * stride - 2 * padding + kernel``.
     """
+    from .engine.gemm import engine as _engine
+
     stride = _pair(stride)
     padding = _pair(padding)
     n, c_in, h, w = x.shape
@@ -791,52 +700,41 @@ def conv_transpose2d(
     if out_h <= 0 or out_w <= 0:
         raise ValueError(f"non-positive output size {(out_h, out_w)}")
 
-    length = h * w
-    # Treat x as the "gradient" flowing into a conv over the output image:
-    # cols[n, c_out*kh*kw, l] = W^T @ x, then fold with col2im.
-    w_mat = weight.data.reshape(c_in, c_out * kh * kw)  # (C_in, K)
-    x_flat = x.data.reshape(n, c_in, length)
-    cols = np.matmul(w_mat.T[None], x_flat)  # (N, C_out*kh*kw, L)
-    out = col2im(cols, (n, c_out, out_h, out_w), (kh, kw), stride, padding)
-    if bias is not None:
-        out = out + bias.data.reshape(1, c_out, 1, 1)
+    k_flat = kh * kw * c_out
+    dtype = x.data.dtype
 
-    k_flat = c_out * kh * kw
+    def input_rows() -> np.ndarray:
+        """``x`` as channels-last rows ``(N*H*W, C_in)`` in the workspace."""
+        rows = workspace().get("x_rows", (n * h * w, c_in), dtype)
+        np.copyto(rows.reshape(n, h, w, c_in), x.data.transpose(0, 2, 3, 1))
+        return rows
+
+    ws = workspace()
+    w_packed = ws.get("wmat", (c_in, k_flat), dtype)
+    np.copyto(w_packed.reshape(c_in, kh, kw, c_out), weight.data.transpose(0, 2, 3, 1))
+    cols = _engine().execute(
+        input_rows(), w_packed, out=ws.get("grad_cols", (n * h * w, k_flat), dtype)
+    )
+    # The fold is a view of the "bwd_pad" slab; the result escapes the op.
+    out = _col2im_gemm(cols, (n, c_out, out_h, out_w), (kh, kw), stride, padding).copy()
+    if bias is not None:
+        out += bias.data.reshape(1, c_out, 1, 1)
 
     def backward(grad: np.ndarray) -> None:
-        # Both backward products collapse the batch into one GEMM over
-        # (N*L) rows — dW through execute_tn, dX through execute.
-        from .engine.gemm import engine as _engine
-
         if bias is not None and bias.requires_grad:
             bias._accumulate(grad.sum(axis=(0, 2, 3)))
-        grad_cols = im2col(grad, (kh, kw), stride, padding)  # (N, C_out*kh*kw, L)
-        eng = _engine()
-        ws = workspace()
-        cols_rows = ws.get("grad2d", (n * length, k_flat), grad_cols.dtype)
-        np.copyto(
-            cols_rows.reshape(n, length, k_flat), grad_cols.transpose(0, 2, 1)
-        )
         if weight.requires_grad:
-            x_rows = ws.get("x_rows", (n * length, c_in), x_flat.dtype)
-            np.copyto(x_rows.reshape(n, length, c_in), x_flat.transpose(0, 2, 1))
-            # dW(C_in, K) = sum_{n,l} x[n,:,l] ⊗ grad_cols[n,:,l]
-            dw = eng.execute_tn(
-                x_rows, cols_rows, out=ws.get("dw", (c_in, k_flat), x_flat.dtype)
+            grad_cols = _im2col_gemm(grad, (kh, kw), stride, padding)  # (N*H*W, K)
+            dw = _engine().execute_tn(
+                input_rows(), grad_cols, out=workspace().get("dw", (c_in, k_flat), dtype)
             )
-            weight._accumulate(dw.reshape(weight.shape))
+            weight._accumulate(dw.reshape(c_in, kh, kw, c_out).transpose(0, 3, 1, 2))
         if x.requires_grad:
-            grad_x = eng.execute(
-                cols_rows,
-                w_mat.T,  # (K, C_in)
-                out=ws.get("grad_cols", (n * length, c_in), grad_cols.dtype),
-            )
-            x._accumulate(
-                grad_x.reshape(n, length, c_in).transpose(0, 2, 1).reshape(n, c_in, h, w)
-            )
+            # Weights are read at backward time, as in _conv2d_train.
+            x._accumulate(_conv2d_infer(grad, weight.data, None, stride, padding, h, w))
 
     parents = (x, weight) if bias is None else (x, weight, bias)
-    return Tensor._make(out.astype(x.data.dtype), parents, backward)
+    return Tensor._make(out, parents, backward)
 
 
 def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:

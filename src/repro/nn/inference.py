@@ -24,15 +24,9 @@ structural conv→BN matching would miss: in a pre-activation ResNet block no
 conv feeds "its own" BN, yet each block's first conv output is consumed
 solely by the *next* BN (``conv2(bn2(conv1(x)).relu())``), which folds the
 same way.  Models with no qualifying pairs compile to zero folds and still
-run the no-grad kernels of :mod:`repro.nn.functional`.
-
-When a folded BN's output feeds exactly one traced :class:`ReLU` module,
-the activation is *fused* as well: the conv runs with ``activation="relu"``
-so the GEMM engine applies the BN affine (now the conv bias) and the ReLU
-in place on the GEMM output, and the ReLU module becomes a passthrough —
-folded inference never materializes an un-activated intermediate.
-Architectures that call the tensor-method ``.relu()`` (pre-activation
-ResNets) fold without activation fusion, which is merely the PR 2 behavior.
+run the no-grad kernels of :mod:`repro.nn.functional`.  The folded BN
+affine is the conv bias, which the GEMM engine adds in place on its output;
+activations after the BN run as ordinary modules.
 
 Folded weights are cached and **invalidated automatically** when
 ``repro.models.pruning_utils`` mutates conv filters (prune/unprune/mask
@@ -52,42 +46,21 @@ from __future__ import annotations
 
 import weakref
 from collections import Counter, defaultdict
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .layers import BatchNorm2d, Conv2d, ReLU
+from .layers import BatchNorm2d, Conv2d
 from .module import Module
 from .tensor import Tensor, no_grad
 
 __all__ = [
     "CompiledInference",
-    "FoldChain",
     "compile_for_inference",
     "trace_conv_bn_pairs",
-    "trace_fold_chains",
     "fold_conv_bn_arrays",
     "invalidate_compiled",
 ]
-
-
-@dataclass(frozen=True)
-class FoldChain:
-    """One traced conv→BN(→ReLU) chain eligible for folding.
-
-    ``relu`` is the downstream :class:`ReLU` module when the BN's output is
-    consumed by exactly one traced module, that module is a ReLU, and it
-    runs once per forward — in which case the activation is fused into the
-    convolution's GEMM epilogue and the ReLU becomes a passthrough while
-    folded.  ``None`` when the activation is applied some other way (e.g.
-    the tensor-method ``.relu()`` the pre-activation ResNets use, which the
-    module-boundary trace cannot see).
-    """
-
-    conv: Conv2d
-    bn: BatchNorm2d
-    relu: Optional[ReLU] = None
 
 # model -> weak set of CompiledInference instances whose folded caches track it.
 _COMPILED: "weakref.WeakKeyDictionary[Module, weakref.WeakSet]" = weakref.WeakKeyDictionary()
@@ -112,12 +85,7 @@ def _register(model: Module, compiled: "CompiledInference") -> None:
 
 
 def trace_conv_bn_pairs(model: Module, example_input: Tensor) -> List[Tuple[Conv2d, BatchNorm2d]]:
-    """Back-compat view of :func:`trace_fold_chains` as (conv, bn) pairs."""
-    return [(chain.conv, chain.bn) for chain in trace_fold_chains(model, example_input)]
-
-
-def trace_fold_chains(model: Module, example_input: Tensor) -> List[FoldChain]:
-    """Run one traced eval forward and return foldable conv→BN(→ReLU) chains.
+    """Run one traced eval forward and return the foldable (conv, BN) pairs.
 
     Every module's ``forward`` is temporarily wrapped to record the identity
     of its (single-tensor) input and output.  A pair qualifies when:
@@ -126,11 +94,6 @@ def trace_fold_chains(model: Module, example_input: Tensor) -> List[FoldChain]:
       a :class:`Conv2d`,
     - that tensor was consumed by no other traced module, and
     - both modules ran exactly once (weight-shared reuse is not foldable).
-
-    A qualifying pair is extended to a chain when the BN's own output is
-    consumed by exactly one traced module, that module is a :class:`ReLU`,
-    and it runs exactly once (a weight-shared ReLU reused across layers
-    cannot be turned into a passthrough for just one of its call sites).
 
     The trace only sees *module* boundaries: a conv output that additionally
     feeds raw tensor arithmetic (e.g. a residual add) outside any module
@@ -179,35 +142,21 @@ def trace_fold_chains(model: Module, example_input: Tensor) -> List[FoldChain]:
         if isinstance(mod, Conv2d) and out is not None:
             producers[id(out)] = mod
 
-    chains: List[FoldChain] = []
-    claimed: set = set()
-    for mod, inp_id, out in calls:
+    # Each conv and BN runs once and the conv's output has one consumer, so
+    # no module can land in two pairs.
+    pairs: List[Tuple[Conv2d, BatchNorm2d]] = []
+    for mod, inp_id, _ in calls:
         if not isinstance(mod, BatchNorm2d) or mod.training or inp_id is None:
             continue
         conv = producers.get(inp_id)
-        if conv is None:
-            continue
-        if call_counts[id(conv)] != 1 or call_counts[id(mod)] != 1:
-            continue
-        if len(consumers[inp_id]) != 1:
-            continue
-        if id(conv) in claimed or id(mod) in claimed:
-            continue
-        relu: Optional[ReLU] = None
-        if out is not None:
-            bn_consumers = consumers.get(id(out), [])
-            if (
-                len(bn_consumers) == 1
-                and isinstance(bn_consumers[0], ReLU)
-                and call_counts[id(bn_consumers[0])] == 1
-                and id(bn_consumers[0]) not in claimed
-            ):
-                relu = bn_consumers[0]
-                claimed.add(id(relu))
-        chains.append(FoldChain(conv, mod, relu))
-        claimed.add(id(conv))
-        claimed.add(id(mod))
-    return chains
+        if (
+            conv is not None
+            and call_counts[id(conv)] == 1
+            and call_counts[id(mod)] == 1
+            and len(consumers[inp_id]) == 1
+        ):
+            pairs.append((conv, mod))
+    return pairs
 
 
 def fold_conv_bn_arrays(
@@ -251,7 +200,7 @@ class CompiledInference:
             example_input = Tensor(np.asarray(example_input, dtype=np.float32))
         self.model = model
         model.eval()
-        self._chains = trace_fold_chains(model, example_input)
+        self._pairs = trace_conv_bn_pairs(model, example_input)
         self._folded: Optional[List[Tuple[np.ndarray, np.ndarray]]] = None
         self._stack: Optional[List[Tuple[np.ndarray, Optional[Tensor]]]] = None
         _register(model, self)
@@ -262,20 +211,11 @@ class CompiledInference:
     @property
     def num_folded(self) -> int:
         """Number of conv–BN pairs folded by this compilation."""
-        return len(self._chains)
-
-    @property
-    def num_fused_activations(self) -> int:
-        """Folded chains whose ReLU is fused into the conv GEMM epilogue."""
-        return sum(1 for chain in self._chains if chain.relu is not None)
+        return len(self._pairs)
 
     @property
     def pairs(self) -> List[Tuple[Conv2d, BatchNorm2d]]:
-        return [(chain.conv, chain.bn) for chain in self._chains]
-
-    @property
-    def chains(self) -> List[FoldChain]:
-        return list(self._chains)
+        return list(self._pairs)
 
     def invalidate(self) -> None:
         """Forget cached folded weights; the next call refolds from live params."""
@@ -310,35 +250,24 @@ class CompiledInference:
     # ------------------------------------------------------------------
     def _ensure_folded(self) -> None:
         if self._folded is None:
-            self._folded = [
-                fold_conv_bn_arrays(chain.conv, chain.bn) for chain in self._chains
-            ]
+            self._folded = [fold_conv_bn_arrays(conv, bn) for conv, bn in self._pairs]
 
     def _swap_in(self) -> None:
         stack: List[Tuple[np.ndarray, Optional[Tensor]]] = []
-        for chain, (weight, bias) in zip(self._chains, self._folded):
-            conv, bn = chain.conv, chain.bn
+        for (conv, bn), (weight, bias) in zip(self._pairs, self._folded):
             stack.append((conv.weight.data, conv.bias))
             conv.weight.data = weight
             # A plain Tensor (not Parameter) dodges _parameters registration,
             # so state-dict keys are untouched while folded.
             object.__setattr__(conv, "bias", Tensor(bias))
             bn._folded_passthrough = True
-            if chain.relu is not None:
-                # ReLU runs in the conv's GEMM epilogue; the module
-                # becomes an identity so the activated output passes through.
-                conv._fused_activation = "relu"
-                chain.relu._folded_passthrough = True
         self._stack = stack
 
     def _swap_out(self) -> None:
-        for chain, (weight_data, bias_obj) in zip(self._chains, self._stack):
-            chain.conv.weight.data = weight_data
-            object.__setattr__(chain.conv, "bias", bias_obj)
-            chain.bn._folded_passthrough = False
-            if chain.relu is not None:
-                chain.conv._fused_activation = None
-                chain.relu._folded_passthrough = False
+        for (conv, bn), (weight_data, bias_obj) in zip(self._pairs, self._stack):
+            conv.weight.data = weight_data
+            object.__setattr__(conv, "bias", bias_obj)
+            bn._folded_passthrough = False
         self._stack = None
 
     # ------------------------------------------------------------------
@@ -347,7 +276,7 @@ class CompiledInference:
     def __call__(self, x) -> Tensor:
         if not isinstance(x, Tensor):
             x = Tensor(np.asarray(x, dtype=np.float32))
-        if not self._chains:
+        if not self._pairs:
             with no_grad():
                 return self.model(x)
         self._ensure_folded()
@@ -371,11 +300,7 @@ class CompiledInference:
         return self.eval()
 
     def __repr__(self) -> str:
-        return (
-            f"CompiledInference(num_folded={self.num_folded}, "
-            f"num_fused_activations={self.num_fused_activations}, "
-            f"model={type(self.model).__name__})"
-        )
+        return f"CompiledInference(num_folded={self.num_folded}, model={type(self.model).__name__})"
 
 
 def compile_for_inference(model: Module, example_input) -> CompiledInference:

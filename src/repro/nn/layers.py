@@ -58,11 +58,6 @@ class Conv2d(Module):
         Generator for deterministic initialization.
     """
 
-    # Set by repro.nn.inference while a traced conv→BN→ReLU chain is folded:
-    # the activation is applied in the conv's GEMM epilogue and the
-    # downstream ReLU module becomes a passthrough.
-    _fused_activation: Optional[str] = None
-
     def __init__(
         self,
         in_channels: int,
@@ -91,15 +86,7 @@ class Conv2d(Module):
         self.bias = Parameter(init.zeros((out_channels,))) if bias else None
 
     def forward(self, x: Tensor) -> Tensor:
-        return F.conv2d(
-            x,
-            self.weight,
-            self.bias,
-            stride=self.stride,
-            padding=self.padding,
-            groups=self.groups,
-            activation=self._fused_activation,
-        )
+        return F.conv2d(x, self.weight, self.bias, self.stride, self.padding, self.groups)
 
     def __repr__(self) -> str:
         return (
@@ -277,13 +264,7 @@ class Flatten(Module):
 
 
 class ReLU(Module):
-    # Set by repro.nn.inference while this activation is fused into the
-    # preceding convolution's GEMM epilogue; the module then acts as identity.
-    _folded_passthrough: bool = False
-
     def forward(self, x: Tensor) -> Tensor:
-        if self._folded_passthrough and not self.training:
-            return x
         return x.relu()
 
 

@@ -7,9 +7,8 @@ into that deployable form:
 - checkpoints come from a :class:`~repro.serving.registry.ModelRegistry`
   (content-addressed, atomically aliased);
 - every checkpoint is folded through
-  :class:`~repro.nn.inference.CompiledInference` (conv–BN folding, fused
-  ReLU epilogue) and **warmed off the request path** before
-  it serves a single request;
+  :class:`~repro.nn.inference.CompiledInference` (conv–BN folding) and
+  **warmed off the request path** before it serves a single request;
 - requests stream through a :class:`~repro.serving.batcher.MicroBatcher`,
   so single-image callers ride the batched channels-last single-GEMM path
   instead of the batch-1 slow path;

@@ -1,9 +1,11 @@
 """Reference kernels: the test oracle for :mod:`repro.nn.functional`.
 
 Each op in the library has one runtime kernel.  The straightforward
-formulations below — an im2col/einsum conv with its autograd closure, a
-``matmul`` + add linear, and a transposed conv whose backward uses batched
-matmuls — are kept here only to check those kernels against.
+formulations below — an NCHW im2col/einsum conv with its autograd closure,
+a ``matmul`` + add linear, and a transposed conv whose backward uses
+batched matmuls — are kept here only to check those kernels against.  The
+NCHW :func:`im2col` / :func:`col2im` pair they are built on lives here too:
+the runtime kernels unfold channels-last.
 
 :func:`reference_kernels` swaps them into ``repro.nn.functional`` for the
 duration of a block.  Layers call ``F.conv2d`` / ``F.linear`` /
@@ -17,15 +19,90 @@ views of them) run the reference forward and backward inside the block::
 from __future__ import annotations
 
 import contextlib
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
 from repro.nn import functional as F
-from repro.nn.functional import IntPair, col2im, conv_output_size, im2col
+from repro.nn.functional import IntPair, conv_output_size
 from repro.nn.tensor import Tensor
 
-__all__ = ["conv2d", "conv_transpose2d", "linear", "reference_kernels"]
+__all__ = ["im2col", "col2im", "conv2d", "conv_transpose2d", "linear", "reference_kernels"]
+
+
+def _pad_spatial(x: np.ndarray, ph: int, pw: int) -> np.ndarray:
+    """Zero-pad (N, C, H, W) spatially."""
+    if not (ph or pw):
+        return x
+    return np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
+
+
+def _window_view(
+    x_padded: np.ndarray, n: int, c: int, out_h: int, out_w: int, kh: int, kw: int, sh: int, sw: int
+) -> np.ndarray:
+    """Read-only sliding-window view (N, C, out_h, out_w, kh, kw)."""
+    s = x_padded.strides
+    return np.lib.stride_tricks.as_strided(
+        x_padded,
+        shape=(n, c, out_h, out_w, kh, kw),
+        strides=(s[0], s[1], s[2] * sh, s[3] * sw, s[2], s[3]),
+        writeable=False,
+    )
+
+
+def im2col(
+    x: np.ndarray,
+    kernel: Tuple[int, int],
+    stride: Tuple[int, int],
+    padding: Tuple[int, int],
+) -> np.ndarray:
+    """Unfold ``x`` (N, C, H, W) into columns of shape (N, C*kh*kw, L).
+
+    ``L = out_h * out_w`` is the number of sliding-window positions.  The
+    result is laid out so that a convolution becomes ``weight_matrix @ cols``.
+    The copy is skipped entirely when the unfolded view is already contiguous
+    (1x1 kernels with unit stride).
+    """
+    n, c, h, w = x.shape
+    kh, kw = kernel
+    sh, sw = stride
+    ph, pw = padding
+    out_h = conv_output_size(h, kh, sh, ph)
+    out_w = conv_output_size(w, kw, sw, pw)
+    padded = _pad_spatial(x, ph, pw)
+
+    windows = _window_view(padded, n, c, out_h, out_w, kh, kw, sh, sw)
+    # (N, C, out_h, out_w, kh, kw) -> (N, C, kh, kw, out_h, out_w)
+    view = windows.transpose(0, 1, 4, 5, 2, 3)
+    # reshape copies only when the view is non-contiguous.
+    return view.reshape(n, c * kh * kw, out_h * out_w)
+
+
+def col2im(
+    cols: np.ndarray,
+    x_shape: Tuple[int, int, int, int],
+    kernel: Tuple[int, int],
+    stride: Tuple[int, int],
+    padding: Tuple[int, int],
+) -> np.ndarray:
+    """Fold columns produced by :func:`im2col` back, summing overlaps."""
+    n, c, h, w = x_shape
+    kh, kw = kernel
+    sh, sw = stride
+    ph, pw = padding
+    out_h = conv_output_size(h, kh, sh, ph)
+    out_w = conv_output_size(w, kw, sw, pw)
+
+    padded = np.zeros((n, c, h + 2 * ph, w + 2 * pw), dtype=cols.dtype)
+    cols = cols.reshape(n, c, kh, kw, out_h, out_w)
+    for i in range(kh):
+        h_end = i + sh * out_h
+        for j in range(kw):
+            w_end = j + sw * out_w
+            padded[:, :, i:h_end:sh, j:w_end:sw] += cols[:, :, i, j]
+    if ph or pw:
+        return padded[:, :, ph : ph + h, pw : pw + w]
+    return padded
 
 
 def conv2d(
@@ -35,7 +112,6 @@ def conv2d(
     stride: IntPair = 1,
     padding: IntPair = 0,
     groups: int = 1,
-    activation: Optional[str] = None,
 ) -> Tensor:
     """im2col conv: one batched matmul (``groups == 1``) or an einsum over groups."""
     stride = F._pair(stride)
@@ -49,8 +125,6 @@ def conv2d(
         )
     if c_out % groups:
         raise ValueError(f"c_out={c_out} not divisible by groups={groups}")
-    if activation not in (None, "relu"):
-        raise ValueError(f"unsupported fused activation: {activation!r}")
 
     out_h = conv_output_size(h, kh, stride[0], padding[0])
     out_w = conv_output_size(w, kw, stride[1], padding[1])
@@ -70,8 +144,6 @@ def conv2d(
     out = out.reshape(n, c_out, out_h, out_w)
     if bias is not None:
         out = out + bias.data.reshape(1, c_out, 1, 1)
-    if activation == "relu":  # inference-only fusion: no backward recorded
-        out = np.maximum(out, 0.0)
 
     x_shape = x.shape
     parents = (x, weight) if bias is None else (x, weight, bias)

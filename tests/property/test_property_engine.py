@@ -2,8 +2,8 @@
 
 Mirrors ``test_property_fastpath.py`` for the engine-backed kernels:
 every hypothesis-drawn conv runs through :meth:`TiledGemmEngine.execute`
-and its fused bias/ReLU epilogue, and must agree with the reference
-kernels of ``tests/nn/reference.py`` within float32 tolerances.  Direct
+and its bias epilogue, and must agree with the reference kernels of
+``tests/nn/reference.py`` within float32 tolerances.  Direct
 engine cases draw GEMM shapes on both sides of 2e6 flops, where an earlier
 engine switched from inline BLAS to tiled dispatch.
 """
@@ -68,21 +68,6 @@ def test_grouped_conv_under_engine_matches_reference(case, groups):
     np.testing.assert_allclose(fast, reference, rtol=1e-4, atol=1e-5)
 
 
-@settings(max_examples=25, deadline=None)
-@given(conv_cases)
-def test_fused_relu_epilogue_matches_separate_relu(case):
-    conv, x = _conv_case(case, groups=1)
-    conv._fused_activation = "relu"
-    try:
-        with no_grad():
-            fused = conv(Tensor(x)).data
-    finally:
-        conv._fused_activation = None
-    with reference_kernels(), no_grad():
-        reference = conv(Tensor(x)).relu().data
-    np.testing.assert_allclose(fused, reference, rtol=1e-4, atol=1e-5)
-
-
 class _FoldNet(Module):
     def __init__(self, cin, mid, size, seed):
         super().__init__()
@@ -119,7 +104,6 @@ def test_folded_fused_model_matches_reference(cin, mid, size, n, seed):
         reference = model(Tensor(x)).data
     compiled = compile_for_inference(model, Tensor(x[:1]))
     assert compiled.num_folded == 1
-    assert compiled.num_fused_activations == 1
     out = compiled(Tensor(x)).data
     np.testing.assert_allclose(out, reference, rtol=1e-3, atol=1e-4)
 
@@ -156,10 +140,9 @@ def test_pruned_filters_under_engine_match_reference(mid, filter_index, seed):
     k=st.integers(1, 256),
     n=st.integers(1, 64),
     bias=st.booleans(),
-    relu=st.booleans(),
     seed=st.integers(0, 2**16),
 )
-def test_execute_epilogue_matches_reference_across_sizes(m, k, n, bias, relu, seed):
+def test_execute_epilogue_matches_reference_across_sizes(m, k, n, bias, seed):
     """Shapes from a few flops to ~67 MFLOP, spanning the old 2e6 threshold."""
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((m, k)).astype(np.float32)
@@ -168,9 +151,7 @@ def test_execute_epilogue_matches_reference_across_sizes(m, k, n, bias, relu, se
     expected = a.astype(np.float64) @ b.astype(np.float64)
     if bias_vec is not None:
         expected = expected + bias_vec
-    if relu:
-        expected = np.maximum(expected, 0.0)
-    out = engine().execute(a, b, bias=bias_vec, activation="relu" if relu else None)
+    out = engine().execute(a, b, bias=bias_vec)
     np.testing.assert_allclose(out, expected.astype(np.float32), rtol=1e-4, atol=1e-4)
 
 

@@ -76,15 +76,14 @@ def test_grouped_conv_matches_reference(case, groups):
     size=st.integers(4, 9),
     channels_last=st.booleans(),
     bias=st.booleans(),
-    relu=st.booleans(),
     seed=st.integers(0, 2**16),
 )
 def test_depthwise_conv_matches_reference(
-    n, channels, multiplier, kernel, stride, padding, size, channels_last, bias, relu, seed
+    n, channels, multiplier, kernel, stride, padding, size, channels_last, bias, seed
 ):
     """The no-grad tap-loop kernel against the reference, with channel
     multipliers, NCHW or channels-last input storage (the layout the eval
-    path hands over) and the folded bias/fused-ReLU epilogue."""
+    path hands over) and the folded bias."""
     rng = np.random.default_rng(seed)
     size = max(size, kernel)
     conv = Conv2d(channels, channels * multiplier, kernel, stride=stride, padding=padding,
@@ -93,12 +92,11 @@ def test_depthwise_conv_matches_reference(
                             else (n, channels, size, size)).astype(np.float32)
     if channels_last:
         x = x.transpose(0, 3, 1, 2)
-    activation = "relu" if relu else None
 
     def forward():
         with no_grad():
             return F.conv2d(Tensor(x), conv.weight, conv.bias, stride, padding,
-                            groups=channels, activation=activation).data
+                            groups=channels).data
 
     fast = forward()
     with reference_kernels():

@@ -13,7 +13,7 @@ earlier engine switched from inline BLAS to a reduction-split dispatch.
 from __future__ import annotations
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.models.pruning_utils import FilterRef, PruningMask
@@ -23,7 +23,7 @@ from tests.nn.reference import reference_kernels
 
 
 def _loss_backward(layer, x_data, interleave=False):
-    """Forward + sum-loss backward; returns (loss, x.grad, {param grads})."""
+    """Forward + sum-loss backward; returns (loss, x.grad, {param grads}, out shape)."""
     x = Tensor(x_data.copy(), requires_grad=True)
     out = layer(x)
     loss = (out * out).sum()
@@ -34,19 +34,24 @@ def _loss_backward(layer, x_data, interleave=False):
     loss.backward()
     grads = {name: p.grad.copy() for name, p in layer.named_parameters() if p.grad is not None}
     layer.zero_grad()
-    return loss.item(), x.grad.copy(), grads
+    return loss.item(), x.grad.copy(), grads, out.shape
 
 
 def _assert_grads_match(layer, x, interleave=False):
-    loss_f, xg_f, grads_f = _loss_backward(layer, x, interleave=interleave)
+    loss_f, xg_f, grads_f, out_shape = _loss_backward(layer, x, interleave=interleave)
     with reference_kernels():
-        loss_r, xg_r, grads_r = _loss_backward(layer, x)
+        loss_r, xg_r, grads_r, _ = _loss_backward(layer, x)
     np.testing.assert_allclose(loss_f, loss_r, rtol=1e-4)
     np.testing.assert_allclose(xg_f, xg_r, rtol=1e-4, atol=1e-5)
     assert set(grads_f) == set(grads_r)
+    # A weight-gradient entry sums one product per output row (N*out_h*out_w
+    # for a conv, N for a linear) or, for a transposed conv, per input pixel
+    # (N*H*W).  float32 rounding grows with that count, as in _check_execute_tn.
+    rows = x.shape if isinstance(layer, ConvTranspose2d) else out_shape
+    terms = int(np.prod(rows)) // rows[1]
     for name in grads_r:
         np.testing.assert_allclose(
-            grads_f[name], grads_r[name], rtol=1e-4, atol=1e-5, err_msg=name
+            grads_f[name], grads_r[name], rtol=1e-4, atol=1e-5 * np.sqrt(terms), err_msg=name
         )
 
 
@@ -85,6 +90,13 @@ def test_conv2d_backward_matches_reference(case):
 
 @settings(max_examples=15, deadline=None)
 @given(conv_cases, st.integers(2, 4))
+# dW[3, 1, 1, 0] cancels over 243 terms; both kernels are within float32
+# accumulation error of a float64 dW, yet 3.4e-5 apart.
+@example(
+    dict(n=3, cin=6, cout_mult=3, kernel=2, stride=1, padding=1, size=8, seed=1069,
+         bias=False, interleave=False),
+    2,
+)
 def test_grouped_conv_backward_matches_reference(case, groups):
     # Depthwise draws (cin == 1 per group) take the tap-loop kernel; the
     # others (C_in / groups > 1) run each group through the groups == 1
@@ -162,11 +174,10 @@ def test_pruned_conv_backward_matches_reference(mid, filter_index, seed):
     r=st.integers(2, 40),
     m=st.integers(1, 12),
     n=st.integers(1, 12),
-    accumulate=st.booleans(),
     seed=st.integers(0, 2**16),
 )
-def test_execute_tn_matches_reference_product(r, m, n, accumulate, seed):
-    _check_execute_tn(r, m, n, accumulate, seed)
+def test_execute_tn_matches_reference_product(r, m, n, seed):
+    _check_execute_tn(r, m, n, seed)
 
 
 @settings(max_examples=20, deadline=None)
@@ -174,27 +185,20 @@ def test_execute_tn_matches_reference_product(r, m, n, accumulate, seed):
     r=st.integers(64, 8192),
     m=st.integers(1, 96),
     n=st.integers(1, 64),
-    accumulate=st.booleans(),
     seed=st.integers(0, 2**16),
 )
-def test_execute_tn_matches_reference_across_threshold(r, m, n, accumulate, seed):
+def test_execute_tn_matches_reference_across_threshold(r, m, n, seed):
     """Backward dW shapes up to ~100 MFLOP, spanning the old 2e6 threshold.
     float32 rounding grows with the reduction length, hence the sqrt(r) atol."""
-    _check_execute_tn(r, m, n, accumulate, seed, atol=1e-5 * np.sqrt(r))
+    _check_execute_tn(r, m, n, seed, atol=1e-5 * np.sqrt(r))
 
 
-def _check_execute_tn(r, m, n, accumulate, seed, atol=1e-5):
+def _check_execute_tn(r, m, n, seed, atol=1e-5):
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((r, m)).astype(np.float32)
     b = rng.standard_normal((r, n)).astype(np.float32)
-    base = rng.standard_normal((m, n)).astype(np.float32)
     expected = a.T.astype(np.float64) @ b.astype(np.float64)
-    if accumulate:
-        out = base.copy()
-        engine().execute_tn(a, b, out=out, accumulate=True)
-        expected = expected + base
-    else:
-        out = engine().execute_tn(a, b)
+    out = engine().execute_tn(a, b)
     np.testing.assert_allclose(out, expected.astype(np.float32), rtol=1e-4, atol=atol)
 
 
