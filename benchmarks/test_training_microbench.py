@@ -125,6 +125,10 @@ def test_train_step_fastpath_vs_reference():
     # on BOTH paths (measured against a float64 reference), so elementwise
     # tolerances would flake; bound the relative Frobenius error instead.
     # Layer-level exactness is covered by tests/property/test_property_train_engine.py.
+    # Both backwards must reach every parameter: a snapshot that skipped one
+    # on both sides would compare nothing and read a vacuous 0.0 error.
+    assert set(fast_grads) == {name for name, _ in eq_model.named_parameters()}
+    assert set(reference_grads) == {name for name, _ in ref_eq_model.named_parameters()}
     assert set(fast_grads) == set(reference_grads)
     max_err = 0.0
     for name in reference_grads:

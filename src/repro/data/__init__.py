@@ -1,9 +1,8 @@
-"""Data substrate: synthetic datasets, loaders, transforms, SPC splits."""
+"""Data substrate: synthetic datasets, the minibatch loader and SPC splits."""
 
 from .dataset import DataLoader, ImageDataset
-from .splits import defender_split, spc_subset, train_val_split
+from .splits import defender_split, spc_subset
 from .synthetic import SynthSpec, make_synth_cifar, make_synth_gtsrb
-from .transforms import Compose, Cutout, Normalize, RandomCrop, RandomHorizontalFlip
 
 __all__ = [
     "ImageDataset",
@@ -12,11 +11,5 @@ __all__ = [
     "make_synth_gtsrb",
     "SynthSpec",
     "spc_subset",
-    "train_val_split",
     "defender_split",
-    "Compose",
-    "RandomCrop",
-    "RandomHorizontalFlip",
-    "Normalize",
-    "Cutout",
 ]

@@ -56,10 +56,6 @@ class ImageDataset:
             np.concatenate([self.labels, other.labels], axis=0),
         )
 
-    def with_labels(self, labels: np.ndarray) -> "ImageDataset":
-        """Return a dataset with the same images and new labels."""
-        return ImageDataset(self.images.copy(), np.asarray(labels))
-
     def class_counts(self) -> np.ndarray:
         """Samples per class (length = num_classes)."""
         return np.bincount(self.labels, minlength=self.num_classes)
@@ -78,10 +74,6 @@ class DataLoader:
         Reshuffle at the start of every epoch.
     rng:
         Generator for shuffling (deterministic when provided).
-    transform:
-        Optional callable applied to each image batch (augmentation).
-    drop_last:
-        Drop the final incomplete batch.
     """
 
     def __init__(
@@ -90,8 +82,6 @@ class DataLoader:
         batch_size: int = 32,
         shuffle: bool = False,
         rng: Optional[np.random.Generator] = None,
-        transform=None,
-        drop_last: bool = False,
     ) -> None:
         if batch_size <= 0:
             raise ValueError(f"batch_size must be positive, got {batch_size}")
@@ -99,22 +89,12 @@ class DataLoader:
         self.batch_size = batch_size
         self.shuffle = shuffle
         self.rng = rng if rng is not None else np.random.default_rng()
-        self.transform = transform
-        self.drop_last = drop_last
 
     def __len__(self) -> int:
-        n = len(self.dataset)
-        if self.drop_last:
-            return n // self.batch_size
-        return (n + self.batch_size - 1) // self.batch_size
+        return (len(self.dataset) + self.batch_size - 1) // self.batch_size
 
     def __iter__(self) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
         n = len(self.dataset)
         order = self.rng.permutation(n) if self.shuffle else np.arange(n)
-        stop = n - (n % self.batch_size) if self.drop_last else n
-        for start in range(0, stop, self.batch_size):
-            idx = order[start : start + self.batch_size]
-            images, labels = self.dataset[idx]
-            if self.transform is not None:
-                images = self.transform(images, self.rng)
-            yield images, labels
+        for start in range(0, n, self.batch_size):
+            yield self.dataset[order[start : start + self.batch_size]]

@@ -13,7 +13,7 @@ import numpy as np
 
 from .dataset import ImageDataset
 
-__all__ = ["spc_subset", "train_val_split", "defender_split"]
+__all__ = ["spc_subset", "defender_split"]
 
 
 def spc_subset(
@@ -34,21 +34,6 @@ def spc_subset(
     indices = np.concatenate(chosen)
     rng.shuffle(indices)
     return dataset.subset(indices)
-
-
-def train_val_split(
-    dataset: ImageDataset, val_fraction: float, rng: Optional[np.random.Generator] = None
-) -> Tuple[ImageDataset, ImageDataset]:
-    """Random split into (train, val) with at least one sample in each part."""
-    if not 0.0 < val_fraction < 1.0:
-        raise ValueError(f"val_fraction must be in (0, 1), got {val_fraction}")
-    rng = rng if rng is not None else np.random.default_rng()
-    n = len(dataset)
-    if n < 2:
-        raise ValueError("need at least 2 samples to split")
-    n_val = min(max(1, int(round(n * val_fraction))), n - 1)
-    order = rng.permutation(n)
-    return dataset.subset(order[n_val:]), dataset.subset(order[:n_val])
 
 
 def defender_split(

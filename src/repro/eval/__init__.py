@@ -14,10 +14,8 @@ from .experiments import (
 )
 from .metrics import (
     BackdoorMetrics,
-    confusion_matrix,
     evaluate_all_to_all_metrics,
     evaluate_backdoor_metrics,
-    per_class_asr,
 )
 from .plotting import figure_svg, line_svg, pruning_history_svg, scatter_svg
 from .reporting import format_table, render_scatter_text, scatter_series
@@ -36,8 +34,6 @@ __all__ = [
     "BackdoorMetrics",
     "evaluate_backdoor_metrics",
     "evaluate_all_to_all_metrics",
-    "per_class_asr",
-    "confusion_matrix",
     "DefenderBudget",
     "budget_trials",
     "Claim",

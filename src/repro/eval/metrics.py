@@ -14,8 +14,6 @@ Note ``ASR + RA <= 1`` always holds on the same sample set.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
-
 import numpy as np
 
 from ..attacks.base import BackdoorAttack
@@ -27,8 +25,6 @@ __all__ = [
     "BackdoorMetrics",
     "evaluate_backdoor_metrics",
     "evaluate_all_to_all_metrics",
-    "per_class_asr",
-    "confusion_matrix",
 ]
 
 
@@ -39,9 +35,6 @@ class BackdoorMetrics:
     acc: float
     asr: float
     ra: float
-
-    def as_percentages(self) -> "BackdoorMetrics":
-        return BackdoorMetrics(self.acc * 100.0, self.asr * 100.0, self.ra * 100.0)
 
     def __str__(self) -> str:
         return f"ACC={self.acc:.4f} ASR={self.asr:.4f} RA={self.ra:.4f}"
@@ -98,37 +91,3 @@ def evaluate_all_to_all_metrics(
     ra = float((triggered_predictions == test_set.labels).mean())
     return BackdoorMetrics(acc=acc, asr=asr, ra=ra)
 
-
-def per_class_asr(
-    model: Module,
-    test_set: ImageDataset,
-    attack: BackdoorAttack,
-    batch_size: int = 128,
-) -> np.ndarray:
-    """ASR broken down by true class (target class entry is NaN).
-
-    Useful for diagnosing partial mitigation: a defense may strip the
-    backdoor for some victim classes but not others.
-    """
-    num_classes = test_set.num_classes
-    triggered = attack.apply(test_set.images)
-    predictions = predict(model, triggered, batch_size=batch_size)
-    result = np.full(num_classes, np.nan)
-    for cls in range(num_classes):
-        if cls == attack.target_class:
-            continue
-        members = test_set.labels == cls
-        if members.any():
-            result[cls] = float((predictions[members] == attack.target_class).mean())
-    return result
-
-
-def confusion_matrix(
-    model: Module, test_set: ImageDataset, batch_size: int = 128
-) -> np.ndarray:
-    """Row-true / column-predicted confusion counts on clean data."""
-    num_classes = test_set.num_classes
-    predictions = predict(model, test_set.images, batch_size=batch_size)
-    matrix = np.zeros((num_classes, num_classes), dtype=np.int64)
-    np.add.at(matrix, (test_set.labels, predictions), 1)
-    return matrix

@@ -15,8 +15,6 @@ for a scenario reuse the same backdoored checkpoint, mirroring the paper
 from __future__ import annotations
 
 import copy
-import hashlib
-import json
 import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
@@ -31,7 +29,7 @@ from ..data.dataset import ImageDataset
 from ..defenses import build_defense
 from ..models import build_model
 from ..nn.module import Module
-from ..orchestrator.artifacts import ArtifactStore, cache_root
+from ..orchestrator.artifacts import ArtifactStore, cache_root, content_hash
 from ..training import TrainConfig
 from ..utils.logging import get_logger
 from .budget import DefenderBudget
@@ -77,11 +75,7 @@ class ScenarioConfig:
 
     def fingerprint(self) -> str:
         """Stable hash identifying the backdoored-model artifact."""
-        payload = json.dumps(
-            {k: list(v) if isinstance(v, tuple) else v for k, v in self.__dict__.items()},
-            sort_keys=True,
-        )
-        return hashlib.sha256(payload.encode()).hexdigest()[:16]
+        return content_hash(self.__dict__)[:16]
 
 
 @dataclass
@@ -195,17 +189,15 @@ class TrialCache:
     def key(
         config: ScenarioConfig, defense: str, defense_kwargs: Optional[Dict], spc: int, seed: int
     ) -> str:
-        payload = json.dumps(
+        return content_hash(
             {
                 "scenario": config.fingerprint(),
                 "defense": defense,
                 "kwargs": defense_kwargs or {},
                 "spc": spc,
                 "seed": seed,
-            },
-            sort_keys=True,
-        )
-        return hashlib.sha256(payload.encode()).hexdigest()[:20]
+            }
+        )[:20]
 
     def _path(self, key: str) -> str:
         return self.artifacts.path(key, ".json")

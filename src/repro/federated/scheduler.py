@@ -25,8 +25,6 @@ workers, or a kill + resume — produces bitwise-identical global models.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import os
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
@@ -112,11 +110,7 @@ class FederatedScenario:
 
     def fingerprint(self) -> str:
         """Stable hash identifying this cell's artifacts and task ids."""
-        payload = json.dumps(
-            {k: list(v) if isinstance(v, tuple) else v for k, v in self.__dict__.items()},
-            sort_keys=True,
-        )
-        return hashlib.sha256(payload.encode()).hexdigest()[:16]
+        return content_hash(self.__dict__)[:16]
 
     def threat(self) -> ThreatModel:
         return ThreatModel(

@@ -12,7 +12,6 @@ from .pruning_utils import (
     restore_filter,
 )
 from .registry import MODEL_NAMES, build_model
-from .summary import LayerRow, ModelSummary, summarize
 from .vgg import VGG19BN, vgg19_bn
 
 __all__ = [
@@ -30,9 +29,6 @@ __all__ = [
     "mobilenet_v3_large",
     "MODEL_NAMES",
     "build_model",
-    "LayerRow",
-    "ModelSummary",
-    "summarize",
     "FilterRef",
     "PruningMask",
     "count_filters",

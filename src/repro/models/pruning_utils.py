@@ -121,9 +121,6 @@ class PruningMask:
         if ref.index in indices:
             indices.remove(ref.index)
 
-    def is_pruned(self, ref: FilterRef) -> bool:
-        return ref.index in self._pruned.get(ref.layer, [])
-
     def apply(self) -> None:
         """Re-zero every pruned filter (call after each optimizer step)."""
         invalidate_compiled(self._model)

@@ -1,15 +1,14 @@
 """``repro.nn`` — a from-scratch numpy deep-learning substrate.
 
-Provides reverse-mode autodiff (:class:`Tensor`), modules and layers,
-losses, optimizers (including SAM), schedulers, and serialization.  This
-replaces PyTorch in the reproduction; see DESIGN.md §2.
+Provides reverse-mode autodiff (:class:`Tensor`), the layers the model zoo
+uses, cross-entropy, SGD/Adam/SAM, state-dict checkpoints and the folded
+inference view.  This replaces PyTorch in the reproduction; see DESIGN.md §2.
 """
 
 from .tensor import Tensor, no_grad, is_grad_enabled
 from .module import Module, ModuleList, Parameter, Sequential
 from .layers import (
     AdaptiveAvgPool2d,
-    AvgPool2d,
     BatchNorm2d,
     Conv2d,
     ConvTranspose2d,
@@ -17,20 +16,15 @@ from .layers import (
     Flatten,
     HardSigmoid,
     HardSwish,
-    Identity,
-    LeakyReLU,
     Linear,
     MaxPool2d,
     ReLU,
-    Sigmoid,
     SiLU,
-    Tanh,
 )
-from .losses import cross_entropy, kl_div_loss, mse_loss, nll_loss, soft_cross_entropy
-from .optim import SGD, Adam, AdamW, Optimizer
+from .losses import cross_entropy, nll_loss
+from .optim import SGD, Adam, Optimizer
 from .sam import SAM
-from .scheduler import CosineAnnealingLR, MultiStepLR, StepLR
-from .serialization import CheckpointError, load_module, load_state, save_module, save_state
+from .serialization import CheckpointError, load_state, save_state
 from . import functional
 from . import engine
 from .functional import Workspace, workspace
@@ -49,36 +43,22 @@ __all__ = [
     "Linear",
     "BatchNorm2d",
     "MaxPool2d",
-    "AvgPool2d",
     "AdaptiveAvgPool2d",
     "Dropout",
     "Flatten",
     "ReLU",
-    "LeakyReLU",
-    "Sigmoid",
-    "Tanh",
     "SiLU",
     "HardSwish",
     "HardSigmoid",
-    "Identity",
     "cross_entropy",
     "nll_loss",
-    "mse_loss",
-    "kl_div_loss",
-    "soft_cross_entropy",
     "Optimizer",
     "SGD",
     "Adam",
-    "AdamW",
     "SAM",
-    "StepLR",
-    "MultiStepLR",
-    "CosineAnnealingLR",
     "CheckpointError",
     "save_state",
     "load_state",
-    "save_module",
-    "load_module",
     "functional",
     "engine",
     "Workspace",

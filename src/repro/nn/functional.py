@@ -49,7 +49,6 @@ __all__ = [
     "adaptive_avg_pool2d",
     "batch_norm2d_train",
     "batch_norm2d_eval",
-    "pad2d",
     "Workspace",
     "workspace",
 ]
@@ -979,15 +978,3 @@ def batch_norm2d_eval(
 
     return Tensor._make(out, (x, weight, bias), backward)
 
-
-def pad2d(x: Tensor, padding: IntPair) -> Tensor:
-    """Zero-pad the spatial dimensions of (N, C, H, W)."""
-    ph, pw = _pair(padding)
-    out = np.pad(x.data, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
-    _, _, h, w = x.shape
-
-    def backward(grad: np.ndarray) -> None:
-        if x.requires_grad:
-            x._accumulate(grad[:, :, ph : ph + h, pw : pw + w])
-
-    return Tensor._make(out, (x,), backward)

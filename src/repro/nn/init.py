@@ -11,7 +11,7 @@ from typing import Tuple
 
 import numpy as np
 
-__all__ = ["kaiming_normal", "kaiming_uniform", "xavier_uniform", "zeros", "ones"]
+__all__ = ["kaiming_normal", "xavier_uniform", "zeros", "ones"]
 
 
 def _fan_in_out(shape: Tuple[int, ...]) -> Tuple[int, int]:
@@ -31,13 +31,6 @@ def kaiming_normal(shape: Tuple[int, ...], rng: np.random.Generator, gain: float
     fan_in, _ = _fan_in_out(shape)
     std = gain / np.sqrt(fan_in)
     return rng.normal(0.0, std, size=shape).astype(np.float32)
-
-
-def kaiming_uniform(shape: Tuple[int, ...], rng: np.random.Generator, gain: float = np.sqrt(2.0)) -> np.ndarray:
-    """He-uniform initialization."""
-    fan_in, _ = _fan_in_out(shape)
-    bound = gain * np.sqrt(3.0 / fan_in)
-    return rng.uniform(-bound, bound, size=shape).astype(np.float32)
 
 
 def xavier_uniform(shape: Tuple[int, ...], rng: np.random.Generator, gain: float = 1.0) -> np.ndarray:

@@ -23,18 +23,13 @@ __all__ = [
     "Linear",
     "BatchNorm2d",
     "MaxPool2d",
-    "AvgPool2d",
     "AdaptiveAvgPool2d",
     "Dropout",
     "Flatten",
     "ReLU",
-    "LeakyReLU",
-    "Sigmoid",
-    "Tanh",
     "SiLU",
     "HardSwish",
     "HardSigmoid",
-    "Identity",
 ]
 
 IntPair = Union[int, Tuple[int, int]]
@@ -213,17 +208,6 @@ class MaxPool2d(Module):
         return f"MaxPool2d({self.kernel_size})"
 
 
-class AvgPool2d(Module):
-    def __init__(self, kernel_size: IntPair, stride: Optional[IntPair] = None, padding: IntPair = 0) -> None:
-        super().__init__()
-        self.kernel_size = kernel_size
-        self.stride = stride
-        self.padding = padding
-
-    def forward(self, x: Tensor) -> Tensor:
-        return F.avg_pool2d(x, self.kernel_size, self.stride, self.padding)
-
-
 class AdaptiveAvgPool2d(Module):
     def __init__(self, output_size: IntPair = 1) -> None:
         super().__init__()
@@ -268,25 +252,6 @@ class ReLU(Module):
         return x.relu()
 
 
-class LeakyReLU(Module):
-    def __init__(self, negative_slope: float = 0.01) -> None:
-        super().__init__()
-        self.negative_slope = negative_slope
-
-    def forward(self, x: Tensor) -> Tensor:
-        return x.leaky_relu(self.negative_slope)
-
-
-class Sigmoid(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        return x.sigmoid()
-
-
-class Tanh(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        return x.tanh()
-
-
 class SiLU(Module):
     def forward(self, x: Tensor) -> Tensor:
         return x.silu()
@@ -300,8 +265,3 @@ class HardSwish(Module):
 class HardSigmoid(Module):
     def forward(self, x: Tensor) -> Tensor:
         return x.hard_sigmoid()
-
-
-class Identity(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        return x

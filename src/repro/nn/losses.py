@@ -13,7 +13,7 @@ import numpy as np
 
 from .tensor import Tensor
 
-__all__ = ["cross_entropy", "nll_loss", "mse_loss", "kl_div_loss", "soft_cross_entropy"]
+__all__ = ["cross_entropy", "nll_loss"]
 
 Labels = Union[np.ndarray, Tensor]
 
@@ -55,37 +55,3 @@ def nll_loss(log_probs: Tensor, targets: Labels, reduction: str = "mean") -> Ten
         return loss.mean()
     raise ValueError(f"unknown reduction {reduction!r}")
 
-
-def soft_cross_entropy(logits: Tensor, soft_targets: np.ndarray, reduction: str = "mean") -> Tensor:
-    """Cross-entropy against a full target distribution (used by NAD-style distillation)."""
-    log_probs = logits.log_softmax(axis=-1)
-    loss = -(log_probs * Tensor(np.asarray(soft_targets, dtype=np.float32))).sum(axis=-1)
-    if reduction == "none":
-        return loss
-    if reduction == "sum":
-        return loss.sum()
-    return loss.mean()
-
-
-def mse_loss(prediction: Tensor, target: Union[Tensor, np.ndarray], reduction: str = "mean") -> Tensor:
-    """Mean squared error."""
-    target_t = target if isinstance(target, Tensor) else Tensor(np.asarray(target, dtype=np.float32))
-    diff = (prediction - target_t).pow(2.0)
-    if reduction == "none":
-        return diff
-    if reduction == "sum":
-        return diff.sum()
-    return diff.mean()
-
-
-def kl_div_loss(student_log_probs: Tensor, teacher_probs: np.ndarray, reduction: str = "mean") -> Tensor:
-    """KL(teacher || student) given student log-probs and teacher probs."""
-    teacher = np.asarray(teacher_probs, dtype=np.float32)
-    safe = np.clip(teacher, 1e-12, None)
-    const = float((teacher * np.log(safe)).sum(axis=-1).mean()) if reduction == "mean" else 0.0
-    cross = -(student_log_probs * Tensor(teacher)).sum(axis=-1)
-    if reduction == "none":
-        return cross
-    if reduction == "sum":
-        return cross.sum()
-    return cross.mean() + const

@@ -217,16 +217,6 @@ class Module:
         """Total number of scalar parameters."""
         return sum(p.data.size for p in self.parameters())
 
-    def compile_for_inference(self, example_input) -> "object":
-        """Return a :class:`repro.nn.inference.CompiledInference` view of this model.
-
-        The view runs eval-mode forwards with conv–BN pairs folded and the
-        no-grad conv kernels; see :mod:`repro.nn.inference`.
-        """
-        from .inference import CompiledInference  # local import: avoids a cycle
-
-        return CompiledInference(self, example_input)
-
 
 class Sequential(Module):
     """Chain modules, feeding each output into the next module."""

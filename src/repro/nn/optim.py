@@ -1,4 +1,4 @@
-"""Optimizers: SGD (momentum / Nesterov / weight decay), Adam, AdamW.
+"""Optimizers: SGD (momentum, weight decay) and Adam.
 
 The sharpness-aware minimization (SAM) wrapper used by the FT-SAM baseline
 lives in :mod:`repro.nn.sam`.
@@ -12,7 +12,10 @@ import numpy as np
 
 from .module import Parameter
 
-__all__ = ["Optimizer", "SGD", "Adam", "AdamW"]
+__all__ = ["Optimizer", "SGD", "Adam"]
+
+_BETA1, _BETA2 = 0.9, 0.999
+_EPS = 1e-8
 
 
 class Optimizer:
@@ -35,7 +38,7 @@ class Optimizer:
 
 
 class SGD(Optimizer):
-    """Stochastic gradient descent with momentum, Nesterov, and weight decay."""
+    """Stochastic gradient descent with momentum and weight decay."""
 
     def __init__(
         self,
@@ -43,14 +46,10 @@ class SGD(Optimizer):
         lr: float = 0.01,
         momentum: float = 0.0,
         weight_decay: float = 0.0,
-        nesterov: bool = False,
     ) -> None:
         super().__init__(params, lr)
-        if nesterov and momentum == 0.0:
-            raise ValueError("nesterov momentum requires momentum > 0")
         self.momentum = momentum
         self.weight_decay = weight_decay
-        self.nesterov = nesterov
         self._velocity: Dict[int, np.ndarray] = {}
 
     def step(self) -> None:
@@ -66,27 +65,15 @@ class SGD(Optimizer):
                     vel = np.zeros_like(param.data)
                 vel = self.momentum * vel + grad
                 self._velocity[id(param)] = vel
-                grad = grad + self.momentum * vel if self.nesterov else vel
+                grad = vel
             param.data -= self.lr * grad
 
 
 class Adam(Optimizer):
-    """Adam with bias correction; ``decoupled=True`` gives AdamW behaviour."""
+    """Adam with bias correction (betas 0.9/0.999, eps 1e-8, no weight decay)."""
 
-    def __init__(
-        self,
-        params: Iterable[Parameter],
-        lr: float = 1e-3,
-        betas: tuple = (0.9, 0.999),
-        eps: float = 1e-8,
-        weight_decay: float = 0.0,
-        decoupled: bool = False,
-    ) -> None:
+    def __init__(self, params: Iterable[Parameter], lr: float = 1e-3) -> None:
         super().__init__(params, lr)
-        self.beta1, self.beta2 = betas
-        self.eps = eps
-        self.weight_decay = weight_decay
-        self.decoupled = decoupled
         self._step_count = 0
         self._m: Dict[int, np.ndarray] = {}
         self._v: Dict[int, np.ndarray] = {}
@@ -94,40 +81,21 @@ class Adam(Optimizer):
     def step(self) -> None:
         self._step_count += 1
         t = self._step_count
-        bias1 = 1.0 - self.beta1 ** t
-        bias2 = 1.0 - self.beta2 ** t
+        bias1 = 1.0 - _BETA1 ** t
+        bias2 = 1.0 - _BETA2 ** t
         for param in self.params:
             if param.grad is None:
                 continue
             grad = param.grad
-            if self.weight_decay and not self.decoupled:
-                grad = grad + self.weight_decay * param.data
             m = self._m.get(id(param))
             v = self._v.get(id(param))
             if m is None:
                 m = np.zeros_like(param.data)
                 v = np.zeros_like(param.data)
-            m = self.beta1 * m + (1 - self.beta1) * grad
-            v = self.beta2 * v + (1 - self.beta2) * grad * grad
+            m = _BETA1 * m + (1 - _BETA1) * grad
+            v = _BETA2 * v + (1 - _BETA2) * grad * grad
             self._m[id(param)] = m
             self._v[id(param)] = v
             m_hat = m / bias1
             v_hat = v / bias2
-            update = m_hat / (np.sqrt(v_hat) + self.eps)
-            if self.weight_decay and self.decoupled:
-                update = update + self.weight_decay * param.data
-            param.data -= self.lr * update
-
-
-class AdamW(Adam):
-    """Adam with decoupled weight decay (Loshchilov & Hutter)."""
-
-    def __init__(
-        self,
-        params: Iterable[Parameter],
-        lr: float = 1e-3,
-        betas: tuple = (0.9, 0.999),
-        eps: float = 1e-8,
-        weight_decay: float = 0.01,
-    ) -> None:
-        super().__init__(params, lr, betas, eps, weight_decay, decoupled=True)
+            param.data -= self.lr * (m_hat / (np.sqrt(v_hat) + _EPS))

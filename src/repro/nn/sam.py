@@ -11,7 +11,7 @@ wrapper.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable
+from typing import Dict, Iterable
 
 import numpy as np
 
@@ -42,14 +42,12 @@ class SAM:
         params: Iterable[Parameter],
         base_optimizer: Optimizer,
         rho: float = 0.05,
-        adaptive: bool = False,
     ) -> None:
         if rho < 0:
             raise ValueError(f"rho must be non-negative, got {rho}")
         self.params = list(params)
         self.base_optimizer = base_optimizer
         self.rho = rho
-        self.adaptive = adaptive
         self._perturbation: Dict[int, np.ndarray] = {}
 
     def _grad_norm(self) -> float:
@@ -57,10 +55,7 @@ class SAM:
         for param in self.params:
             if param.grad is None:
                 continue
-            grad = param.grad
-            if self.adaptive:
-                grad = np.abs(param.data) * grad
-            total += float((grad.astype(np.float64) ** 2).sum())
+            total += float((param.grad.astype(np.float64) ** 2).sum())
         return float(np.sqrt(total))
 
     def first_step(self, zero_grad: bool = True) -> None:
@@ -72,8 +67,6 @@ class SAM:
             if param.grad is None:
                 continue
             step = param.grad * scale
-            if self.adaptive:
-                step = step * param.data * param.data
             self._perturbation[id(param)] = step
             param.data += step
         if zero_grad:
@@ -91,9 +84,3 @@ class SAM:
         if zero_grad:
             for param in self.params:
                 param.zero_grad(set_to_none=False)
-
-    def step(self, closure: Callable[[], None]) -> None:
-        """Full SAM step given a closure that re-runs forward+backward."""
-        self.first_step(zero_grad=True)
-        closure()
-        self.second_step(zero_grad=True)

@@ -1,4 +1,4 @@
-"""Checkpoint save/load for modules (npz-backed state dicts).
+"""Checkpoint save/load of npz-backed state dicts.
 
 Writes are atomic: the archive is serialized to a temporary file in the
 target directory and moved into place with :func:`os.replace`, so a
@@ -16,9 +16,7 @@ from typing import Dict
 
 import numpy as np
 
-from .module import Module
-
-__all__ = ["CheckpointError", "save_state", "load_state", "save_module", "load_module"]
+__all__ = ["CheckpointError", "save_state", "load_state"]
 
 
 class CheckpointError(RuntimeError):
@@ -60,18 +58,3 @@ def load_state(path: str) -> Dict[str, np.ndarray]:
             f"corrupt or non-npz checkpoint at {path}: {type(exc).__name__}: {exc}"
         ) from exc
 
-
-def save_module(module: Module, path: str) -> None:
-    """Save a module's parameters and buffers."""
-    save_state(module.state_dict(), path)
-
-
-def load_module(module: Module, path: str, strict: bool = True) -> Module:
-    """Load parameters and buffers into ``module`` in place.
-
-    Raises :class:`CheckpointError` for unreadable checkpoint files (see
-    :func:`load_state`); state-dict key mismatches still surface from
-    ``load_state_dict`` under ``strict=True``.
-    """
-    module.load_state_dict(load_state(path), strict=strict)
-    return module

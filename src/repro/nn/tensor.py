@@ -26,6 +26,7 @@ array([[2., 2., 2.],
 
 from __future__ import annotations
 
+import threading
 from typing import Callable, Iterable, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -35,30 +36,37 @@ __all__ = ["Tensor", "no_grad", "is_grad_enabled"]
 Scalar = Union[int, float]
 TensorLike = Union["Tensor", np.ndarray, Scalar, Sequence]
 
-_GRAD_ENABLED = True
+
+class _GradMode(threading.local):
+    """Per-thread autograd switch: every thread starts with recording on."""
+
+    enabled = True
+
+
+_GRAD_MODE = _GradMode()
 
 
 class no_grad:
-    """Context manager that disables gradient recording.
+    """Context manager that disables gradient recording on this thread.
 
     Mirrors ``torch.no_grad``: inside the block, operations on tensors do not
     build the autograd tape, which saves memory and time during inference.
+    Like torch, the switch is per thread, so a serving thread's ``no_grad``
+    never turns recording off for a training thread.
     """
 
     def __enter__(self) -> "no_grad":
-        global _GRAD_ENABLED
-        self._prev = _GRAD_ENABLED
-        _GRAD_ENABLED = False
+        self._prev = _GRAD_MODE.enabled
+        _GRAD_MODE.enabled = False
         return self
 
     def __exit__(self, *exc_info) -> None:
-        global _GRAD_ENABLED
-        _GRAD_ENABLED = self._prev
+        _GRAD_MODE.enabled = self._prev
 
 
 def is_grad_enabled() -> bool:
-    """Return whether operations currently record gradients."""
-    return _GRAD_ENABLED
+    """Return whether operations on this thread currently record gradients."""
+    return _GRAD_MODE.enabled
 
 
 def _as_array(value: TensorLike, dtype=np.float32) -> np.ndarray:
@@ -117,7 +125,7 @@ class Tensor:
             data = data.astype(np.float32)
         self.data: np.ndarray = data
         self.grad: Optional[np.ndarray] = None
-        self.requires_grad: bool = requires_grad and _GRAD_ENABLED
+        self.requires_grad: bool = requires_grad and _GRAD_MODE.enabled
         self._backward_fn = _backward_fn
         self._parents = _parents
         self.name = name
@@ -244,7 +252,7 @@ class Tensor:
     ) -> "Tensor":
         """Create an op-result tensor, recording the tape edge when enabled."""
         parents = tuple(parents)
-        needs_grad = _GRAD_ENABLED and any(p.requires_grad for p in parents)
+        needs_grad = _GRAD_MODE.enabled and any(p.requires_grad for p in parents)
         if not needs_grad:
             return Tensor(data)
         return Tensor(data, requires_grad=True, _parents=parents, _backward_fn=backward_fn)
@@ -493,16 +501,6 @@ class Tensor:
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:
                 self._accumulate(grad * (self.data > 0.0))
-
-        return Tensor._make(out_data, (self,), backward)
-
-    def leaky_relu(self, negative_slope: float = 0.01) -> "Tensor":
-        out_data = np.where(self.data > 0.0, self.data, self.data * negative_slope)
-
-        def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                scale = np.where(self.data > 0.0, 1.0, negative_slope).astype(self.data.dtype)
-                self._accumulate(grad * scale)
 
         return Tensor._make(out_data, (self,), backward)
 

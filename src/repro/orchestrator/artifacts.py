@@ -81,19 +81,17 @@ def _atomic_write_text(path: str, text: str) -> None:
 class ArtifactStore:
     """Keyed artifact directory with atomic writes and checksummed loads.
 
+    Every load recomputes the file digest and compares it against the
+    sidecar; a mismatch is treated as a miss and the bad files removed.
+
     Parameters
     ----------
     root:
         Directory holding the artifacts (created on demand).
-    verify:
-        When True (default), loads recompute the file digest and compare it
-        against the sidecar; mismatches are treated as misses and the bad
-        files removed.
     """
 
-    def __init__(self, root: str, verify: bool = True) -> None:
+    def __init__(self, root: str) -> None:
         self.root = root
-        self.verify = verify
         os.makedirs(self.root, exist_ok=True)
 
     # ------------------------------------------------------------------
@@ -169,8 +167,6 @@ class ArtifactStore:
         disk; accept it and let the format-level checks in the actual load
         (npz CRC, JSON parse) have the final word.
         """
-        if not self.verify:
-            return True
         for _ in range(self._VERIFY_ATTEMPTS):
             try:
                 stat_before = os.stat(path)

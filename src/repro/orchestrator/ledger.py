@@ -135,8 +135,3 @@ class RunLedger:
                 if event == "failed":
                     record.error = entry.get("error")
         return meta, records
-
-    def done_tasks(self) -> Dict[str, TaskRecord]:
-        """Tasks whose final ledger state is ``done`` (with inline results)."""
-        _, records = self.replay()
-        return {tid: rec for tid, rec in records.items() if rec.status == "done"}

@@ -28,8 +28,8 @@ from ..eval.budget import budget_trials
 from ..eval.experiments import ExperimentResult, ExperimentSpec, scenario_configs
 from ..eval.metrics import BackdoorMetrics
 from ..eval.runner import AggregateResult, TrialCache
-from ..telemetry import TELEMETRY_DIR_ENV, LoggerSink, bus, release_env_sink
-from ..utils.logging import get_logger
+from ..telemetry import TELEMETRY_DIR_ENV, bus, release_env_sink
+from ..utils.logging import get_logger, log_event
 from .artifacts import cache_root, content_hash
 from .dag import Task, TaskGraph
 from .ledger import RunLedger, TaskRecord
@@ -48,19 +48,6 @@ __all__ = [
 _LOG = get_logger("repro.orchestrator")
 
 _SOURCE = "orchestrator"
-
-# Lifecycle events mirrored to the console (LoggerSink) in verbose mode.
-# Hot per-round events (prune_round, tune_epoch) stay off the console and
-# flow only to the JSONL sinks.
-_CONSOLE_EVENTS = (
-    "run_started",
-    "run_finished",
-    "started",
-    "finished",
-    "failed",
-    "retried",
-    "skipped",
-)
 
 
 def build_experiment_dag(
@@ -208,8 +195,9 @@ def run_ledgered_graph(
     This is the engine under both the experiment-grid :class:`Orchestrator`
     and the federated round scheduler: resume replay with a grid-hash guard,
     ``run_meta``/``queued`` ledger appends, telemetry-dir export for forked
-    workers, a verbose console mirror, per-event ledger + bus fan-out, and
-    finally :func:`run_tasks` over the pool.
+    workers, a ledger line per task event (logged too in verbose mode),
+    ``run_started``/``run_finished`` on the bus, and finally
+    :func:`run_tasks` over the pool.
 
     Parameters
     ----------
@@ -273,22 +261,24 @@ def run_ledgered_graph(
         os.environ[TELEMETRY_DIR_ENV] = run_dir
         env_exported = True
     run_bus = bus()
-    console_sink = None
-    if cfg.verbose:
-        console_sink = run_bus.attach(LoggerSink(_LOG, events=_CONSOLE_EVENTS))
+
+    def announce(event: str, **fields) -> None:
+        run_bus.emit(event, source, **fields)
+        if cfg.verbose:
+            log_event(_LOG, event, **fields)
 
     def on_event(event: str, task: Task, **fields) -> None:
+        # The ledger is the one record of task lifecycle; the bus carries
+        # only run-level and hot-loop events, so nothing is counted twice.
         ledger.append(event, task=task.task_id, kind=task.kind,
                       scenario=task.scenario, **fields)
-        stream_fields = dict(fields)
-        # Full results are durable in the ledger; keep the live stream
-        # (and the verbose console mirror) light and greppable.
-        stream_fields.pop("result", None)
-        run_bus.emit(event, source, task=task.task_id, kind=task.kind, **stream_fields)
+        if cfg.verbose:
+            fields.pop("result", None)  # durable in the ledger; keep the console greppable
+            log_event(_LOG, event, task=task.task_id, kind=task.kind, **fields)
 
     try:
-        run_bus.emit(
-            "run_started", source,
+        announce(
+            "run_started",
             tasks=len(graph), preloaded=len(preloaded),
             workers=cfg.workers, run_dir=run_dir,
             **{k: run_meta[k] for k in ("experiment",) if k in run_meta},
@@ -312,8 +302,8 @@ def run_ledgered_graph(
         counts = graph.counts()
         elapsed = time.perf_counter() - start
         extra = finish_fields(values) if finish_fields is not None else {}
-        run_bus.emit(
-            "run_finished", source,
+        announce(
+            "run_finished",
             elapsed=elapsed, reused=len(preloaded),
             **{f"tasks_{k}": v for k, v in counts.items()},
             **extra,
@@ -327,8 +317,6 @@ def run_ledgered_graph(
             ledger_path=ledger.path,
         )
     finally:
-        if console_sink is not None:
-            run_bus.detach(console_sink)
         if env_exported:
             os.environ.pop(TELEMETRY_DIR_ENV, None)
             release_env_sink()

@@ -255,10 +255,9 @@ class ServingGateway:
         example = self._example_input(registered.manifest)
         # Trace and warm under the model lock: the drain thread may be
         # mid-batch on the old model, and a forward (the fold trace included)
-        # writes scratch into the process-wide nn workspace and flips the
-        # global no_grad flag.  Two forwards at once would overwrite each
-        # other's scratch slabs, and interleaved no_grad exits can leave
-        # gradients disabled for the whole process.
+        # writes scratch into the process-wide nn workspace.  Two forwards
+        # at once would overwrite each other's scratch slabs.  (The no_grad
+        # switch is per thread, so it needs no lock.)
         with self._model_lock:
             compiled = CompiledInference(registered.model, Tensor(example[:1]))
             compiled.warmup(Tensor(example))

@@ -8,7 +8,6 @@ from .inversion import InvertedTrigger, detect_backdoor, invert_trigger
 from .strip import (
     StripDetector,
     StripResult,
-    evaluate_filtered_inference,
     prediction_entropy,
     strip_entropy_scores,
 )
@@ -24,5 +23,4 @@ __all__ = [
     "StripResult",
     "prediction_entropy",
     "strip_entropy_scores",
-    "evaluate_filtered_inference",
 ]

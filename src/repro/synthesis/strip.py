@@ -16,7 +16,7 @@ actually embedded.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -29,7 +29,6 @@ __all__ = [
     "StripResult",
     "prediction_entropy",
     "strip_entropy_scores",
-    "evaluate_filtered_inference",
 ]
 
 
@@ -118,47 +117,6 @@ class StripResult:
     entropies: np.ndarray  # mean perturbation entropy per input
     flagged: np.ndarray  # boolean: input deemed triggered
     threshold: float
-
-
-@dataclass
-class FilteredInferenceResult:
-    """End-to-end impact of STRIP-gated inference.
-
-    ``effective_asr`` counts a triggered input as an attack success only if
-    it was *not* flagged AND classified as the target — the deployment
-    metric a runtime filter actually changes.  ``clean_rejection_rate`` is
-    the price: clean inputs refused service.
-    """
-
-    effective_asr: float
-    raw_asr: float
-    triggered_detection_rate: float
-    clean_rejection_rate: float
-
-
-def evaluate_filtered_inference(
-    model,
-    detector: "StripDetector",
-    test_set: ImageDataset,
-    attack,
-) -> FilteredInferenceResult:
-    """Measure ASR with and without the STRIP gate in front of the model."""
-    from ..eval.metrics import evaluate_backdoor_metrics
-    from ..training import predict
-
-    raw = evaluate_backdoor_metrics(model, test_set, attack)
-    victims = test_set.subset(np.flatnonzero(test_set.labels != attack.target_class))
-    triggered = attack.apply(victims.images)
-    triggered_result = detector.detect(triggered)
-    clean_result = detector.detect(test_set.images)
-    predictions = predict(model, triggered)
-    success = (predictions == attack.target_class) & ~triggered_result.flagged
-    return FilteredInferenceResult(
-        effective_asr=float(success.mean()),
-        raw_asr=raw.asr,
-        triggered_detection_rate=float(triggered_result.flagged.mean()),
-        clean_rejection_rate=float(clean_result.flagged.mean()),
-    )
 
 
 class StripDetector:

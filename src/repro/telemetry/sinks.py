@@ -10,25 +10,19 @@ broken disk must not take down the pruning loop it observes).
   stream that ``repro watch`` tails.
 - :class:`MemorySink` — bounded in-process ring buffer, the test/debug
   sink and the backing store for dashboards embedded in the same process.
-- :class:`LoggerSink` — renders events as the classic greppable
-  ``event=<name> key=value`` stderr lines through
-  :func:`repro.utils.logging.log_event`, optionally filtered to an event
-  allow-list so hot-loop events don't flood the console.
 """
 
 from __future__ import annotations
 
 import json
-import logging
 import os
 import threading
 from collections import deque
-from typing import Iterable, List, Optional
+from typing import List, Optional
 
-from ..utils.logging import log_event
 from .events import TelemetryEvent
 
-__all__ = ["Sink", "JsonlSink", "MemorySink", "LoggerSink"]
+__all__ = ["Sink", "JsonlSink", "MemorySink"]
 
 
 class Sink:
@@ -136,17 +130,3 @@ class JsonlSink(Sink):
                 self._handle.close()
                 self._handle = None
 
-
-class LoggerSink(Sink):
-    """Mirror (a filtered subset of) the stream as ``event=...`` log lines."""
-
-    def __init__(self, logger: logging.Logger, events: Optional[Iterable[str]] = None) -> None:
-        self.logger = logger
-        self.events = frozenset(events) if events is not None else None
-
-    def write(self, event: TelemetryEvent) -> None:
-        if self.events is not None and event.event not in self.events:
-            return
-        # log_event writes at INFO.
-        if self.logger.isEnabledFor(logging.INFO):
-            log_event(self.logger, event.event, **event.fields)

@@ -1,10 +1,11 @@
 """``repro watch``: live terminal dashboard over a run's event streams.
 
 Tails the append-only files a run produces — the orchestrator's durable
-``ledger.jsonl`` plus any ``telemetry*.jsonl`` written by
-:class:`~repro.telemetry.sinks.JsonlSink` (one per process when workers
-emit through ``REPRO_TELEMETRY_DIR``) — folds the records into a
-:class:`WatchState`, and renders a compact dashboard:
+``ledger.jsonl``, the one record of task lifecycle, plus any
+``telemetry*.jsonl`` written by :class:`~repro.telemetry.sinks.JsonlSink`
+(one per process when workers emit through ``REPRO_TELEMETRY_DIR``) —
+folds the records into a :class:`WatchState`, and renders a compact
+dashboard:
 
 - task progress (queued/running/done/failed), completion rate and ETA;
 - live ASR/ACC proxies folded from finished trial results;
@@ -31,6 +32,8 @@ from collections import Counter, deque
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional
 
+from ..orchestrator.ledger import _STATUS_FOR_EVENT
+
 __all__ = [
     "JsonlTail",
     "WatchState",
@@ -41,16 +44,6 @@ __all__ = [
 ]
 
 _SPARK_BLOCKS = "▁▂▃▄▅▆▇█"
-
-# Ledger events that change a task's folded status (mirrors RunLedger).
-_TASK_STATUS = {
-    "queued": "queued",
-    "started": "running",
-    "finished": "done",
-    "failed": "failed",
-    "retried": "queued",
-    "skipped": "skipped",
-}
 
 
 class JsonlTail:
@@ -167,7 +160,7 @@ class WatchState:
 
         if event == "run_meta":
             self.run_meta = record
-        elif event in _TASK_STATUS and record.get("task"):
+        elif event in _STATUS_FOR_EVENT and record.get("task"):
             self._apply_task(event, record)
         elif event == "prune_started":
             # A new pruning run resets the hot-loop view.
@@ -235,7 +228,7 @@ class WatchState:
     def _apply_task(self, event: str, record: Dict[str, Any]) -> None:
         task = self.tasks.setdefault(str(record["task"]), _TaskFold())
         previous = task.status
-        task.status = _TASK_STATUS[event]
+        task.status = _STATUS_FOR_EVENT[event]
         if record.get("kind"):
             task.kind = str(record["kind"])
         if event == "retried":

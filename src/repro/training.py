@@ -30,9 +30,6 @@ class TrainConfig:
     momentum: float = 0.9
     weight_decay: float = 5e-4
     shuffle_seed: int = 0
-    lr_decay_epochs: tuple = ()
-    lr_decay_factor: float = 0.1
-    verbose: bool = False
 
 
 @dataclass
@@ -83,8 +80,6 @@ def train_classifier(
     result = TrainResult()
     model.train()
     for epoch in range(config.epochs):
-        if epoch in config.lr_decay_epochs:
-            optimizer.lr *= config.lr_decay_factor
         epoch_loss = 0.0
         batches = 0
         for images, labels in loader:
@@ -97,8 +92,6 @@ def train_classifier(
             batches += 1
         mean_loss = epoch_loss / max(batches, 1)
         result.losses.append(mean_loss)
-        if config.verbose:
-            print(f"epoch {epoch}: loss={mean_loss:.4f}")
         if epoch_callback is not None:
             epoch_callback(epoch, mean_loss)
     result.final_loss = result.losses[-1] if result.losses else float("nan")

@@ -1,13 +1,11 @@
 """Shared utilities: seeding, logging, timing."""
 
 from .logging import Timer, get_logger, log_event
-from .seeding import derive_seed, make_rng, seed_sequence
+from .seeding import seed_sequence
 from .timing import best_of_seconds, hard_timeout, latency_summary, percentiles
 
 __all__ = [
-    "derive_seed",
     "seed_sequence",
-    "make_rng",
     "get_logger",
     "log_event",
     "Timer",

@@ -1,8 +1,8 @@
-"""Deterministic seeding helpers.
+"""Deterministic seeding helper.
 
 Every stochastic component in the library takes an explicit generator or
-seed; these helpers derive independent child seeds from a root seed so that
-trials are reproducible yet decorrelated.
+seed; :func:`seed_sequence` derives independent child seeds from a root
+seed so that trials are reproducible yet decorrelated.
 """
 
 from __future__ import annotations
@@ -11,13 +11,7 @@ from typing import Iterator
 
 import numpy as np
 
-__all__ = ["derive_seed", "seed_sequence", "make_rng"]
-
-
-def derive_seed(root: int, *labels) -> int:
-    """Derive a child seed from a root seed and any hashable labels."""
-    mix = np.random.SeedSequence([root & 0xFFFFFFFF, abs(hash(labels)) & 0xFFFFFFFF])
-    return int(mix.generate_state(1)[0])
+__all__ = ["seed_sequence"]
 
 
 def seed_sequence(root: int, count: int) -> Iterator[int]:
@@ -25,8 +19,3 @@ def seed_sequence(root: int, count: int) -> Iterator[int]:
     children = np.random.SeedSequence(root).spawn(count)
     for child in children:
         yield int(child.generate_state(1)[0])
-
-
-def make_rng(seed: int) -> np.random.Generator:
-    """Create a generator from an integer seed."""
-    return np.random.default_rng(seed)

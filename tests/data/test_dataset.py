@@ -41,12 +41,6 @@ class TestImageDataset:
         assert len(c) == 12
         assert np.array_equal(c.images[:5], a.images)
 
-    def test_with_labels(self):
-        ds = make_dataset(6)
-        relabeled = ds.with_labels(np.zeros(6, dtype=np.int64))
-        assert relabeled.labels.sum() == 0
-        assert np.array_equal(relabeled.images, ds.images)
-
     def test_class_counts(self):
         ds = make_dataset(8, num_classes=4)
         assert ds.class_counts().tolist() == [2, 2, 2, 2]
@@ -63,12 +57,6 @@ class TestDataLoader:
         loader = DataLoader(make_dataset(10), batch_size=3)
         assert len(loader) == 4
         assert sum(1 for _ in loader) == 4
-
-    def test_drop_last(self):
-        loader = DataLoader(make_dataset(10), batch_size=3, drop_last=True)
-        assert len(loader) == 3
-        sizes = [len(labels) for _, labels in loader]
-        assert sizes == [3, 3, 3]
 
     def test_covers_all_samples(self):
         loader = DataLoader(make_dataset(10), batch_size=4, shuffle=True,
@@ -88,14 +76,6 @@ class TestDataLoader:
         first = next(iter(loader))[1].tolist()
         second = next(iter(loader))[1].tolist()
         assert first != second
-
-    def test_transform_applied(self):
-        loader = DataLoader(
-            make_dataset(4), batch_size=2,
-            transform=lambda batch, rng: batch * 0.0,
-        )
-        for images, _ in loader:
-            assert np.all(images == 0)
 
     def test_invalid_batch_size(self):
         with pytest.raises(ValueError):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.data import ImageDataset, defender_split, spc_subset, train_val_split
+from repro.data import ImageDataset, defender_split, spc_subset
 
 
 def make_dataset(per_class=20, num_classes=5, seed=0):
@@ -38,28 +38,6 @@ class TestSpcSubset:
         a = spc_subset(ds, 2, np.random.default_rng(7))
         b = spc_subset(ds, 2, np.random.default_rng(7))
         assert np.array_equal(a.images, b.images)
-
-
-class TestTrainValSplit:
-    def test_sizes(self):
-        train, val = train_val_split(make_dataset(), 0.25, np.random.default_rng(0))
-        assert len(train) == 75
-        assert len(val) == 25
-
-    def test_partition_is_disjoint_and_complete(self):
-        ds = make_dataset(per_class=4)
-        train, val = train_val_split(ds, 0.5, np.random.default_rng(1))
-        assert len(train) + len(val) == len(ds)
-
-    def test_bad_fraction_raises(self):
-        with pytest.raises(ValueError):
-            train_val_split(make_dataset(), 1.5)
-
-    def test_always_leaves_train_samples(self):
-        ds = make_dataset(per_class=1, num_classes=2)
-        train, val = train_val_split(ds, 0.9, np.random.default_rng(0))
-        assert len(train) >= 1
-        assert len(val) >= 1
 
 
 class TestDefenderSplit:

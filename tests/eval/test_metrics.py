@@ -78,12 +78,6 @@ class TestMetricValues:
 
 
 class TestBackdoorMetricsDataclass:
-    def test_percentages(self):
-        m = BackdoorMetrics(acc=0.5, asr=0.25, ra=0.75).as_percentages()
-        assert m.acc == 50.0
-        assert m.asr == 25.0
-        assert m.ra == 75.0
-
     def test_str(self):
         text = str(BackdoorMetrics(0.9, 0.1, 0.8))
         assert "ACC=0.9" in text

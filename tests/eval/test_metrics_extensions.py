@@ -1,15 +1,11 @@
-"""Tests for the extended metrics: all-to-all, per-class ASR, confusion."""
+"""Tests for the extended all-to-all metrics."""
 
 import numpy as np
 import pytest
 
 from repro.attacks import BadNetsAttack
 from repro.data import ImageDataset
-from repro.eval import (
-    confusion_matrix,
-    evaluate_all_to_all_metrics,
-    per_class_asr,
-)
+from repro.eval import evaluate_all_to_all_metrics
 from repro.nn import Module, Tensor
 
 
@@ -61,28 +57,3 @@ class TestAllToAll:
         empty = ImageDataset(np.zeros((0, 3, 8, 8), dtype=np.float32), np.zeros(0))
         with pytest.raises(ValueError):
             evaluate_all_to_all_metrics(CyclicBackdooredOracle(), empty, attack)
-
-
-class TestPerClassASR:
-    def test_breakdown_shape_and_nan_target(self, backdoored_tiny_model, tiny_test, tiny_attack):
-        breakdown = per_class_asr(backdoored_tiny_model, tiny_test, tiny_attack)
-        assert breakdown.shape == (3,)
-        assert np.isnan(breakdown[0])  # target class
-        assert np.nanmax(breakdown) <= 1.0
-        assert np.nanmin(breakdown) >= 0.0
-
-    def test_high_for_embedded_backdoor(self, backdoored_tiny_model, tiny_test, tiny_attack):
-        breakdown = per_class_asr(backdoored_tiny_model, tiny_test, tiny_attack)
-        assert np.nanmean(breakdown) > 0.5
-
-
-class TestConfusionMatrix:
-    def test_diagonal_for_oracle(self):
-        matrix = confusion_matrix(CyclicBackdooredOracle(), make_test_set())
-        assert matrix.shape == (3, 3)
-        assert matrix.sum() == 60
-        assert np.trace(matrix) == 60  # clean data: perfect
-
-    def test_rows_sum_to_class_counts(self, backdoored_tiny_model, tiny_test):
-        matrix = confusion_matrix(backdoored_tiny_model, tiny_test)
-        assert np.array_equal(matrix.sum(axis=1), tiny_test.class_counts())

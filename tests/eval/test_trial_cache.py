@@ -44,6 +44,26 @@ class TestKeying:
         )
 
 
+class TestPinnedKeys:
+    """Cache keys and task ids persist on disk: a change in how they are
+    hashed would orphan every cached model, trial and ledger."""
+
+    def test_scenario_fingerprints(self):
+        assert ScenarioConfig().fingerprint() == "2c9fb5d59d425528"
+        with_kwargs = ScenarioConfig(attack_kwargs=(("patch_size", 5),))
+        assert with_kwargs.fingerprint() == "8f6733defd2610ab"
+
+    def test_federated_fingerprint(self):
+        from repro.federated.scheduler import FederatedScenario
+
+        assert FederatedScenario().fingerprint() == "7ab88c77a0a90a19"
+
+    def test_trial_key(self):
+        kwargs = {"alpha": 0.0, "max_rounds": 2}
+        key = TrialCache.key(ScenarioConfig(), "grad_prune", kwargs, 2, 7)
+        assert key == "392a7d804f78fad72757"
+
+
 class TestRoundTrip:
     def test_store_load(self, tmp_path):
         cache = TrialCache(str(tmp_path))

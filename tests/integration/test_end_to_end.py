@@ -108,16 +108,16 @@ class TestSPCProtocol:
 
 class TestCheckpointing:
     def test_defended_model_serializes(self, backdoored_tiny_model, tiny_reservoir, tiny_attack, tiny_test, tmp_path):
-        from repro.nn.serialization import load_module, save_module
+        from repro.nn.serialization import load_state, save_state
 
         clean_train, clean_val = defender_split(tiny_reservoir, 10, np.random.default_rng(5))
         data = DefenderData(clean_train, clean_val, tiny_attack)
         model = copy.deepcopy(backdoored_tiny_model)
         GradPruneDefense(GradPruneConfig(prune_patience=2, tune_max_epochs=2)).apply(model, data)
         path = str(tmp_path / "defended.npz")
-        save_module(model, path)
+        save_state(model.state_dict(), path)
         restored = TinyConvNet(seed=99)
-        load_module(restored, path)
+        restored.load_state_dict(load_state(path))
         a = evaluate_backdoor_metrics(model, tiny_test, tiny_attack)
         b = evaluate_backdoor_metrics(restored, tiny_test, tiny_attack)
         assert a.acc == pytest.approx(b.acc)

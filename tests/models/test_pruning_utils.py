@@ -92,21 +92,13 @@ class TestPruningMask:
         assert len(mask) == 2
         assert mask.sparsity() == pytest.approx(0.2)
 
-    def test_is_pruned(self):
-        net = make_net()
-        mask = PruningMask(net)
-        ref = FilterRef("1", 2)
-        assert not mask.is_pruned(ref)
-        mask.prune(ref)
-        assert mask.is_pruned(ref)
-
     def test_unprune_forgets(self):
         net = make_net()
         mask = PruningMask(net)
         ref = FilterRef("0", 1)
         saved = mask.prune(ref)
         mask.unprune(ref, saved)
-        assert not mask.is_pruned(ref)
+        assert ref not in mask.pruned_refs
         assert len(mask) == 0
 
     def test_apply_rezeroes_after_training_step(self):

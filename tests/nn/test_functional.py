@@ -95,15 +95,6 @@ class TestPooling:
         assert out.data[0, 0, 0, 0] == pytest.approx((0 + 1 + 4 + 5) / 4)
 
 
-class TestPad:
-    def test_pad_values_and_shape(self):
-        x = Tensor(np.ones((1, 1, 2, 2), dtype=np.float32))
-        out = F.pad2d(x, 1)
-        assert out.shape == (1, 1, 4, 4)
-        assert out.data[0, 0, 0, 0] == 0.0
-        assert out.data[0, 0, 1, 1] == 1.0
-
-
 class TestBatchNormForward:
     def test_train_uses_batch_stats(self):
         x = Tensor(np.random.default_rng(0).normal(5.0, 3.0, (16, 2, 4, 4)).astype(np.float32))

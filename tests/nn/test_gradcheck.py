@@ -8,7 +8,7 @@ All checks run in float64 with central differences.
 import numpy as np
 import pytest
 
-from repro.nn import Tensor, cross_entropy, kl_div_loss, mse_loss, soft_cross_entropy
+from repro.nn import Tensor, cross_entropy
 from repro.nn import functional as F
 
 RNG = np.random.default_rng(42)
@@ -47,7 +47,6 @@ def check_unary(op, shape=(3, 4), positive=False, atol=1e-6):
     "name,op,positive",
     [
         ("relu_shifted", lambda t: (t + 0.01).relu(), False),
-        ("leaky_relu", lambda t: (t + 0.01).leaky_relu(0.1), False),
         ("sigmoid", lambda t: t.sigmoid(), False),
         ("tanh", lambda t: t.tanh(), False),
         ("silu", lambda t: t.silu(), False),
@@ -230,16 +229,6 @@ def test_avg_pool_broadcast_grad_matches_tap_loop(shape, kernel):
     assert np.array_equal(x.grad, _avg_pool_tap_loop_grad(upstream, shape, kernel))
 
 
-def test_pad2d_grad():
-    x = Tensor(RNG.normal(size=(2, 2, 4, 4)), requires_grad=True)
-    (F.pad2d(x, 2) ** 2.0).sum().backward()
-
-    def f():
-        return float((F.pad2d(Tensor(x.data), 2).data ** 2).sum())
-
-    assert np.abs(numgrad(f, x.data) - x.grad).max() < 1e-5
-
-
 def test_batch_norm_train_grads():
     x = Tensor(RNG.normal(size=(3, 4, 5, 5)), requires_grad=True)
     w = Tensor(RNG.uniform(0.5, 1.5, (4,)), requires_grad=True)
@@ -295,37 +284,3 @@ def test_cross_entropy_sum_grad():
 
     assert np.abs(numgrad(f, logits.data) - logits.grad).max() < 1e-4
 
-
-def test_mse_grad():
-    pred = Tensor(RNG.normal(size=(4, 3)), requires_grad=True)
-    target = RNG.normal(size=(4, 3))
-    mse_loss(pred, target).backward()
-
-    def f():
-        return float(((pred.data - target) ** 2).mean())
-
-    assert np.abs(numgrad(f, pred.data) - pred.grad).max() < 1e-5
-
-
-def test_soft_cross_entropy_grad():
-    logits = Tensor(RNG.normal(size=(4, 5)), requires_grad=True)
-    raw = RNG.uniform(0.1, 1.0, (4, 5))
-    soft = raw / raw.sum(axis=1, keepdims=True)
-    soft_cross_entropy(logits, soft).backward()
-
-    def f():
-        return float(soft_cross_entropy(Tensor(logits.data), soft).data)
-
-    assert np.abs(numgrad(f, logits.data) - logits.grad).max() < 1e-5
-
-
-def test_kl_div_grad():
-    logits = Tensor(RNG.normal(size=(3, 4)), requires_grad=True)
-    raw = RNG.uniform(0.1, 1.0, (3, 4))
-    teacher = raw / raw.sum(axis=1, keepdims=True)
-    kl_div_loss(logits.log_softmax(), teacher).backward()
-
-    def f():
-        return float(kl_div_loss(Tensor(logits.data).log_softmax(), teacher).data)
-
-    assert np.abs(numgrad(f, logits.data) - logits.grad).max() < 1e-5

@@ -10,7 +10,6 @@ from repro.models.pruning_utils import FilterRef, PruningMask
 from repro.models.vgg import vgg19_bn
 from repro.nn import (
     BatchNorm2d,
-    CompiledInference,
     Conv2d,
     Linear,
     Module,
@@ -168,11 +167,6 @@ class TestCompiledInference:
         with pytest.raises(RuntimeError):
             compiled.train()
         assert compiled.eval() is compiled
-
-    def test_module_convenience_method(self, net, batch):
-        compiled = net.compile_for_inference(Tensor(batch[:1]))
-        assert isinstance(compiled, CompiledInference)
-        assert compiled.num_folded == 2
 
     def test_accepts_raw_arrays(self, net, batch):
         compiled = compile_for_inference(net, batch[:1])

@@ -5,18 +5,14 @@ import pytest
 
 from repro.nn import (
     AdaptiveAvgPool2d,
-    AvgPool2d,
     BatchNorm2d,
     Conv2d,
     Dropout,
     Flatten,
-    Identity,
-    LeakyReLU,
     Linear,
     MaxPool2d,
     ReLU,
     Sequential,
-    Sigmoid,
     Tensor,
 )
 
@@ -118,10 +114,6 @@ class TestPooling:
         out = MaxPool2d(2)(x)
         assert out.data.reshape(-1).tolist() == [5.0, 7.0, 13.0, 15.0]
 
-    def test_avg_pool_values(self):
-        x = Tensor(np.ones((1, 1, 4, 4), dtype=np.float32))
-        assert np.allclose(AvgPool2d(2)(x).data, 1.0)
-
     def test_adaptive_avg_pool_global(self):
         x = Tensor(np.arange(32, dtype=np.float32).reshape(1, 2, 4, 4))
         out = AdaptiveAvgPool2d(1)(x)
@@ -159,15 +151,9 @@ class TestMisc:
     def test_flatten(self):
         assert Flatten()(batch((2, 3, 4, 4))).shape == (2, 48)
 
-    def test_identity(self):
-        x = batch((2, 2))
-        assert Identity()(x) is x
-
     def test_activation_modules(self):
         x = Tensor(np.array([-1.0, 1.0], dtype=np.float32))
         assert ReLU()(x).data.tolist() == [0.0, 1.0]
-        assert LeakyReLU(0.5)(x).data.tolist() == [-0.5, 1.0]
-        assert Sigmoid()(x).data[1] == pytest.approx(1 / (1 + np.exp(-1)), rel=1e-5)
 
     def test_sequential_of_everything(self):
         model = Sequential(

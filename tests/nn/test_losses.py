@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.nn import Tensor, cross_entropy, kl_div_loss, mse_loss, nll_loss, soft_cross_entropy
+from repro.nn import Tensor, cross_entropy, nll_loss
 
 
 class TestCrossEntropy:
@@ -46,29 +46,3 @@ class TestOtherLosses:
     def test_nll_picks_label_entries(self):
         log_probs = Tensor(np.log(np.array([[0.7, 0.3]], dtype=np.float32)))
         assert nll_loss(log_probs, np.array([0])).item() == pytest.approx(-np.log(0.7), rel=1e-5)
-
-    def test_mse_known_value(self):
-        pred = Tensor(np.array([1.0, 2.0], dtype=np.float32))
-        assert mse_loss(pred, np.array([0.0, 0.0])).item() == pytest.approx(2.5)
-
-    def test_mse_sum(self):
-        pred = Tensor(np.array([1.0, 2.0], dtype=np.float32))
-        assert mse_loss(pred, np.array([0.0, 0.0]), reduction="sum").item() == pytest.approx(5.0)
-
-    def test_soft_ce_matches_hard_ce_on_onehot(self):
-        logits = Tensor(np.random.default_rng(1).normal(size=(3, 4)).astype(np.float32))
-        labels = np.array([1, 0, 3])
-        onehot = np.eye(4, dtype=np.float32)[labels]
-        assert soft_cross_entropy(logits, onehot).item() == pytest.approx(
-            cross_entropy(logits, labels).item(), rel=1e-5
-        )
-
-    def test_kl_zero_when_matching(self):
-        probs = np.array([[0.2, 0.8]], dtype=np.float32)
-        student = Tensor(np.log(probs))
-        assert kl_div_loss(student, probs).item() == pytest.approx(0.0, abs=1e-5)
-
-    def test_kl_positive_when_different(self):
-        student = Tensor(np.log(np.array([[0.5, 0.5]], dtype=np.float32)))
-        teacher = np.array([[0.9, 0.1]], dtype=np.float32)
-        assert kl_div_loss(student, teacher).item() > 0.0

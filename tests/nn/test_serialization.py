@@ -5,15 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from repro.nn import BatchNorm2d, Conv2d, Linear, ReLU, Sequential
-from repro.nn.serialization import load_module, load_state, save_module, save_state
-
-
-def make_model(seed=0):
-    rng = np.random.default_rng(seed)
-    return Sequential(
-        Conv2d(3, 4, 3, padding=1, rng=rng), BatchNorm2d(4), ReLU(),
-    )
+from repro.nn.serialization import load_state, save_state
 
 
 class TestStateIO:
@@ -29,24 +21,6 @@ class TestStateIO:
         path = str(tmp_path / "deep" / "nested" / "ckpt.npz")
         save_state({"x": np.zeros(1)}, path)
         assert os.path.exists(path)
-
-
-class TestModuleIO:
-    def test_module_round_trip(self, tmp_path):
-        path = str(tmp_path / "model.npz")
-        a = make_model(seed=1)
-        a[1]._update_buffer("running_mean", np.full(4, 3.0, dtype=np.float32))
-        save_module(a, path)
-        b = make_model(seed=2)
-        load_module(b, path)
-        assert np.array_equal(a[0].weight.data, b[0].weight.data)
-        assert np.allclose(b[1].running_mean, 3.0)
-
-    def test_load_returns_module(self, tmp_path):
-        path = str(tmp_path / "model.npz")
-        a = make_model()
-        save_module(a, path)
-        assert load_module(make_model(), path) is not None
 
 
 class TestCheckpointErrors:
@@ -76,15 +50,6 @@ class TestCheckpointErrors:
             handle.write(b"definitely not a zip archive")
         with pytest.raises(CheckpointError, match="junk.npz"):
             load_state(path)
-
-    def test_load_module_wraps_bad_file(self, tmp_path):
-        from repro.nn.serialization import CheckpointError
-
-        path = str(tmp_path / "bad.npz")
-        with open(path, "wb") as handle:
-            handle.write(b"\x00" * 16)
-        with pytest.raises(CheckpointError):
-            load_module(make_model(), path)
 
 
 class TestAtomicWrites:

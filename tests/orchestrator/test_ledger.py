@@ -58,13 +58,6 @@ class TestReplay:
         assert records["t1"].status == "done"
         assert "t2" not in records
 
-    def test_done_tasks(self, tmp_path):
-        ledger = RunLedger(str(tmp_path))
-        ledger.append("finished", task="a", result={"v": 1})
-        ledger.append("started", task="b", attempt=1)
-        done = ledger.done_tasks()
-        assert set(done) == {"a"}
-
 
 class TestRotation:
     def test_rotate_moves_ledger_aside(self, tmp_path):

@@ -4,19 +4,23 @@ Uses a deliberately tiny grid (150 train samples, 2 epochs, 3 classes) so a
 full train → defend → aggregate round trip stays in the seconds range.
 """
 
+import glob
+import io
 import json
+import logging
 import os
 
 import pytest
 
 from repro.eval import TrialCache, scenario_configs
 from repro.eval.experiments import ExperimentProfile, ExperimentSpec
-from repro.orchestrator import FAULT_RATE_ENV
+from repro.orchestrator import FAULT_RATE_ENV, RunLedger
 from repro.orchestrator.orchestrator import (
     Orchestrator,
     OrchestratorConfig,
     build_experiment_dag,
 )
+from repro.telemetry.watch import watch_paths
 
 TINY_PROFILE = ExperimentProfile(
     name="tiny",
@@ -188,6 +192,54 @@ class TestFaultInjectionAndResume:
         assert second.ok
         assert second.reused == 0  # mismatched grid hash → rotated, not reused
         assert os.path.exists(first.ledger_path + ".bak1")
+
+
+class TestLedgerIsTheTaskRecord:
+    """Task lifecycle events go to the ledger only, never onto the bus."""
+
+    def test_watch_folds_each_task_event_once(self, tmp_path, monkeypatch):
+        monkeypatch.setenv(FAULT_RATE_ENV, "0.5")
+        result = orchestrator_for(tmp_path, max_retries=5).run(tiny_spec(defenses=("clp",)))
+        assert glob.glob(os.path.join(result.run_dir, "telemetry-*.jsonl"))
+        retried = sum(e["event"] == "retried" for e in ledger_events(result.ledger_path))
+        assert retried > 0
+        state = watch_paths(result.run_dir, once=True, out=io.StringIO())
+        _, records = RunLedger(result.run_dir).replay()
+        assert state.retries == retried
+        assert {task_id: task.status for task_id, task in state.tasks.items()} == {
+            task_id: record.status for task_id, record in records.items()
+        }
+
+    def test_verbose_run_logs_task_events_but_not_hot_loop_events(self, tmp_path):
+        stream = io.StringIO()
+        handler = logging.StreamHandler(stream)
+        root = logging.getLogger("repro")
+        root.addHandler(handler)
+        try:
+            result = orchestrator_for(tmp_path, verbose=True).run(
+                tiny_spec(defenses=("grad_prune",))
+            )
+        finally:
+            root.removeHandler(handler)
+        assert result.ok
+        lines = stream.getvalue().splitlines()
+        finished = [
+            e["task"] for e in ledger_events(result.ledger_path) if e["event"] == "finished"
+        ]
+        logged = [
+            line.split(" task=")[1].split()[0]
+            for line in lines
+            if line.startswith("event=finished ")
+        ]
+        assert sorted(logged) == sorted(finished)
+        # The pruner's rounds reach the telemetry files but not the console.
+        streamed = [
+            json.loads(line)["event"]
+            for path in glob.glob(os.path.join(result.run_dir, "telemetry-*.jsonl"))
+            for line in open(path)
+        ]
+        assert "prune_round" in streamed
+        assert not [line for line in lines if "prune_round" in line]
 
 
 class TestGracefulDegradation:

@@ -85,45 +85,6 @@ class TestStripDetector:
         assert result.entropies.shape == (10,)
 
 
-class TestFilteredInference:
-    def test_effective_asr_bounded_by_raw(
-        self, backdoored_tiny_model, tiny_reservoir, tiny_test, tiny_attack
-    ):
-        from repro.synthesis import evaluate_filtered_inference
-
-        detector = StripDetector(
-            backdoored_tiny_model, tiny_reservoir, num_overlays=6, seed=0
-        )
-        result = evaluate_filtered_inference(
-            backdoored_tiny_model, detector, tiny_test, tiny_attack
-        )
-        assert 0.0 <= result.effective_asr <= result.raw_asr + 1e-9
-        assert 0.0 <= result.clean_rejection_rate <= 1.0
-        assert 0.0 <= result.triggered_detection_rate <= 1.0
-
-    def test_perfect_detector_zeroes_asr(self, tiny_reservoir, tiny_test, tiny_attack):
-        from repro.synthesis import evaluate_filtered_inference
-        from repro.nn import Module, Tensor
-
-        class AlwaysTarget(Module):
-            def forward(self, x):
-                logits = np.zeros((x.shape[0], 3), dtype=np.float32)
-                logits[:, 0] = 5.0
-                return Tensor(logits)
-
-        class FlagEverything(StripDetector):
-            def detect(self, images):
-                from repro.synthesis.strip import StripResult
-
-                n = len(images)
-                return StripResult(np.zeros(n), np.ones(n, dtype=bool), 0.0)
-
-        detector = FlagEverything(AlwaysTarget(), tiny_reservoir, num_overlays=2, seed=0)
-        result = evaluate_filtered_inference(AlwaysTarget(), detector, tiny_test, tiny_attack)
-        assert result.raw_asr == pytest.approx(1.0)
-        assert result.effective_asr == 0.0
-
-
 class TestVectorizedScoring:
     def test_matches_per_overlay_reference_loop(self, backdoored_tiny_model, tiny_reservoir, tiny_test):
         # The stacked (chunk * num_overlays) forward must reproduce the old

@@ -1,7 +1,6 @@
 """TelemetryBus wiring: emit, sinks, failure isolation, snapshot."""
 
 import json
-import logging
 import os
 
 import pytest
@@ -9,13 +8,11 @@ import pytest
 from repro.telemetry import (
     TELEMETRY_DIR_ENV,
     JsonlSink,
-    LoggerSink,
     MemorySink,
     TelemetryBus,
     TelemetryEvent,
 )
 from repro.telemetry.bus import _MAX_FAILURES
-from repro.utils.logging import get_logger
 
 
 @pytest.fixture
@@ -143,28 +140,6 @@ class TestJsonlSinkRotation:
         sink.write(TelemetryEvent(event="e"))
         sink.close()
         assert (tmp_path / "deep" / "er" / "t.jsonl").exists()
-
-
-class TestLoggerSink:
-    def _render(self, caplog, events, name):
-        logger = get_logger("repro.logger_sink_test")
-        logger.addHandler(caplog.handler)
-        try:
-            LoggerSink(logger, events=events).write(
-                TelemetryEvent(event=name, fields={"task": "t1", "worker": 2})
-            )
-        finally:
-            logger.removeHandler(caplog.handler)
-        return [r for r in caplog.records if r.name == "repro.logger_sink_test"]
-
-    def test_listed_event_renders_one_info_line(self, caplog):
-        records = self._render(caplog, ["finished"], "finished")
-        assert len(records) == 1
-        assert records[0].levelno == logging.INFO
-        assert records[0].getMessage() == "event=finished task=t1 worker=2"
-
-    def test_unlisted_event_renders_nothing(self, caplog):
-        assert self._render(caplog, ["finished"], "prune_round") == []
 
 
 class TestRunContext:

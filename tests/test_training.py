@@ -53,17 +53,6 @@ class TestTrainClassifier:
         )
         assert [c[0] for c in calls] == [0, 1, 2]
 
-    def test_lr_decay_applied(self):
-        model = TinyConvNet(seed=0)
-        dataset = make_tiny_dataset(60, seed=0)
-        optimizer = SGD(model.parameters(), lr=0.1)
-        train_classifier(
-            model, dataset,
-            TrainConfig(epochs=3, lr_decay_epochs=(1, 2), lr_decay_factor=0.1),
-            optimizer=optimizer,
-        )
-        assert optimizer.lr == pytest.approx(0.1 * 0.01)
-
     def test_model_left_in_eval_mode(self):
         model = TinyConvNet(seed=0)
         train_classifier(model, make_tiny_dataset(30), TrainConfig(epochs=1))

@@ -5,16 +5,10 @@ import logging
 import numpy as np
 import pytest
 
-from repro.utils import Timer, derive_seed, get_logger, make_rng, seed_sequence
+from repro.utils import Timer, get_logger, seed_sequence
 
 
 class TestSeeding:
-    def test_derive_seed_deterministic(self):
-        assert derive_seed(42, "attack", 1) == derive_seed(42, "attack", 1)
-
-    def test_derive_seed_varies_with_labels(self):
-        assert derive_seed(42, "a") != derive_seed(42, "b")
-
     def test_seed_sequence_count_and_uniqueness(self):
         seeds = list(seed_sequence(0, 10))
         assert len(seeds) == 10
@@ -22,11 +16,6 @@ class TestSeeding:
 
     def test_seed_sequence_reproducible(self):
         assert list(seed_sequence(5, 4)) == list(seed_sequence(5, 4))
-
-    def test_make_rng(self):
-        a = make_rng(3).random(4)
-        b = make_rng(3).random(4)
-        assert np.array_equal(a, b)
 
 
 class TestLogging:
