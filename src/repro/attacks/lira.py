@@ -18,7 +18,7 @@ implements that two-player training loop on our substrate:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 

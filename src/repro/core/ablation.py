@@ -16,7 +16,7 @@ DESIGN.md §6 calls out three choices worth isolating:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 import numpy as np
 

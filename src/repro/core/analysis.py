@@ -20,7 +20,6 @@ import numpy as np
 
 from ..attacks.base import BackdoorAttack
 from ..data.dataset import ImageDataset
-from ..defenses.fine_pruning import mean_channel_activations
 from ..models.pruning_utils import FilterRef, iter_conv_layers
 from ..nn.module import Module
 

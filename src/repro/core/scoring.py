@@ -12,7 +12,7 @@ misclassification of triggered inputs, making it the next pruning candidate.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Optional, Set, Tuple
 
 import numpy as np
 

@@ -24,7 +24,7 @@ frequency-domain perturbations, quantization).
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 

@@ -10,7 +10,6 @@ vanilla fine-tuning — it is the strongest baseline in the paper's tables.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, List
 
 import numpy as np
@@ -94,10 +93,10 @@ class FTSAMDefense(Defense):
                 batch = Tensor(images)
                 loss = cross_entropy(model(batch), labels)
                 loss.backward()
-                sam.first_step(zero_grad=True)
+                sam.first_step()
                 second_loss = cross_entropy(model(batch), labels)
                 second_loss.backward()
-                sam.second_step(zero_grad=True)
+                sam.second_step()
                 epoch_loss += loss.item()
                 batches += 1
             history.append(epoch_loss / max(batches, 1))

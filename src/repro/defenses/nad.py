@@ -12,11 +12,11 @@ longer attends to.
 from __future__ import annotations
 
 import copy
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
 import numpy as np
 
-from ..data.dataset import DataLoader, ImageDataset
+from ..data.dataset import DataLoader
 from ..nn import SGD, Tensor, cross_entropy, no_grad
 from ..nn.module import Module
 from ..models.pruning_utils import iter_conv_layers

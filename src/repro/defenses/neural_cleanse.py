@@ -24,7 +24,7 @@ import numpy as np
 from ..data.dataset import ImageDataset
 from ..core.tuner import FineTuner
 from ..nn.module import Module
-from ..synthesis.inversion import detect_backdoor, invert_trigger
+from ..synthesis.inversion import detect_backdoor
 from .base import Defense, DefenderData, DefenseReport
 
 __all__ = ["NeuralCleanseDefense"]

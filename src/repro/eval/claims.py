@@ -21,7 +21,7 @@ The claims encode the paper's §V-D narrative, not exact numbers:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 from .metrics import BackdoorMetrics
 from .runner import AggregateResult

@@ -8,7 +8,7 @@ layout of the paper's Figures 1-2.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 __all__ = ["scatter_svg", "figure_svg", "line_svg", "pruning_history_svg"]
 

@@ -9,7 +9,7 @@ draws a dependency-free ASCII rendition for terminal inspection.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 from .metrics import BackdoorMetrics
 from .runner import AggregateResult

@@ -9,14 +9,16 @@ Tables I and II.
 Backdoored models are expensive to train, so :class:`ScenarioCache` stores
 them on disk keyed by a configuration fingerprint; all defenses and trials
 for a scenario reuse the same backdoored checkpoint, mirroring the paper
-(one attack run, many defense runs).
+(one attack run, many defense runs).  The cache also keeps the scenario's
+held-out splits and baseline metrics, so a cached scenario is restored
+without regenerating its dataset or re-evaluating its model.
 """
 
 from __future__ import annotations
 
 import copy
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -143,12 +145,31 @@ class AggregateResult:
         )
 
 
-class ScenarioCache:
-    """Disk cache of backdoored models keyed by scenario fingerprint.
+# The ScenarioConfig fields that define a scenario's synthetic data.
+_DATASET_FIELDS = ("dataset", "n_train", "n_test", "n_reservoir", "num_classes", "seed")
 
-    Backed by :class:`~repro.orchestrator.artifacts.ArtifactStore`: writes
-    are atomic and loads are checksum-verified, so a worker killed
-    mid-write (or a corrupted disk) yields a cache miss and a retrain, not
+
+def _dataset_fields(config: ScenarioConfig) -> Dict:
+    """The config as :func:`_build_dataset` reads it, and as the held-out key hashes it."""
+    return {name: getattr(config, name) for name in _DATASET_FIELDS}
+
+
+class ScenarioCache:
+    """Disk cache of prepared scenarios.
+
+    Three kinds of artifact, in one
+    :class:`~repro.orchestrator.artifacts.ArtifactStore`:
+
+    - the backdoored weights, ``<fingerprint>.npz``;
+    - the baseline metrics, ``<fingerprint>.json``, rewritten whenever the
+      weights are trained, so the two always match;
+    - the held-out splits (test set and defender reservoir),
+      ``heldout-<key>.npz``, keyed by the dataset fields alone, so the
+      scenarios of one dataset (the attack cells of a Table I row) share
+      one file.
+
+    Writes are atomic and loads are checksum-verified, so a worker killed
+    mid-write (or a corrupted disk) yields a cache miss and a rebuild, not
     a crash or a silently wrong model.
     """
 
@@ -169,6 +190,40 @@ class ScenarioCache:
 
     def store(self, config: ScenarioConfig, model: Module) -> None:
         self.artifacts.put_state(config.fingerprint(), model.state_dict())
+
+    @staticmethod
+    def held_out_key(config: ScenarioConfig) -> str:
+        return "heldout-" + content_hash(_dataset_fields(config))[:16]
+
+    def load_held_out(self, config: ScenarioConfig) -> Optional[Tuple[ImageDataset, ImageDataset]]:
+        """``(test, reservoir)`` of the scenario's dataset, or None on miss."""
+        state = self.artifacts.get_state(self.held_out_key(config))
+        if state is None:
+            return None
+        return (
+            ImageDataset(state["test_images"], state["test_labels"]),
+            ImageDataset(state["reservoir_images"], state["reservoir_labels"]),
+        )
+
+    def store_held_out(
+        self, config: ScenarioConfig, test: ImageDataset, reservoir: ImageDataset
+    ) -> None:
+        key = self.held_out_key(config)
+        if self.artifacts.has(key, ".npz"):
+            return  # one file per dataset, written by the first scenario to need it
+        self.artifacts.put_state(key, {
+            "test_images": test.images,
+            "test_labels": test.labels,
+            "reservoir_images": reservoir.images,
+            "reservoir_labels": reservoir.labels,
+        })
+
+    def load_baseline(self, config: ScenarioConfig) -> Optional[BackdoorMetrics]:
+        data = self.artifacts.get_json(config.fingerprint())
+        return None if data is None else BackdoorMetrics(**data)
+
+    def store_baseline(self, config: ScenarioConfig, baseline: BackdoorMetrics) -> None:
+        self.artifacts.put_json(config.fingerprint(), asdict(baseline))
 
 
 class TrialCache:
@@ -214,25 +269,20 @@ class TrialCache:
 
 def _build_dataset(config: ScenarioConfig) -> Tuple[ImageDataset, ImageDataset, ImageDataset]:
     """(train, test, reservoir) for the scenario; reservoir is extra clean data."""
-    total_train = config.n_train + config.n_reservoir
-    if config.dataset == "synth_cifar":
-        train_all, test = make_synth_cifar(
-            n_train=total_train,
-            n_test=config.n_test,
-            num_classes=config.num_classes,
-            seed=config.seed,
-        )
-    elif config.dataset == "synth_gtsrb":
-        train_all, test = make_synth_gtsrb(
-            n_train=total_train,
-            n_test=config.n_test,
-            num_classes=config.num_classes,
-            seed=config.seed,
-        )
-    else:
-        raise KeyError(f"unknown dataset {config.dataset!r}")
-    train = train_all.subset(np.arange(config.n_train))
-    reservoir = train_all.subset(np.arange(config.n_train, total_train))
+    spec = _dataset_fields(config)
+    makers = {"synth_cifar": make_synth_cifar, "synth_gtsrb": make_synth_gtsrb}
+    if spec["dataset"] not in makers:
+        raise KeyError(f"unknown dataset {spec['dataset']!r}")
+    n_train = spec["n_train"]
+    total_train = n_train + spec["n_reservoir"]
+    train_all, test = makers[spec["dataset"]](
+        n_train=total_train,
+        n_test=spec["n_test"],
+        num_classes=spec["num_classes"],
+        seed=spec["seed"],
+    )
+    train = train_all.subset(np.arange(n_train))
+    reservoir = train_all.subset(np.arange(n_train, total_train))
     return train, test, reservoir
 
 
@@ -265,43 +315,53 @@ class BenchmarkRunner:
     # Scenario preparation
     # ------------------------------------------------------------------
     def prepare(self, config: ScenarioConfig) -> ScenarioData:
-        """Train (or load) the backdoored model and package scenario data."""
-        train, test, reservoir = _build_dataset(config)
-        attack = build_attack(
-            config.attack,
-            target_class=config.target_class,
-            image_shape=train.image_shape,
-            **dict(config.attack_kwargs),
-        )
+        """Restore the scenario from the cache, or build, train and evaluate it.
+
+        A hit needs the weights, the baseline and the held-out splits.  If
+        any one misses, the dataset is built, the model trained only if its
+        weights missed, and the baseline evaluated; then the baseline and
+        whatever else was missing are stored.
+        """
         model = build_model(
             config.model,
             num_classes=config.num_classes,
             profile=config.model_profile,
             seed=config.seed + 1,
         )
-        if self.cache.load(config, model):
+        loaded = self.cache.load(config, model)
+        baseline = self.cache.load_baseline(config) if loaded else None
+        held_out = self.cache.load_held_out(config) if baseline is not None else None
+        if held_out is not None:
+            test, reservoir = held_out
+            attack = self._attack(config, test.image_shape)
+            model.eval()  # the mode the baseline evaluation left it in
             if self.verbose:
-                _LOG.info("loaded cached backdoored model for %s", config.fingerprint())
+                _LOG.info("restored cached scenario %s", config.fingerprint())
         else:
-            if self.verbose:
-                _LOG.info(
-                    "training backdoored model: %s/%s/%s",
-                    config.dataset, config.model, config.attack,
+            train, test, reservoir = _build_dataset(config)
+            attack = self._attack(config, train.image_shape)
+            if not loaded:
+                if self.verbose:
+                    _LOG.info(
+                        "training backdoored model: %s/%s/%s",
+                        config.dataset, config.model, config.attack,
+                    )
+                train_cfg = TrainConfig(
+                    epochs=config.train_epochs,
+                    batch_size=config.train_batch_size,
+                    lr=config.train_lr,
+                    shuffle_seed=config.seed,
                 )
-            train_cfg = TrainConfig(
-                epochs=config.train_epochs,
-                batch_size=config.train_batch_size,
-                lr=config.train_lr,
-                shuffle_seed=config.seed,
-            )
-            train_backdoored_model(
-                model, train, attack,
-                poison_ratio=config.poison_ratio,
-                config=train_cfg,
-                rng=np.random.default_rng(config.seed + 2),
-            )
-            self.cache.store(config, model)
-        baseline = evaluate_backdoor_metrics(model, test, attack)
+                train_backdoored_model(
+                    model, train, attack,
+                    poison_ratio=config.poison_ratio,
+                    config=train_cfg,
+                    rng=np.random.default_rng(config.seed + 2),
+                )
+                self.cache.store(config, model)
+            baseline = evaluate_backdoor_metrics(model, test, attack)
+            self.cache.store_baseline(config, baseline)
+            self.cache.store_held_out(config, test, reservoir)
         if self.verbose:
             _LOG.info("baseline: %s", baseline)
         return ScenarioData(
@@ -311,6 +371,15 @@ class BenchmarkRunner:
             test_set=test,
             reservoir=reservoir,
             baseline=baseline,
+        )
+
+    @staticmethod
+    def _attack(config: ScenarioConfig, image_shape) -> BackdoorAttack:
+        return build_attack(
+            config.attack,
+            target_class=config.target_class,
+            image_shape=image_shape,
+            **dict(config.attack_kwargs),
         )
 
     # ------------------------------------------------------------------

@@ -9,13 +9,10 @@ on CPU (BackdoorBench uses base width 64; our quick profile uses 8-16).
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
-from ..nn import functional as F
 from ..nn.layers import AdaptiveAvgPool2d, BatchNorm2d, Conv2d, Flatten, Linear
-from ..nn.module import Module, ModuleList, Sequential
+from ..nn.module import Module, ModuleList
 from ..nn.tensor import Tensor
 
 __all__ = ["PreActBlock", "PreActResNet18", "preact_resnet18"]

@@ -13,7 +13,7 @@ operate on the out-channels of 2-D convolutions.  This module provides:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Tuple
 
 import numpy as np
 

@@ -58,8 +58,8 @@ class SAM:
             total += float((param.grad.astype(np.float64) ** 2).sum())
         return float(np.sqrt(total))
 
-    def first_step(self, zero_grad: bool = True) -> None:
-        """Move parameters to the ascent point within the ρ-ball."""
+    def first_step(self) -> None:
+        """Move parameters to the ascent point within the ρ-ball, then zero the grads."""
         norm = self._grad_norm()
         scale = self.rho / (norm + 1e-12)
         self._perturbation.clear()
@@ -69,18 +69,19 @@ class SAM:
             step = param.grad * scale
             self._perturbation[id(param)] = step
             param.data += step
-        if zero_grad:
-            for param in self.params:
-                param.zero_grad(set_to_none=False)
+        self._zero_grads()
 
-    def second_step(self, zero_grad: bool = True) -> None:
-        """Restore original weights and apply the base optimizer update."""
+    def second_step(self) -> None:
+        """Restore original weights, apply the base optimizer update, then zero the grads."""
         for param in self.params:
             step = self._perturbation.get(id(param))
             if step is not None:
                 param.data -= step
         self._perturbation.clear()
         self.base_optimizer.step()
-        if zero_grad:
-            for param in self.params:
-                param.zero_grad(set_to_none=False)
+        self._zero_grads()
+
+    def _zero_grads(self) -> None:
+        # In place, so the next backward reuses the same gradient buffers.
+        for param in self.params:
+            param.zero_grad(set_to_none=False)

@@ -2,8 +2,9 @@
 
 Each worker process keeps one :class:`BenchmarkRunner` (backed by the
 shared on-disk artifact store) plus a small LRU of prepared scenarios, so
-the many trial tasks of one scenario pay the dataset-build / model-load
-cost once per worker instead of once per task.  All heavy state lives in
+the many trial tasks of one scenario pay the scenario set-up (a restore
+from the artifact store, or a build on a miss) once per worker instead of
+once per task.  All heavy state lives in
 process-local globals — nothing here is shared across processes except the
 artifact files themselves, whose writes are atomic.
 

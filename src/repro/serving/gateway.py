@@ -187,7 +187,7 @@ class ServingGateway:
     # ------------------------------------------------------------------
     # Request path
     # ------------------------------------------------------------------
-    def submit(self, image: np.ndarray) -> "Future":
+    def submit(self, image: np.ndarray) -> Future:
         """Queue one ``(C, H, W)`` image; future resolves to a :class:`Verdict`.
 
         The image must have the shape the gateway warmed its checkpoint

@@ -19,7 +19,7 @@ also yields backdoor *detection*; see :func:`detect_backdoor`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 import numpy as np
 

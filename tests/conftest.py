@@ -6,6 +6,8 @@ full attack→defense round trip stays under a few seconds.
 
 from __future__ import annotations
 
+import zlib
+
 import numpy as np
 import pytest
 
@@ -104,3 +106,14 @@ def backdoored_tiny_model(tiny_train, tiny_attack):
 @pytest.fixture()
 def rng() -> np.random.Generator:
     return np.random.default_rng(12345)
+
+
+@pytest.fixture()
+def node_rng(request) -> np.random.Generator:
+    """A generator of the test's own, seeded from its node name.
+
+    ``zlib.crc32`` gives the same seed in every process (``hash`` of a
+    string does not), so a test draws the same inputs however the suite
+    around it is selected or reordered.
+    """
+    return np.random.default_rng(zlib.crc32(request.node.name.encode()))

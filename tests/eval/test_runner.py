@@ -4,6 +4,8 @@ Uses a minimal scenario configuration (tiny dataset, tiny model profile,
 few epochs) so the full attack→defense→metrics loop stays fast.
 """
 
+import os
+
 import numpy as np
 import pytest
 
@@ -39,6 +41,42 @@ def tiny_config(**overrides):
     return ScenarioConfig(**defaults)
 
 
+REBUILD_STEPS = ("_build_dataset", "evaluate_backdoor_metrics", "train_backdoored_model")
+
+
+def _forbid(monkeypatch, *names):
+    """Make the named steps of ``prepare`` fail if called."""
+    import repro.eval.runner as runner_module
+
+    def refuse(*_args, **_kwargs):
+        raise AssertionError(f"prepare called one of {names}")
+
+    for name in names:
+        monkeypatch.setattr(runner_module, name, refuse)
+
+
+def _seed_weights(runner, config):
+    """A cache holding only the (untrained) weights of ``config``."""
+    from repro.models import build_model
+
+    model = build_model(config.model, num_classes=config.num_classes,
+                        profile=config.model_profile, seed=config.seed + 1)
+    runner.cache.store(config, model)
+
+
+def _assert_same_split(a, b):
+    for mine, theirs in ((a.images, b.images), (a.labels, b.labels)):
+        assert mine.dtype == theirs.dtype
+        assert np.array_equal(mine, theirs)
+
+
+def _held_out_files(runner):
+    return sorted(
+        name for name in os.listdir(runner.cache.directory)
+        if name.startswith("heldout-") and name.endswith(".npz")
+    )
+
+
 @pytest.fixture()
 def runner(tmp_path):
     return BenchmarkRunner(
@@ -63,15 +101,19 @@ class TestScenarioPreparation:
         assert len(scenario.test_set) == 80
         assert len(scenario.reservoir) == 160
 
-    def test_cache_hit_second_time(self, runner, tmp_path):
+    def test_cache_hit_second_time(self, runner, monkeypatch):
         config = tiny_config()
         first = runner.prepare(config)
+        _forbid(monkeypatch, *REBUILD_STEPS)  # a hit restores; it rebuilds nothing
         second = runner.prepare(config)
-        assert first.baseline.acc == pytest.approx(second.baseline.acc)
+        assert second.baseline == first.baseline
+        _assert_same_split(second.test_set, first.test_set)
+        _assert_same_split(second.reservoir, first.reservoir)
         a = first.backdoored_model.state_dict()
         b = second.backdoored_model.state_dict()
         for key in a:
             assert np.array_equal(a[key], b[key])
+        assert not second.backdoored_model.training  # as the baseline evaluation leaves it
 
     def test_reservoir_disjoint_from_train_effects(self, runner):
         # Reservoir comes from the same distribution (same prototypes), so a
@@ -85,6 +127,61 @@ class TestScenarioPreparation:
     def test_unknown_dataset_raises(self, runner):
         with pytest.raises(KeyError):
             runner.prepare(tiny_config(dataset="imagenet"))
+
+
+class TestScenarioRestore:
+    """Partial caches: upgrades, corrupt files and shared held-out splits.
+
+    The full hit is ``TestScenarioPreparation.test_cache_hit_second_time``.
+    """
+
+    def test_weights_only_cache_upgrades_without_retraining(self, runner, monkeypatch):
+        config = tiny_config()
+        _seed_weights(runner, config)
+        _forbid(monkeypatch, "train_backdoored_model")
+        first = runner.prepare(config)
+        assert runner.cache.load_baseline(config) == first.baseline
+        assert _held_out_files(runner) == [runner.cache.held_out_key(config) + ".npz"]
+        _forbid(monkeypatch, *REBUILD_STEPS)
+        second = runner.prepare(config)
+        _assert_same_split(second.test_set, first.test_set)
+        _assert_same_split(second.reservoir, first.reservoir)
+        assert second.baseline == first.baseline
+
+    def test_corrupt_held_out_file_is_a_miss(self, runner):
+        config = tiny_config()
+        _seed_weights(runner, config)
+        first = runner.prepare(config)
+        path = runner.cache.artifacts.path(runner.cache.held_out_key(config), ".npz")
+        with open(path, "r+b") as handle:
+            handle.seek(1000)
+            handle.write(b"\xff" * 64)
+        second = runner.prepare(config)
+        _assert_same_split(second.test_set, first.test_set)
+        _assert_same_split(second.reservoir, first.reservoir)
+        restored = runner.cache.load_held_out(config)  # rewritten, and it verifies
+        assert restored is not None
+        _assert_same_split(restored[0], first.test_set)
+
+    def test_attack_cells_share_one_held_out_file(self, runner):
+        badnets, blended = tiny_config(), tiny_config(attack="blended")
+        assert ScenarioCache.held_out_key(badnets) == ScenarioCache.held_out_key(blended)
+        for config in (badnets, blended):
+            _seed_weights(runner, config)
+        runner.prepare(badnets)
+        path = runner.cache.artifacts.path(ScenarioCache.held_out_key(badnets), ".npz")
+        written = os.stat(path).st_ino
+        runner.prepare(blended)
+        assert os.stat(path).st_ino == written  # found, not published again
+        assert _held_out_files(runner) == [os.path.basename(path)]
+
+    def test_other_test_size_gets_its_own_file(self, runner):
+        small, large = tiny_config(), tiny_config(n_test=60)
+        assert ScenarioCache.held_out_key(small) != ScenarioCache.held_out_key(large)
+        for config in (small, large):
+            _seed_weights(runner, config)
+            runner.prepare(config)
+        assert len(_held_out_files(runner)) == 2
 
 
 class TestDefenseTrials:

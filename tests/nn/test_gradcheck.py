@@ -11,9 +11,6 @@ import pytest
 from repro.nn import Tensor, cross_entropy
 from repro.nn import functional as F
 
-RNG = np.random.default_rng(42)
-
-
 def numgrad(f, x, eps=1e-5):
     grad = np.zeros_like(x)
     it = np.nditer(x, flags=["multi_index"])
@@ -30,8 +27,8 @@ def numgrad(f, x, eps=1e-5):
     return grad
 
 
-def check_unary(op, shape=(3, 4), positive=False, atol=1e-6):
-    data = RNG.uniform(0.5, 2.0, shape) if positive else RNG.normal(size=shape)
+def check_unary(op, rng, shape=(3, 4), positive=False, atol=1e-6):
+    data = rng.uniform(0.5, 2.0, shape) if positive else rng.normal(size=shape)
     x = Tensor(data.astype(np.float64), requires_grad=True)
     out = op(x)
     (out * out).sum().backward()
@@ -63,12 +60,12 @@ def check_unary(op, shape=(3, 4), positive=False, atol=1e-6):
         ("transpose", lambda t: t.transpose(), False),
     ],
 )
-def test_unary_ops(name, op, positive):
-    check_unary(op, positive=positive)
+def test_unary_ops(name, op, positive, node_rng):
+    check_unary(op, node_rng, positive=positive)
 
 
-def test_hard_sigmoid_grad_away_from_kinks():
-    data = RNG.uniform(-2.5, 2.5, (4, 4))
+def test_hard_sigmoid_grad_away_from_kinks(node_rng):
+    data = node_rng.uniform(-2.5, 2.5, (4, 4))
     x = Tensor(data.astype(np.float64), requires_grad=True)
     out = x.hard_sigmoid()
     (out * out).sum().backward()
@@ -79,8 +76,8 @@ def test_hard_sigmoid_grad_away_from_kinks():
     assert np.abs(numgrad(f, x.data) - x.grad).max() < 1e-5
 
 
-def test_hard_swish_grad_away_from_kinks():
-    data = RNG.uniform(-2.5, 2.5, (4, 4))
+def test_hard_swish_grad_away_from_kinks(node_rng):
+    data = node_rng.uniform(-2.5, 2.5, (4, 4))
     x = Tensor(data.astype(np.float64), requires_grad=True)
     (x.hard_swish() * 1.0).sum().backward()
 
@@ -90,9 +87,9 @@ def test_hard_swish_grad_away_from_kinks():
     assert np.abs(numgrad(f, x.data) - x.grad).max() < 1e-5
 
 
-def test_binary_mul_both_sides():
-    a = Tensor(RNG.normal(size=(3, 4)), requires_grad=True)
-    b = Tensor(RNG.normal(size=(4,)), requires_grad=True)
+def test_binary_mul_both_sides(node_rng):
+    a = Tensor(node_rng.normal(size=(3, 4)), requires_grad=True)
+    b = Tensor(node_rng.normal(size=(4,)), requires_grad=True)
     ((a * b) ** 2.0).sum().backward()
 
     def fa():
@@ -102,9 +99,9 @@ def test_binary_mul_both_sides():
     assert np.abs(numgrad(fa, b.data) - b.grad).max() < 1e-5
 
 
-def test_div_grad():
-    a = Tensor(RNG.normal(size=(3,)), requires_grad=True)
-    b = Tensor(RNG.uniform(1.0, 2.0, (3,)), requires_grad=True)
+def test_div_grad(node_rng):
+    a = Tensor(node_rng.normal(size=(3,)), requires_grad=True)
+    b = Tensor(node_rng.uniform(1.0, 2.0, (3,)), requires_grad=True)
     (a / b).sum().backward()
 
     def f():
@@ -114,9 +111,9 @@ def test_div_grad():
     assert np.abs(numgrad(f, b.data) - b.grad).max() < 1e-5
 
 
-def test_matmul_grad():
-    a = Tensor(RNG.normal(size=(3, 4)), requires_grad=True)
-    b = Tensor(RNG.normal(size=(4, 2)), requires_grad=True)
+def test_matmul_grad(node_rng):
+    a = Tensor(node_rng.normal(size=(3, 4)), requires_grad=True)
+    b = Tensor(node_rng.normal(size=(4, 2)), requires_grad=True)
     ((a @ b) ** 2.0).sum().backward()
 
     def f():
@@ -126,8 +123,8 @@ def test_matmul_grad():
     assert np.abs(numgrad(f, b.data) - b.grad).max() < 1e-4
 
 
-def test_max_reduction_grad():
-    data = RNG.normal(size=(3, 5))
+def test_max_reduction_grad(node_rng):
+    data = node_rng.normal(size=(3, 5))
     x = Tensor(data, requires_grad=True)
     x.max(axis=1).sum().backward()
 
@@ -148,11 +145,11 @@ def test_max_reduction_grad():
         pytest.param(1, 1, 4, 3, 8, id="depthwise-multiplier-2"),
     ],
 )
-def test_conv2d_grads(stride, padding, groups, kernel, c_out):
+def test_conv2d_grads(stride, padding, groups, kernel, c_out, node_rng):
     c_in = 4
-    x = Tensor(RNG.normal(size=(2, c_in, 6, 6)), requires_grad=True)
-    w = Tensor(RNG.normal(size=(c_out, c_in // groups, kernel, kernel)), requires_grad=True)
-    b = Tensor(RNG.normal(size=(c_out,)), requires_grad=True)
+    x = Tensor(node_rng.normal(size=(2, c_in, 6, 6)), requires_grad=True)
+    w = Tensor(node_rng.normal(size=(c_out, c_in // groups, kernel, kernel)), requires_grad=True)
+    b = Tensor(node_rng.normal(size=(c_out,)), requires_grad=True)
     out = F.conv2d(x, w, b, stride=stride, padding=padding, groups=groups)
     (out * out).sum().backward()
 
@@ -165,8 +162,8 @@ def test_conv2d_grads(stride, padding, groups, kernel, c_out):
     assert np.abs(numgrad(f, b.data) - b.grad).max() < 1e-4
 
 
-def test_max_pool_grad():
-    x = Tensor(RNG.normal(size=(2, 3, 6, 6)), requires_grad=True)
+def test_max_pool_grad(node_rng):
+    x = Tensor(node_rng.normal(size=(2, 3, 6, 6)), requires_grad=True)
     (F.max_pool2d(x, 2, 2) ** 2.0).sum().backward()
 
     def f():
@@ -175,8 +172,8 @@ def test_max_pool_grad():
     assert np.abs(numgrad(f, x.data) - x.grad).max() < 1e-5
 
 
-def test_max_pool_stride_ne_kernel_grad():
-    x = Tensor(RNG.normal(size=(1, 2, 7, 7)), requires_grad=True)
+def test_max_pool_stride_ne_kernel_grad(node_rng):
+    x = Tensor(node_rng.normal(size=(1, 2, 7, 7)), requires_grad=True)
     (F.max_pool2d(x, 3, 2) ** 2.0).sum().backward()
 
     def f():
@@ -185,8 +182,8 @@ def test_max_pool_stride_ne_kernel_grad():
     assert np.abs(numgrad(f, x.data) - x.grad).max() < 1e-5
 
 
-def test_avg_pool_grad():
-    x = Tensor(RNG.normal(size=(2, 3, 6, 6)), requires_grad=True)
+def test_avg_pool_grad(node_rng):
+    x = Tensor(node_rng.normal(size=(2, 3, 6, 6)), requires_grad=True)
     (F.avg_pool2d(x, 3, 3) ** 2.0).sum().backward()
 
     def f():
@@ -229,10 +226,10 @@ def test_avg_pool_broadcast_grad_matches_tap_loop(shape, kernel):
     assert np.array_equal(x.grad, _avg_pool_tap_loop_grad(upstream, shape, kernel))
 
 
-def test_batch_norm_train_grads():
-    x = Tensor(RNG.normal(size=(3, 4, 5, 5)), requires_grad=True)
-    w = Tensor(RNG.uniform(0.5, 1.5, (4,)), requires_grad=True)
-    b = Tensor(RNG.normal(size=(4,)), requires_grad=True)
+def test_batch_norm_train_grads(node_rng):
+    x = Tensor(node_rng.normal(size=(3, 4, 5, 5)), requires_grad=True)
+    w = Tensor(node_rng.uniform(0.5, 1.5, (4,)), requires_grad=True)
+    b = Tensor(node_rng.normal(size=(4,)), requires_grad=True)
     out, _, _ = F.batch_norm2d_train(x, w, b, 1e-5)
     (out * out).sum().backward()
 
@@ -245,12 +242,12 @@ def test_batch_norm_train_grads():
     assert np.abs(numgrad(f, b.data) - b.grad).max() < 1e-5
 
 
-def test_batch_norm_eval_grads():
-    rm = RNG.normal(size=4)
-    rv = RNG.uniform(0.5, 2.0, 4)
-    x = Tensor(RNG.normal(size=(2, 4, 3, 3)), requires_grad=True)
-    w = Tensor(RNG.uniform(0.5, 1.5, (4,)), requires_grad=True)
-    b = Tensor(RNG.normal(size=(4,)), requires_grad=True)
+def test_batch_norm_eval_grads(node_rng):
+    rm = node_rng.normal(size=4)
+    rv = node_rng.uniform(0.5, 2.0, 4)
+    x = Tensor(node_rng.normal(size=(2, 4, 3, 3)), requires_grad=True)
+    w = Tensor(node_rng.uniform(0.5, 1.5, (4,)), requires_grad=True)
+    b = Tensor(node_rng.normal(size=(4,)), requires_grad=True)
     out = F.batch_norm2d_eval(x, w, b, rm, rv, 1e-5)
     (out * out).sum().backward()
 
@@ -263,9 +260,9 @@ def test_batch_norm_eval_grads():
     assert np.abs(numgrad(f, b.data) - b.grad).max() < 1e-5
 
 
-def test_cross_entropy_grad():
-    logits = Tensor(RNG.normal(size=(5, 7)), requires_grad=True)
-    labels = RNG.integers(0, 7, 5)
+def test_cross_entropy_grad(node_rng):
+    logits = Tensor(node_rng.normal(size=(5, 7)), requires_grad=True)
+    labels = node_rng.integers(0, 7, 5)
     cross_entropy(logits, labels).backward()
 
     def f():
@@ -274,9 +271,9 @@ def test_cross_entropy_grad():
     assert np.abs(numgrad(f, logits.data) - logits.grad).max() < 1e-5
 
 
-def test_cross_entropy_sum_grad():
-    logits = Tensor(RNG.normal(size=(4, 5)), requires_grad=True)
-    labels = RNG.integers(0, 5, 4)
+def test_cross_entropy_sum_grad(node_rng):
+    logits = Tensor(node_rng.normal(size=(4, 5)), requires_grad=True)
+    labels = node_rng.integers(0, 5, 4)
     cross_entropy(logits, labels, reduction="sum").backward()
 
     def f():

@@ -16,15 +16,14 @@ from repro.nn import (
     Tensor,
 )
 
-RNG = np.random.default_rng(0)
-
-
-def batch(shape):
-    return Tensor(RNG.normal(size=shape).astype(np.float32))
+@pytest.fixture()
+def batch(node_rng):
+    """Standard-normal float32 inputs of a given shape, from the test's own generator."""
+    return lambda shape: Tensor(node_rng.normal(size=shape).astype(np.float32))
 
 
 class TestConv2d:
-    def test_output_shape(self):
+    def test_output_shape(self, batch):
         conv = Conv2d(3, 8, 3, stride=2, padding=1)
         assert conv(batch((2, 3, 8, 8))).shape == (2, 8, 4, 4)
 
@@ -33,12 +32,12 @@ class TestConv2d:
         assert conv.bias is None
         assert len(conv.parameters()) == 1
 
-    def test_depthwise_groups(self):
+    def test_depthwise_groups(self, batch):
         conv = Conv2d(4, 4, 3, padding=1, groups=4)
         assert conv.weight.shape == (4, 1, 3, 3)
         assert conv(batch((1, 4, 5, 5))).shape == (1, 4, 5, 5)
 
-    def test_channel_mismatch_raises(self):
+    def test_channel_mismatch_raises(self, batch):
         conv = Conv2d(3, 4, 3)
         with pytest.raises(ValueError, match="channel"):
             conv(batch((1, 5, 8, 8)))
@@ -52,13 +51,13 @@ class TestConv2d:
         b = Conv2d(3, 4, 3, rng=np.random.default_rng(5))
         assert np.array_equal(a.weight.data, b.weight.data)
 
-    def test_rect_kernel(self):
+    def test_rect_kernel(self, batch):
         conv = Conv2d(1, 1, (1, 3), padding=(0, 1))
         assert conv(batch((1, 1, 4, 4))).shape == (1, 1, 4, 4)
 
 
 class TestLinear:
-    def test_shape_and_bias(self):
+    def test_shape_and_bias(self, batch):
         linear = Linear(5, 3)
         out = linear(batch((4, 5)))
         assert out.shape == (4, 3)
@@ -72,7 +71,7 @@ class TestLinear:
 
 
 class TestBatchNorm2d:
-    def test_train_normalizes_batch(self):
+    def test_train_normalizes_batch(self, batch):
         bn = BatchNorm2d(3)
         bn.train()
         x = batch((8, 3, 4, 4))
@@ -97,7 +96,7 @@ class TestBatchNorm2d:
         assert out.data[0, 0, 0, 0] == pytest.approx((1 - 1) / 2, abs=1e-4)
         assert out.data[0, 1, 0, 0] == pytest.approx((1 - 2) / 3, abs=1e-4)
 
-    def test_eval_no_stat_update(self):
+    def test_eval_no_stat_update(self, batch):
         bn = BatchNorm2d(2)
         bn.eval()
         before = bn.running_mean.copy()
@@ -106,7 +105,7 @@ class TestBatchNorm2d:
 
 
 class TestPooling:
-    def test_max_pool_shape(self):
+    def test_max_pool_shape(self, batch):
         assert MaxPool2d(2)(batch((1, 2, 8, 8))).shape == (1, 2, 4, 4)
 
     def test_max_pool_values(self):
@@ -120,13 +119,13 @@ class TestPooling:
         assert out.shape == (1, 2, 1, 1)
         assert out.data[0, 0, 0, 0] == pytest.approx(7.5)
 
-    def test_adaptive_avg_pool_indivisible_raises(self):
+    def test_adaptive_avg_pool_indivisible_raises(self, batch):
         with pytest.raises(ValueError):
             AdaptiveAvgPool2d(3)(batch((1, 1, 8, 8)))
 
 
 class TestDropout:
-    def test_eval_is_identity(self):
+    def test_eval_is_identity(self, batch):
         drop = Dropout(0.5)
         drop.eval()
         x = batch((4, 10))
@@ -148,14 +147,14 @@ class TestDropout:
 
 
 class TestMisc:
-    def test_flatten(self):
+    def test_flatten(self, batch):
         assert Flatten()(batch((2, 3, 4, 4))).shape == (2, 48)
 
     def test_activation_modules(self):
         x = Tensor(np.array([-1.0, 1.0], dtype=np.float32))
         assert ReLU()(x).data.tolist() == [0.0, 1.0]
 
-    def test_sequential_of_everything(self):
+    def test_sequential_of_everything(self, batch):
         model = Sequential(
             Conv2d(3, 4, 3, padding=1), BatchNorm2d(4), ReLU(), MaxPool2d(2),
             Flatten(), Linear(4 * 4 * 4, 2),

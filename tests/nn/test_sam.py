@@ -16,7 +16,7 @@ class TestSAMSteps:
         p = Parameter(np.array([3.0, 4.0], dtype=np.float32))
         sam = SAM([p], SGD([p], lr=0.1), rho=0.5)
         loss_backward(p)  # grad = p = (3, 4), norm 5
-        sam.first_step(zero_grad=False)
+        sam.first_step()
         # perturbation = rho * g / ||g|| = 0.5 * (0.6, 0.8)
         assert p.data[0] == pytest.approx(3.3)
         assert p.data[1] == pytest.approx(4.4)
