@@ -4,8 +4,9 @@ Times a full train step (forward + backward + SGD update) on the
 engine-backed training kernels — the re-unfolded dW ``execute_tn`` GEMM,
 the gather or scatter dX, workspace gradient buffers — and a single 3x3
 conv forward+backward at stride 1 (gather dX) and stride 2 (scatter dX),
-each against the reference closures of ``tests/nn/reference.py``.  Both are
-recorded in ``benchmarks/out/BENCH_training.json`` (registered next to
+each against the reference closures of ``tests/nn/reference.py``, plus the
+train step's tape and backward peak in MiB.  All are recorded in
+``benchmarks/out/BENCH_training.json`` (registered next to
 ``BENCH_engine.json`` / ``BENCH_serving.json``) with the host's core count,
 BLAS and thread env.
 
@@ -34,6 +35,7 @@ from repro.nn import SGD, Tensor, cross_entropy
 from repro.nn import functional as F
 from repro.utils.timing import best_of_seconds, hard_timeout
 from tests.nn.reference import reference_kernels
+from tests.nn.test_backward_memory import tape_and_backward_peak
 
 pytestmark = pytest.mark.bench
 
@@ -42,6 +44,7 @@ BATCH = 32
 NUM_CLASSES = 10
 PARITY_FLOOR = 0.9  # fast/reference throughput ratio tolerated
 PAIRS = 11  # alternating train-step pairs behind the parity gate
+MIB = 1 << 20
 
 _RESULTS = {}
 
@@ -53,21 +56,26 @@ def _bench_guard():
         yield
 
 
-def _make_step(seed=0, update=True):
-    """A self-contained train step closure over a fresh model + fixed batch.
-
-    The batch is drawn from its own seeded RNG so fast/reference timings see
-    byte-identical data.  ``update=False`` skips the SGD update, keeping the
-    weights fixed across calls (used for the gradient-equivalence check,
-    where compounding float drift over several updates would swamp the
-    single-step tolerance).
-    """
+def _model_and_batch(seed=0):
+    """A fresh train-mode model and a fixed batch from its own seeded RNG,
+    so every arm sees byte-identical data."""
     data_rng = np.random.default_rng(seed + 1234)
     model = build_model("preact_resnet18", num_classes=NUM_CLASSES, seed=seed)
     model.train()
-    optimizer = SGD(model.parameters(), lr=0.01, momentum=0.9)
     x = Tensor(data_rng.uniform(0, 1, (BATCH, 3, 32, 32)).astype(np.float32))
     labels = data_rng.integers(0, NUM_CLASSES, BATCH)
+    return model, x, labels
+
+
+def _make_step(seed=0, update=True):
+    """A self-contained train step closure over a fresh model + fixed batch.
+
+    ``update=False`` skips the SGD update, keeping the weights fixed across
+    calls (used for the gradient-equivalence check, where compounding float
+    drift over several updates would swamp the single-step tolerance).
+    """
+    model, x, labels = _model_and_batch(seed)
+    optimizer = SGD(model.parameters(), lr=0.01, momentum=0.9)
 
     def step():
         logits = model(x)
@@ -159,6 +167,20 @@ def test_train_step_fastpath_vs_reference():
     )
 
 
+def test_train_step_memory():
+    """What the batch-32 train step's forward leaves on the tape, and the
+    backward's peak above the pre-forward baseline (tracemalloc, after a
+    warm-up step).  Recorded, not gated: ``tests/nn/test_backward_memory.py``
+    fences the ratio at tier-1 scale."""
+    model, x, labels = _model_and_batch()
+    tape, peak = tape_and_backward_peak(model, x.data, labels)
+    _RESULTS["train_step_batch32_memory"] = {
+        "tape_mib": tape / MIB,
+        "backward_peak_mib": peak / MIB,
+        "peak_over_tape": peak / tape,
+    }
+
+
 @pytest.mark.parametrize("stride", [1, 2])
 def test_conv_forward_backward_vs_reference(stride):
     """One 3x3 conv forward + backward on (20, 8, 32, 32): dX, dW and db
@@ -198,7 +220,8 @@ def test_conv_forward_backward_vs_reference(stride):
 
 def test_emit_bench_training_json():
     """Aggregate the training probes into BENCH_training.json."""
-    assert {"train_step_batch32", "conv_train_s1", "conv_train_s2"} <= set(_RESULTS), (
+    probes = {"train_step_batch32", "train_step_batch32_memory", "conv_train_s1", "conv_train_s2"}
+    assert probes <= set(_RESULTS), (
         "probes must run before the JSON is emitted"
     )
     os.makedirs(OUT_DIR, exist_ok=True)

@@ -317,10 +317,11 @@ class BenchmarkRunner:
     def prepare(self, config: ScenarioConfig) -> ScenarioData:
         """Restore the scenario from the cache, or build, train and evaluate it.
 
-        A hit needs the weights, the baseline and the held-out splits.  If
-        any one misses, the dataset is built, the model trained only if its
-        weights missed, and the baseline evaluated; then the baseline and
-        whatever else was missing are stored.
+        A hit needs the weights and the held-out splits; a missing baseline
+        is evaluated on the restored test split and stored.  If the weights
+        or the held-out splits miss, the dataset is built, the model trained
+        only if its weights missed, and the baseline evaluated; then the
+        baseline and whatever else was missing are stored.
         """
         model = build_model(
             config.model,
@@ -329,12 +330,15 @@ class BenchmarkRunner:
             seed=config.seed + 1,
         )
         loaded = self.cache.load(config, model)
-        baseline = self.cache.load_baseline(config) if loaded else None
-        held_out = self.cache.load_held_out(config) if baseline is not None else None
+        held_out = self.cache.load_held_out(config) if loaded else None
         if held_out is not None:
             test, reservoir = held_out
             attack = self._attack(config, test.image_shape)
-            model.eval()  # the mode the baseline evaluation left it in
+            baseline = self.cache.load_baseline(config)
+            if baseline is None:
+                baseline = evaluate_backdoor_metrics(model, test, attack)
+                self.cache.store_baseline(config, baseline)
+            model.eval()  # the mode the baseline evaluation leaves it in
             if self.verbose:
                 _LOG.info("restored cached scenario %s", config.fingerprint())
         else:

@@ -929,9 +929,9 @@ def batch_norm2d_train(
             sum_g = grad_xhat.sum(axis=(0, 2, 3), keepdims=True)
             sum_gx = (grad_xhat * x_hat).sum(axis=(0, 2, 3), keepdims=True)
             grad_x = inv_b / count * (count * grad_xhat - sum_g - x_hat * sum_gx)
-            x._accumulate(grad_x.astype(x.data.dtype))
+            x._accumulate(grad_x.astype(x.data.dtype, copy=False))
 
-    result = Tensor._make(out.astype(x.data.dtype), (x, weight, bias), backward)
+    result = Tensor._make(out.astype(x.data.dtype, copy=False), (x, weight, bias), backward)
     return result, mean, var
 
 

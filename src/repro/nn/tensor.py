@@ -3,8 +3,9 @@
 This module provides :class:`Tensor`, the fundamental value type of the
 ``repro.nn`` substrate.  A :class:`Tensor` wraps a ``numpy.ndarray`` and
 records, for every differentiable operation, a backward closure on a tape.
-Calling :meth:`Tensor.backward` walks the tape in reverse topological order
-and accumulates gradients into ``.grad``.
+Calling :meth:`Tensor.backward` walks the tape in reverse topological order,
+accumulates gradients into the leaves' ``.grad`` and releases the tape as it
+goes.
 
 The engine is intentionally small but complete enough to train convolutional
 classifiers: broadcasting-aware arithmetic, matmul, reductions, shape
@@ -67,6 +68,14 @@ class no_grad:
 def is_grad_enabled() -> bool:
     """Return whether operations on this thread currently record gradients."""
     return _GRAD_MODE.enabled
+
+
+def _released(grad: np.ndarray) -> None:
+    """The closure of an interior node after a backward pass has run it."""
+    raise RuntimeError(
+        "backward() reached a tensor whose graph an earlier backward() already "
+        "released; run the forward pass again to build a new graph"
+    )
 
 
 def _as_array(value: TensorLike, dtype=np.float32) -> np.ndarray:
@@ -206,6 +215,14 @@ class Tensor:
     def backward(self, grad: Optional[np.ndarray] = None) -> None:
         """Run reverse-mode autodiff from this tensor.
 
+        Gradients accumulate into the ``.grad`` of the graph's leaves (tensors
+        created with ``requires_grad=True``, such as parameters), adding to
+        what earlier calls left there until ``zero_grad()``.  As in torch's
+        default, the walk releases the graph behind it: interior tensors keep
+        no ``.grad``, and a backward that reaches a released tensor (a second
+        ``loss.backward()``, or a new graph built on an old interior tensor)
+        raises ``RuntimeError`` before touching any gradient.
+
         Parameters
         ----------
         grad:
@@ -233,6 +250,8 @@ class Tensor:
                 continue
             if id(node) in visited:
                 continue
+            if node._backward_fn is _released:
+                _released(grad)  # raises
             visited.add(id(node))
             stack.append((node, True))
             for parent in node._parents:
@@ -240,9 +259,19 @@ class Tensor:
                     stack.append((parent, False))
 
         self._accumulate(grad)
-        for node in reversed(topo):
-            if node._backward_fn is not None and node.grad is not None:
-                node._backward_fn(node.grad)
+        # Release each interior node as the walk reaches it: once its closure
+        # has handed its parents their share, nothing references the node's
+        # gradient, the arrays the closure saved, or (unless the caller holds
+        # the tensor) its output.  Leaves keep accumulating across calls.
+        while topo:
+            node = topo.pop()
+            backward_fn = node._backward_fn
+            if backward_fn is None:
+                continue
+            node_grad, node.grad = node.grad, None
+            node._backward_fn, node._parents = _released, ()
+            if node_grad is not None:
+                backward_fn(node_grad)
 
     @staticmethod
     def _make(

@@ -163,15 +163,28 @@ class TestScenarioRestore:
         assert restored is not None
         _assert_same_split(restored[0], first.test_set)
 
-    def test_attack_cells_share_one_held_out_file(self, runner):
+    def test_attack_cells_share_one_held_out_file(self, runner, tmp_path, monkeypatch):
         badnets, blended = tiny_config(), tiny_config(attack="blended")
         assert ScenarioCache.held_out_key(badnets) == ScenarioCache.held_out_key(blended)
+        rebuilt = BenchmarkRunner(
+            cache=ScenarioCache(str(tmp_path / "rebuild")),
+            trial_cache=TrialCache(str(tmp_path / "rebuild_trials")),
+            verbose=False,
+        )
+        _seed_weights(rebuilt, blended)
+        rebuilt_baseline = rebuilt.prepare(blended).baseline  # from the generated dataset
         for config in (badnets, blended):
             _seed_weights(runner, config)
         runner.prepare(badnets)
         path = runner.cache.artifacts.path(ScenarioCache.held_out_key(badnets), ".npz")
         written = os.stat(path).st_ino
-        runner.prepare(blended)
+        # The blended cell has weights and the shared held-out splits but no
+        # baseline: it evaluates one on the restored test split.
+        _forbid(monkeypatch, "_build_dataset", "train_backdoored_model")
+        scenario = runner.prepare(blended)
+        assert scenario.baseline == rebuilt_baseline
+        assert runner.cache.load_baseline(blended) == rebuilt_baseline
+        assert not scenario.backdoored_model.training
         assert os.stat(path).st_ino == written  # found, not published again
         assert _held_out_files(runner) == [os.path.basename(path)]
 

@@ -138,6 +138,57 @@ class TestBackward:
         assert x.grad[0] == pytest.approx(1.0)
 
 
+class TestGraphRelease:
+    """backward() releases the graph behind it, as torch does by default."""
+
+    def test_interior_grads_released_leaves_kept(self):
+        x = Tensor([[1.0, 2.0]])
+        w = Tensor([[1.0, 2.0], [3.0, 4.0]], requires_grad=True)
+        h = x @ w  # [[7, 10]]
+        r = h.relu()
+        loss = (r * r).sum()
+        loss.backward()
+        for interior in (h, r, loss):
+            assert interior.grad is None
+        # dL/dw = x^T (2 h)
+        assert np.array_equal(w.grad, np.array([[14.0, 20.0], [28.0, 40.0]], dtype=np.float32))
+        assert loss.item() == 149.0  # values stay readable
+
+    def test_backwards_over_separate_forwards_add_up(self):
+        # The multi-batch Eq. 2 sum: one backward per batch into the same leaves.
+        w = Tensor([[1.0], [-2.0]], requires_grad=True)
+        batches = [np.array([[1.0, 2.0]], dtype=np.float32), np.array([[3.0, 1.0]], dtype=np.float32)]
+        for images in batches:
+            (Tensor(images) @ w).pow(2.0).sum().backward()
+        joint = Tensor(w.data.copy(), requires_grad=True)
+        (Tensor(np.concatenate(batches)) @ joint).pow(2.0).sum().backward()
+        assert np.array_equal(w.grad, joint.grad)
+
+    def test_second_backward_raises(self):
+        w = Tensor([2.0], requires_grad=True)
+        loss = (w * 3.0).sum()
+        loss.backward()
+        with pytest.raises(RuntimeError, match="released"):
+            loss.backward()
+        assert w.grad[0] == 3.0  # not added a second time
+
+    def test_new_graph_on_released_interior_raises(self):
+        w = Tensor([2.0], requires_grad=True)
+        b = Tensor([1.0], requires_grad=True)
+        h = w * 3.0
+        h.sum().backward()
+        with pytest.raises(RuntimeError, match="released"):
+            (h * b).sum().backward()
+        assert w.grad[0] == 3.0
+        assert b.grad is None  # raised before any gradient moved
+
+    def test_leaf_root_accumulates_across_calls(self):
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        x.backward(np.ones(2, dtype=np.float32))
+        x.backward(np.ones(2, dtype=np.float32))
+        assert np.array_equal(x.grad, [2.0, 2.0])
+
+
 class TestNoGrad:
     def test_no_grad_context(self):
         assert is_grad_enabled()
