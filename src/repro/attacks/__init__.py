@@ -1,50 +1,17 @@
-"""Backdoor attacks: BadNets, Blended, Low-Frequency, BPP (paper §V-A)."""
+"""Backdoor attacks: BadNets, Blended, Low-Frequency, BPP (paper §V-A), plus
+SIG, dynamic-patch and LIRA extensions, and the poisoner that trains them in."""
 
-from .badnets import BadNetsAttack
-from .base import BackdoorAttack
-from .blended import BlendedAttack
-from .bpp import BPPAttack, floyd_steinberg_dither
-from .dynamic import DynamicPatchAttack
-from .lira import LiraAttack, LiraTrainLog, TriggerGenerator, train_lira
-from .low_frequency import LowFrequencyAttack
-from .poisoner import PoisonInfo, poison_dataset, train_backdoored_model
-from .sig import SIGAttack
+from .._lazy import lazy_exports
 
-# The paper's four evaluation attacks plus two extension attacks cited in
-# its related-work/threat-model discussion (SIG, dynamic triggers).
-ATTACK_REGISTRY = {
-    "badnets": BadNetsAttack,
-    "blended": BlendedAttack,
-    "lf": LowFrequencyAttack,
-    "bpp": BPPAttack,
-    "sig": SIGAttack,
-    "dynamic_patch": DynamicPatchAttack,
-}
-
-
-def build_attack(name: str, **kwargs) -> BackdoorAttack:
-    """Instantiate an attack by registry name."""
-    if name not in ATTACK_REGISTRY:
-        raise KeyError(f"unknown attack {name!r}; choose from {sorted(ATTACK_REGISTRY)}")
-    return ATTACK_REGISTRY[name](**kwargs)
-
-
-__all__ = [
-    "BackdoorAttack",
-    "BadNetsAttack",
-    "BlendedAttack",
-    "LowFrequencyAttack",
-    "BPPAttack",
-    "SIGAttack",
-    "DynamicPatchAttack",
-    "LiraAttack",
-    "LiraTrainLog",
-    "TriggerGenerator",
-    "train_lira",
-    "floyd_steinberg_dither",
-    "PoisonInfo",
-    "poison_dataset",
-    "train_backdoored_model",
-    "ATTACK_REGISTRY",
-    "build_attack",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "base": ("BackdoorAttack",),
+    "badnets": ("BadNetsAttack",),
+    "blended": ("BlendedAttack",),
+    "low_frequency": ("LowFrequencyAttack",),
+    "bpp": ("BPPAttack", "floyd_steinberg_dither"),
+    "sig": ("SIGAttack",),
+    "dynamic": ("DynamicPatchAttack",),
+    "lira": ("LiraAttack", "LiraTrainLog", "TriggerGenerator", "train_lira"),
+    "poisoner": ("PoisonInfo", "poison_dataset", "train_backdoored_model"),
+    "registry": ("ATTACK_REGISTRY", "build_attack"),
+})

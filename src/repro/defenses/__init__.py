@@ -1,76 +1,22 @@
-"""Baseline backdoor mitigation defenses (paper §V-B).
+"""Baseline backdoor mitigation defenses (paper §V-B): FT, Fine-Pruning,
+NAD, Neural Cleanse, CLP, BNP, FT-SAM, ANP and federated unlearning.
 
 The paper's own method lives in :mod:`repro.core`; it is registered here too
 so the evaluation harness can address every approach uniformly.
 """
 
-from typing import Callable, Dict
+from .._lazy import lazy_exports
 
-from .anp import ANPDefense, MaskedConv2d
-from .base import Defense, DefenderData, DefenseReport
-from .bnp import BNPDefense, bn_statistic_divergence
-from .fed_unlearn import FederatedUnlearningDefense
-from .clp import CLPDefense, channel_lipschitz_bounds
-from .fine_pruning import FinePruningDefense, mean_channel_activations
-from .finetune import FineTuningDefense
-from .ft_sam import FTSAMDefense
-from .nad import NADDefense, attention_map
-from .neural_cleanse import NeuralCleanseDefense
-
-
-def _grad_prune_factory(**kwargs) -> Defense:
-    # Imported lazily: repro.core imports this package's base module, so a
-    # top-level import here would be circular.
-    from ..core.defense import GradPruneConfig, GradPruneDefense
-
-    if kwargs:
-        return GradPruneDefense(GradPruneConfig(**kwargs))
-    return GradPruneDefense()
-
-
-DEFENSE_REGISTRY: Dict[str, Callable[..., Defense]] = {
-    "ft": FineTuningDefense,
-    "fp": FinePruningDefense,
-    "nad": NADDefense,
-    "nc": NeuralCleanseDefense,
-    "clp": CLPDefense,
-    "bnp": BNPDefense,
-    "ft_sam": FTSAMDefense,
-    "anp": ANPDefense,
-    "grad_prune": _grad_prune_factory,
-    "fed_unlearn": FederatedUnlearningDefense,
-}
-
-
-def build_defense(name: str, **kwargs) -> Defense:
-    """Instantiate a defense by registry name.
-
-    Keyword arguments are forwarded to the defense constructor (for
-    ``grad_prune`` they populate :class:`repro.core.GradPruneConfig`).
-    """
-    if name not in DEFENSE_REGISTRY:
-        raise KeyError(f"unknown defense {name!r}; choose from {sorted(DEFENSE_REGISTRY)}")
-    return DEFENSE_REGISTRY[name](**kwargs)
-
-
-__all__ = [
-    "Defense",
-    "DefenderData",
-    "DefenseReport",
-    "FineTuningDefense",
-    "FinePruningDefense",
-    "NADDefense",
-    "NeuralCleanseDefense",
-    "CLPDefense",
-    "BNPDefense",
-    "FTSAMDefense",
-    "ANPDefense",
-    "FederatedUnlearningDefense",
-    "MaskedConv2d",
-    "DEFENSE_REGISTRY",
-    "build_defense",
-    "mean_channel_activations",
-    "channel_lipschitz_bounds",
-    "bn_statistic_divergence",
-    "attention_map",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "base": ("Defense", "DefenderData", "DefenseReport"),
+    "finetune": ("FineTuningDefense",),
+    "fine_pruning": ("FinePruningDefense", "mean_channel_activations"),
+    "nad": ("NADDefense", "attention_map"),
+    "neural_cleanse": ("NeuralCleanseDefense",),
+    "clp": ("CLPDefense", "channel_lipschitz_bounds"),
+    "bnp": ("BNPDefense", "bn_statistic_divergence"),
+    "ft_sam": ("FTSAMDefense",),
+    "anp": ("ANPDefense", "MaskedConv2d"),
+    "fed_unlearn": ("FederatedUnlearningDefense",),
+    "registry": ("DEFENSE_REGISTRY", "build_defense"),
+})

@@ -7,42 +7,18 @@ handed to any defense in :mod:`repro.defenses` / :mod:`repro.core`, and
 the sharded tableF scheduler on the orchestrator.
 """
 
-from .client import FederatedClient, MaliciousClient
-from .scheduler import (
-    FederatedOrchestrator,
-    FederatedScenario,
-    FederatedSpec,
-    build_federated_dag,
-    federated_spec,
-)
-from .server import AGGREGATIONS, aggregate, fedavg, krum, trimmed_mean
-from .simulation import (
-    FederatedRunLog,
-    run_federated_backdoor,
-    split_dataset,
-    split_dataset_dirichlet,
-    split_dataset_iid,
-)
-from .threat import ThreatModel, build_clients
+from .._lazy import lazy_exports
 
-__all__ = [
-    "FederatedClient",
-    "MaliciousClient",
-    "AGGREGATIONS",
-    "aggregate",
-    "fedavg",
-    "trimmed_mean",
-    "krum",
-    "split_dataset",
-    "split_dataset_iid",
-    "split_dataset_dirichlet",
-    "FederatedRunLog",
-    "run_federated_backdoor",
-    "ThreatModel",
-    "build_clients",
-    "FederatedScenario",
-    "FederatedSpec",
-    "federated_spec",
-    "build_federated_dag",
-    "FederatedOrchestrator",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "client": ("FederatedClient", "MaliciousClient"),
+    "server": ("AGGREGATIONS", "aggregate", "fedavg", "trimmed_mean", "krum"),
+    "simulation": (
+        "split_dataset", "split_dataset_iid", "split_dataset_dirichlet", "FederatedRunLog",
+        "run_federated_backdoor",
+    ),
+    "threat": ("ThreatModel", "build_clients"),
+    "scheduler": (
+        "FederatedScenario", "FederatedSpec", "federated_spec", "build_federated_dag",
+        "FederatedOrchestrator",
+    ),
+})

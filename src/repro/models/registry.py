@@ -2,17 +2,16 @@
 
 Two size profiles are provided.  ``"quick"`` (default) is sized for CPU
 training in seconds-to-minutes; ``"paper"`` uses the published widths.
+Each factory is named by ``"module:function"`` and imported on first build,
+so a process builds no architecture module it does not use.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict
+from typing import Any, Dict
 
+from .._lazy import resolve
 from ..nn.module import Module
-from .efficientnet import efficientnet_b3
-from .mobilenet import mobilenet_v3_large
-from .preact_resnet import preact_resnet18
-from .vgg import vgg19_bn
 
 __all__ = ["MODEL_NAMES", "build_model"]
 
@@ -32,11 +31,11 @@ _PAPER_KWARGS: Dict[str, Dict[str, Any]] = {
     "mobilenet_v3_large": {"width_mult": 1.0, "max_blocks": 15},
 }
 
-_FACTORIES: Dict[str, Callable[..., Module]] = {
-    "preact_resnet18": preact_resnet18,
-    "vgg19_bn": vgg19_bn,
-    "efficientnet_b3": efficientnet_b3,
-    "mobilenet_v3_large": mobilenet_v3_large,
+_FACTORIES: Dict[str, str] = {
+    "preact_resnet18": "repro.models.preact_resnet:preact_resnet18",
+    "vgg19_bn": "repro.models.vgg:vgg19_bn",
+    "efficientnet_b3": "repro.models.efficientnet:efficientnet_b3",
+    "mobilenet_v3_large": "repro.models.mobilenet:mobilenet_v3_large",
 }
 
 
@@ -72,4 +71,4 @@ def build_model(
     else:
         raise ValueError(f"unknown profile {profile!r}; use 'quick' or 'paper'")
     kwargs.update(overrides)
-    return _FACTORIES[name](num_classes=num_classes, seed=seed, **kwargs)
+    return resolve(_FACTORIES[name])(num_classes=num_classes, seed=seed, **kwargs)

@@ -11,60 +11,23 @@ Layers (each usable on its own):
 - :mod:`~repro.orchestrator.orchestrator` — compiles an experiment spec
   into the DAG and runs it (``repro experiment`` / ``repro orchestrate``).
 
-``Orchestrator`` / ``OrchestratorConfig`` / ``build_experiment_dag`` are
-re-exported lazily: the evaluation layer imports the artifact store from
-this package, so eagerly importing the orchestrator module here (which
-itself imports the evaluation layer) would create an import cycle.
+Names resolve on first use: the evaluation layer imports the artifact
+store from this package, and the orchestrator module imports the
+evaluation layer, so neither import runs the other's whole package.
 """
 
-from .artifacts import ArtifactStore, content_hash
-from .dag import Task, TaskGraph
-from .ledger import RunLedger, TaskRecord
-from .pool import (
-    FAULT_KILL_ENV,
-    FAULT_RATE_ENV,
-    FaultInjected,
-    TaskOutcome,
-    fault_roll,
-    maybe_inject_fault,
-    run_tasks,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "ArtifactStore",
-    "content_hash",
-    "Task",
-    "TaskGraph",
-    "RunLedger",
-    "TaskRecord",
-    "TaskOutcome",
-    "FaultInjected",
-    "FAULT_RATE_ENV",
-    "FAULT_KILL_ENV",
-    "fault_roll",
-    "maybe_inject_fault",
-    "run_tasks",
-    "Orchestrator",
-    "OrchestratorConfig",
-    "OrchestrationResult",
-    "build_experiment_dag",
-    "GraphRunResult",
-    "run_ledgered_graph",
-]
-
-_LAZY = {
-    "Orchestrator",
-    "OrchestratorConfig",
-    "OrchestrationResult",
-    "build_experiment_dag",
-    "GraphRunResult",
-    "run_ledgered_graph",
-}
-
-
-def __getattr__(name: str):
-    if name in _LAZY:
-        from . import orchestrator as _orchestrator
-
-        return getattr(_orchestrator, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "artifacts": ("ArtifactStore", "content_hash"),
+    "dag": ("Task", "TaskGraph"),
+    "ledger": ("RunLedger", "TaskRecord"),
+    "pool": (
+        "TaskOutcome", "FaultInjected", "FAULT_RATE_ENV", "FAULT_KILL_ENV", "fault_roll",
+        "maybe_inject_fault", "run_tasks",
+    ),
+    "orchestrator": (
+        "Orchestrator", "OrchestratorConfig", "OrchestrationResult", "build_experiment_dag",
+        "GraphRunResult", "run_ledgered_graph",
+    ),
+})

@@ -32,8 +32,6 @@ worker-death/EOF recovery path.
 from __future__ import annotations
 
 import hashlib
-import multiprocessing
-import multiprocessing.connection
 import os
 import time
 from dataclasses import dataclass
@@ -158,11 +156,6 @@ class _WorkerHandle:
         self.conn.close()
 
 
-def _mp_context():
-    methods = multiprocessing.get_all_start_methods()
-    return multiprocessing.get_context("fork" if "fork" in methods else "spawn")
-
-
 # ---------------------------------------------------------------------------
 # Driver
 # ---------------------------------------------------------------------------
@@ -270,8 +263,12 @@ def _run_pooled(
     workers: int,
     task_timeout: Optional[float],
 ) -> None:
+    import multiprocessing  # only the pooled path forks; inline runs never load it
+    import multiprocessing.connection
+
     graph = driver.graph
-    mp_ctx = _mp_context()
+    methods = multiprocessing.get_all_start_methods()
+    mp_ctx = multiprocessing.get_context("fork" if "fork" in methods else "spawn")
     handles: Dict[int, _WorkerHandle] = {}
     idle: List[int] = []
     # wid -> (task, attempt, started_monotonic)

@@ -4,32 +4,16 @@ Turns the repaired-model fast path, the GEMM engine, and STRIP input
 filtering into a long-lived serving process: a content-addressed model
 registry with atomic hot-swap, an async micro-batching request queue, an
 optional per-batch STRIP pre-filter, a synthetic traffic generator, and a
-stdlib HTTP front.  See DESIGN.md §11.
+stdlib HTTP front.  See DESIGN.md §11.  Names resolve on first use, so a
+process that never serves HTTP never imports ``http.server``.
 """
 
-from .batcher import BatcherStats, BatchRequest, MicroBatcher, QueueFullError
-from .gateway import CLEAN, FILTERED, ServeConfig, ServingGateway, Verdict
-from .http import GatewayHTTPServer, serve_http
-from .registry import ModelRegistry, RegisteredModel, state_fingerprint
-from .traffic import STANDARD_MIXES, TrafficGenerator, TrafficMix, TrafficReport
+from .._lazy import lazy_exports
 
-__all__ = [
-    "CLEAN",
-    "FILTERED",
-    "STANDARD_MIXES",
-    "BatchRequest",
-    "BatcherStats",
-    "GatewayHTTPServer",
-    "MicroBatcher",
-    "ModelRegistry",
-    "QueueFullError",
-    "RegisteredModel",
-    "ServeConfig",
-    "ServingGateway",
-    "TrafficGenerator",
-    "TrafficMix",
-    "TrafficReport",
-    "Verdict",
-    "serve_http",
-    "state_fingerprint",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "batcher": ("BatchRequest", "BatcherStats", "MicroBatcher", "QueueFullError"),
+    "gateway": ("CLEAN", "FILTERED", "ServeConfig", "ServingGateway", "Verdict"),
+    "http": ("GatewayHTTPServer", "serve_http"),
+    "registry": ("ModelRegistry", "RegisteredModel", "state_fingerprint"),
+    "traffic": ("STANDARD_MIXES", "TrafficGenerator", "TrafficMix", "TrafficReport"),
+})

@@ -47,7 +47,6 @@ from ..data.dataset import ImageDataset
 from ..nn.engine import engine
 from ..nn.inference import CompiledInference
 from ..nn.tensor import Tensor
-from ..synthesis.strip import strip_entropy_scores
 from ..telemetry import emit
 from ..utils.logging import get_logger
 from ..utils.timing import latency_summary
@@ -291,6 +290,8 @@ class ServingGateway:
         Uses the same shared-overlay form as serving so the calibrated
         threshold matches the on-path entropy distribution.
         """
+        from ..synthesis.strip import strip_entropy_scores  # only STRIP gateways load it
+
         pool = self.clean_pool.images
         overlay_idx = self._rng.integers(0, len(pool), size=self.config.strip_overlays)
         with self._model_lock:
@@ -310,6 +311,8 @@ class ServingGateway:
             logits = entry.compiled(Tensor(batch)).data
             entropies: Optional[np.ndarray] = None
             if entry.strip_threshold is not None:
+                from ..synthesis.strip import strip_entropy_scores
+
                 pool = self.clean_pool.images
                 # One shared overlay set per micro-batch: a single
                 # (overlays, C, H, W) gather instead of an (overlays, batch)
