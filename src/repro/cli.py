@@ -28,16 +28,8 @@ from typing import List, Optional
 
 from .attacks import ATTACK_REGISTRY
 from .defenses import DEFENSE_REGISTRY
-from .eval import (
-    EXPERIMENT_IDS,
-    FEDERATED_EXPERIMENT_IDS,
-    BenchmarkRunner,
-    ScenarioConfig,
-    experiment_spec,
-)
+from .eval import EXPERIMENT_IDS, FEDERATED_EXPERIMENT_IDS
 from .models import MODEL_NAMES
-from .orchestrator import Orchestrator, OrchestratorConfig
-from .orchestrator.artifacts import cache_root
 
 __all__ = ["main", "build_parser"]
 
@@ -243,6 +235,9 @@ def _cmd_demo(args) -> int:
 
 
 def _cmd_orchestrate(args) -> int:
+    from .eval import experiment_spec
+    from .orchestrator import Orchestrator, OrchestratorConfig
+
     config = OrchestratorConfig(
         workers=args.workers,
         task_timeout=args.task_timeout,
@@ -293,7 +288,9 @@ def _orchestrate_federated(args, config) -> int:
     return 0 if result.ok else 1
 
 
-def _scenario(args, attack_name: str) -> ScenarioConfig:
+def _scenario(args, attack_name: str):
+    from .eval import ScenarioConfig
+
     num_classes = 10 if args.dataset == "synth_cifar" else 12
     return ScenarioConfig(
         dataset=args.dataset,
@@ -306,6 +303,8 @@ def _scenario(args, attack_name: str) -> ScenarioConfig:
 
 
 def _cmd_attack(args) -> int:
+    from .eval import BenchmarkRunner
+
     runner = BenchmarkRunner(verbose=True)
     scenario = runner.prepare(_scenario(args, args.attack_name))
     print(f"baseline ({args.attack_name} on {args.model}/{args.dataset}): {scenario.baseline}")
@@ -313,7 +312,7 @@ def _cmd_attack(args) -> int:
 
 
 def _cmd_defend(args) -> int:
-    from .eval import DefenderBudget
+    from .eval import BenchmarkRunner, DefenderBudget
 
     runner = BenchmarkRunner(verbose=True)
     scenario = runner.prepare(_scenario(args, args.attack_name))
@@ -331,6 +330,7 @@ def _cmd_serve(args) -> int:
 
     from .attacks import BadNetsAttack
     from .data import make_synth_cifar, make_synth_gtsrb
+    from .orchestrator.artifacts import cache_root
     from .serving import (
         STANDARD_MIXES,
         ModelRegistry,
@@ -474,6 +474,7 @@ def _cmd_registry(args) -> int:
     import json
     import os
 
+    from .orchestrator.artifacts import cache_root
     from .serving import ModelRegistry
 
     registry_dir = args.registry or os.path.join(cache_root(), "registry")

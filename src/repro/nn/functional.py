@@ -347,10 +347,11 @@ def _conv2d_train(
     contiguous NCHW: training-mode consumers (BatchNorm batch statistics,
     ReLU masks, residual adds) reduce over this output many times, and on
     the channels-last view every one of those reductions is strided.  The
-    backward closure keeps no columns.  Backward issues two engine GEMMs —
+    backward closure keeps the input (only while the weight needs a
+    gradient) and no columns or output.  Backward issues two engine GEMMs —
 
     - ``dW(K, C_out) = colsᵀ @ grad2d`` via ``execute_tn``, on columns
-      re-unfolded from ``x.data`` into the workspace.  That relies on
+      re-unfolded from the kept input into the workspace.  That relies on
       activations never being mutated in place between forward and
       backward.
     - dX.  For a stride-1 conv with ``padding < kernel`` it is a gather:
@@ -360,8 +361,9 @@ def _conv2d_train(
       = grad2d @ W_packedᵀ`` and fold it with the :func:`_col2im_gemm`
       scatter.
 
-    Weights are packed from ``weight.data`` at backward time: pruning masks
-    and SAM perturbations mutate them in place between the two passes.
+    Weights are packed from ``weight.data`` at backward time (through
+    ``Tensor._keep``): pruning masks and SAM perturbations mutate them in
+    place between the two passes.
     All backward temporaries (the flattened upstream gradient, columns,
     packed weights, dW product, dX) live in the workspace — everything
     accumulated into ``.grad`` is copied or added by ``Tensor._accumulate``
@@ -381,19 +383,23 @@ def _conv2d_train(
         _conv2d_infer(x.data, weight.data, bias_data, stride, padding, out_h, out_w)
     )
     parents = (x, weight) if bias is None else (x, weight, bias)
+    vx, vw = x._vertex, weight._vertex
+    vb = None if bias is None else bias._vertex
+    x_data = None if vw is None else x._keep()
+    w_data = None if vx is None else weight._keep()
 
     def backward(grad: np.ndarray) -> None:
         eng = _engine()
         ws = workspace()
         grad2d = ws.get("grad2d", (n * length, c_out), grad.dtype)
         np.copyto(grad2d.reshape(n, out_h, out_w, c_out), grad.transpose(0, 2, 3, 1))
-        if bias is not None and bias.requires_grad:
-            bias._accumulate(grad2d.sum(axis=0))
-        if weight.requires_grad:
-            cols = _im2col_gemm(x.data, (kh, kw), stride, padding)
+        if vb is not None:
+            vb._accumulate(grad2d.sum(axis=0))
+        if vw is not None:
+            cols = _im2col_gemm(x_data(), (kh, kw), stride, padding)
             dw = eng.execute_tn(cols, grad2d, out=ws.get("dw", (k_flat, c_out), dtype))
-            weight._accumulate(dw.reshape(kh, kw, c_in, c_out).transpose(3, 2, 0, 1))
-        if not x.requires_grad:
+            vw._accumulate(dw.reshape(kh, kw, c_in, c_out).transpose(3, 2, 0, 1))
+        if vx is None:
             return
         if stride == (1, 1) and ph < kh and pw < kw:
             dy = grad2d.reshape(n, out_h, out_w, c_out).transpose(0, 3, 1, 2)
@@ -401,17 +407,17 @@ def _conv2d_train(
             w_flip = ws.get("wmat_bwd", (kh * kw * c_out, c_in), dtype)
             np.copyto(
                 w_flip.reshape(kh, kw, c_out, c_in),
-                weight.data[:, :, ::-1, ::-1].transpose(2, 3, 0, 1),
+                w_data()[:, :, ::-1, ::-1].transpose(2, 3, 0, 1),
             )
             dx = eng.execute(cols, w_flip, out=ws.get("grad_cols", (n * h * w, c_in), dtype))
-            x._accumulate(dx.reshape(n, h, w, c_in).transpose(0, 3, 1, 2))
+            vx._accumulate(dx.reshape(n, h, w, c_in).transpose(0, 3, 1, 2))
         else:
             w_bwd = ws.get("wmat_bwd", (c_out, k_flat), dtype)
-            np.copyto(w_bwd.reshape(c_out, kh, kw, c_in), weight.data.transpose(0, 2, 3, 1))
+            np.copyto(w_bwd.reshape(c_out, kh, kw, c_in), w_data().transpose(0, 2, 3, 1))
             grad_cols = eng.execute(
                 grad2d, w_bwd, out=ws.get("grad_cols", (n * length, k_flat), dtype)
             )
-            x._accumulate(_col2im_gemm(grad_cols, x.shape, (kh, kw), stride, padding))
+            vx._accumulate(_col2im_gemm(grad_cols, (n, c_in, h, w), (kh, kw), stride, padding))
 
     return Tensor._make(out, parents, backward)
 
@@ -506,11 +512,11 @@ def _depthwise_train(
     """Gradient-path depthwise conv on the tap loop of :func:`_depthwise_forward`.
 
     The zero-padded input is fresh memory (never a workspace slab) because
-    the backward closure keeps it.  Backward walks the same taps in
-    channels-last storage: dW for tap ``(i, j)`` is one einsum of the
-    upstream gradient with that tap's view of the padded input, and dX
-    scatter-adds ``grad * w_tap`` into a zeroed padded buffer.  Backward
-    scratch comes from the workspace.
+    the backward closure keeps it for dW; the unpadded input is not kept.
+    Backward walks the same taps in channels-last storage: dW for tap ``(i,
+    j)`` is one einsum of the upstream gradient with that tap's view of the
+    padded input, and dX scatter-adds ``grad * w_tap`` into a zeroed padded
+    buffer.  Backward scratch comes from the workspace.
     """
     n, c_in, h, w = x.shape
     c_out, _, kh, kw = weight.shape
@@ -525,37 +531,41 @@ def _depthwise_train(
     out = np.ascontiguousarray(out)
     parents = (x, weight) if bias is None else (x, weight, bias)
     taps = [(i, j) for i in range(kh) for j in range(kw)]
+    vx, vw = x._vertex, weight._vertex
+    vb = None if bias is None else bias._vertex
+    x_padded = None if vw is None else xp
+    w_data = None if vx is None else weight._keep()
 
     def backward(grad: np.ndarray) -> None:
-        if bias is not None and bias.requires_grad:
-            bias._accumulate(grad.sum(axis=(0, 2, 3)))
+        if vb is not None:
+            vb._accumulate(grad.sum(axis=(0, 2, 3)))
         if _channels_last(grad):
             g = grad
         else:
             g = _channels_last_buffer(grad.shape, dtype, "grad2d")
             g[...] = grad
-        if weight.requires_grad:
+        if vw is not None:
             dw = np.empty((c_out, 1, kh, kw), dtype)
             for k in range(m):
                 g_k = g[:, k::m].transpose(0, 2, 3, 1)
                 for i, j in taps:
-                    view = _tap(xp, i, j, stride, out_h, out_w).transpose(0, 2, 3, 1)
+                    view = _tap(x_padded, i, j, stride, out_h, out_w).transpose(0, 2, 3, 1)
                     # "->xc", not "->c": keeps W and C fused in the inner loop.
                     dw[k::m, 0, i, j] = np.einsum("nyxc,nyxc->xc", g_k, view).sum(axis=0)
-            weight._accumulate(dw)
-        if x.requires_grad:
+            vw._accumulate(dw)
+        if vx is not None:
             # Weights are read at backward time: pruning masks and SAM
             # perturbations mutate them in place between the two passes.
             dxp = _channels_last_buffer((n, c_in, h + 2 * ph, w + 2 * pw), dtype, "bwd_pad")
             dxp.fill(0.0)
             tmp = _channels_last_buffer((n, c_in, out_h, out_w), dtype, "taps")
             for k in range(m):
-                w_taps = _tap_weights(weight.data[k::m], out_w)
+                w_taps = _tap_weights(w_data()[k::m], out_w)
                 for i, j in taps:
                     np.multiply(g[:, k::m], w_taps[i, j], out=tmp)
                     view = _tap(dxp, i, j, stride, out_h, out_w)
                     view += tmp
-            x._accumulate(dxp[:, :, ph : ph + h, pw : pw + w])
+            vx._accumulate(dxp[:, :, ph : ph + h, pw : pw + w])
 
     return Tensor._make(out, parents, backward)
 
@@ -702,35 +712,39 @@ def conv_transpose2d(
     k_flat = kh * kw * c_out
     dtype = x.data.dtype
 
-    def input_rows() -> np.ndarray:
-        """``x`` as channels-last rows ``(N*H*W, C_in)`` in the workspace."""
+    def input_rows(x_data: np.ndarray) -> np.ndarray:
+        """``x_data`` as channels-last rows ``(N*H*W, C_in)`` in the workspace."""
         rows = workspace().get("x_rows", (n * h * w, c_in), dtype)
-        np.copyto(rows.reshape(n, h, w, c_in), x.data.transpose(0, 2, 3, 1))
+        np.copyto(rows.reshape(n, h, w, c_in), x_data.transpose(0, 2, 3, 1))
         return rows
 
     ws = workspace()
     w_packed = ws.get("wmat", (c_in, k_flat), dtype)
     np.copyto(w_packed.reshape(c_in, kh, kw, c_out), weight.data.transpose(0, 2, 3, 1))
     cols = _engine().execute(
-        input_rows(), w_packed, out=ws.get("grad_cols", (n * h * w, k_flat), dtype)
+        input_rows(x.data), w_packed, out=ws.get("grad_cols", (n * h * w, k_flat), dtype)
     )
     # The fold is a view of the "bwd_pad" slab; the result escapes the op.
     out = _col2im_gemm(cols, (n, c_out, out_h, out_w), (kh, kw), stride, padding).copy()
     if bias is not None:
         out += bias.data.reshape(1, c_out, 1, 1)
+    vx, vw = x._vertex, weight._vertex
+    vb = None if bias is None else bias._vertex
+    x_data = None if vw is None else x._keep()
+    w_data = None if vx is None else weight._keep()
 
     def backward(grad: np.ndarray) -> None:
-        if bias is not None and bias.requires_grad:
-            bias._accumulate(grad.sum(axis=(0, 2, 3)))
-        if weight.requires_grad:
+        if vb is not None:
+            vb._accumulate(grad.sum(axis=(0, 2, 3)))
+        if vw is not None:
             grad_cols = _im2col_gemm(grad, (kh, kw), stride, padding)  # (N*H*W, K)
             dw = _engine().execute_tn(
-                input_rows(), grad_cols, out=workspace().get("dw", (c_in, k_flat), dtype)
+                input_rows(x_data()), grad_cols, out=workspace().get("dw", (c_in, k_flat), dtype)
             )
-            weight._accumulate(dw.reshape(c_in, kh, kw, c_out).transpose(0, 3, 1, 2))
-        if x.requires_grad:
+            vw._accumulate(dw.reshape(c_in, kh, kw, c_out).transpose(0, 3, 1, 2))
+        if vx is not None:
             # Weights are read at backward time, as in _conv2d_train.
-            x._accumulate(_conv2d_infer(grad, weight.data, None, stride, padding, h, w))
+            vx._accumulate(_conv2d_infer(grad, w_data(), None, stride, padding, h, w))
 
     parents = (x, weight) if bias is None else (x, weight, bias)
     return Tensor._make(out, parents, backward)
@@ -756,16 +770,20 @@ def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
     out = _engine().execute(
         x.data, weight.data.T, bias=None if bias is None else bias.data
     )
+    vx, vw = x._vertex, weight._vertex
+    vb = None if bias is None else bias._vertex
+    x_data = None if vw is None else x._keep()
+    w_data = None if vx is None else weight._keep()
 
     def backward(grad: np.ndarray) -> None:
         eng = _engine()
-        if bias is not None and bias.requires_grad:
-            bias._accumulate(grad.sum(axis=0))
-        if weight.requires_grad:
+        if vb is not None:
+            vb._accumulate(grad.sum(axis=0))
+        if vw is not None:
             # dW(out, in) = grad.T @ x — exactly the execute_tn shape.
-            weight._accumulate(eng.execute_tn(grad, x.data))
-        if x.requires_grad:
-            x._accumulate(eng.execute(grad, weight.data))
+            vw._accumulate(eng.execute_tn(grad, x_data()))
+        if vx is not None:
+            vx._accumulate(eng.execute(grad, w_data()))
 
     parents = (x, weight) if bias is None else (x, weight, bias)
     return Tensor._make(out, parents, backward)
@@ -806,11 +824,9 @@ def max_pool2d(x: Tensor, kernel: IntPair, stride: Optional[IntPair] = None, pad
     arg = flat.argmax(axis=-1)
     out = np.take_along_axis(flat, arg[..., None], axis=-1)[..., 0]
 
-    x_shape = x.shape
+    x_shape, vx = x.shape, x._vertex
 
     def backward(grad: np.ndarray) -> None:
-        if not x.requires_grad:
-            return
         grad_padded = np.zeros(
             (n, c, h + 2 * padding[0], w + 2 * padding[1]), dtype=grad.dtype
         )
@@ -826,7 +842,7 @@ def max_pool2d(x: Tensor, kernel: IntPair, stride: Optional[IntPair] = None, pad
             grad_padded = grad_padded[
                 :, :, padding[0] : padding[0] + h, padding[1] : padding[1] + w
             ]
-        x._accumulate(grad_padded.reshape(x_shape))
+        vx._accumulate(grad_padded.reshape(x_shape))
 
     return Tensor._make(np.ascontiguousarray(out), (x,), backward)
 
@@ -860,11 +876,9 @@ def avg_pool2d(x: Tensor, kernel: IntPair, stride: Optional[IntPair] = None, pad
         writeable=False,
     )
     out = windows.mean(axis=(-1, -2))
-    x_shape = x.shape
+    x_shape, vx = x.shape, x._vertex
 
     def backward(grad: np.ndarray) -> None:
-        if not x.requires_grad:
-            return
         spread = grad * scale
         if stride == kernel and not (padding[0] or padding[1]):
             # Non-overlapping windows (every global pool): one broadcast
@@ -872,7 +886,7 @@ def avg_pool2d(x: Tensor, kernel: IntPair, stride: Optional[IntPair] = None, pad
             grad_x = np.zeros((n, c, h, w), dtype=grad.dtype)
             blocks = grad_x[:, :, : out_h * kh, : out_w * kw].reshape(n, c, out_h, kh, out_w, kw)
             blocks[...] = spread[:, :, :, None, :, None]
-            x._accumulate(grad_x)
+            vx._accumulate(grad_x)
             return
         grad_padded = np.zeros((n, c, h + 2 * padding[0], w + 2 * padding[1]), dtype=grad.dtype)
         for i in range(kh):
@@ -884,7 +898,7 @@ def avg_pool2d(x: Tensor, kernel: IntPair, stride: Optional[IntPair] = None, pad
             grad_padded = grad_padded[
                 :, :, padding[0] : padding[0] + h, padding[1] : padding[1] + w
             ]
-        x._accumulate(grad_padded.reshape(x_shape))
+        vx._accumulate(grad_padded.reshape(x_shape))
 
     return Tensor._make(np.ascontiguousarray(out), (x,), backward)
 
@@ -917,21 +931,24 @@ def batch_norm2d_train(
     inv_b = inv_std.reshape(1, c, 1, 1)
     x_hat = (x.data - mean_b) * inv_b
     out = x_hat * weight.data.reshape(1, c, 1, 1) + bias.data.reshape(1, c, 1, 1)
+    dtype = x.data.dtype
+    vx, vw, vb = x._vertex, weight._vertex, bias._vertex
+    w_data = None if vx is None else weight._keep()
 
     def backward(grad: np.ndarray) -> None:
-        if weight.requires_grad:
-            weight._accumulate((grad * x_hat).sum(axis=(0, 2, 3)))
-        if bias.requires_grad:
-            bias._accumulate(grad.sum(axis=(0, 2, 3)))
-        if x.requires_grad:
-            gamma = weight.data.reshape(1, c, 1, 1)
+        if vw is not None:
+            vw._accumulate((grad * x_hat).sum(axis=(0, 2, 3)))
+        if vb is not None:
+            vb._accumulate(grad.sum(axis=(0, 2, 3)))
+        if vx is not None:
+            gamma = w_data().reshape(1, c, 1, 1)
             grad_xhat = grad * gamma
             sum_g = grad_xhat.sum(axis=(0, 2, 3), keepdims=True)
             sum_gx = (grad_xhat * x_hat).sum(axis=(0, 2, 3), keepdims=True)
             grad_x = inv_b / count * (count * grad_xhat - sum_g - x_hat * sum_gx)
-            x._accumulate(grad_x.astype(x.data.dtype, copy=False))
+            vx._accumulate(grad_x.astype(dtype, copy=False))
 
-    result = Tensor._make(out.astype(x.data.dtype, copy=False), (x, weight, bias), backward)
+    result = Tensor._make(out.astype(dtype, copy=False), (x, weight, bias), backward)
     return result, mean, var
 
 
@@ -965,16 +982,18 @@ def batch_norm2d_eval(
         out += shift.reshape(1, c, 1, 1)
     if out.dtype != x.data.dtype:
         out = out.astype(x.data.dtype)
-    x_data = x.data
+    vx, vw, vb = x._vertex, weight._vertex, bias._vertex
+    # The input is kept only for γ's gradient; Eq. 3 scoring freezes γ.
+    x_data = None if vw is None else x._keep()
 
     def backward(grad: np.ndarray) -> None:
-        if weight.requires_grad:
-            x_hat = (x_data - running_mean.reshape(1, c, 1, 1)) * inv_std.reshape(1, c, 1, 1)
-            weight._accumulate((grad * x_hat).sum(axis=(0, 2, 3)))
-        if bias.requires_grad:
-            bias._accumulate(grad.sum(axis=(0, 2, 3)))
-        if x.requires_grad:
-            x._accumulate(grad * scale.reshape(1, c, 1, 1))
+        if vw is not None:
+            x_hat = (x_data() - running_mean.reshape(1, c, 1, 1)) * inv_std.reshape(1, c, 1, 1)
+            vw._accumulate((grad * x_hat).sum(axis=(0, 2, 3)))
+        if vb is not None:
+            vb._accumulate(grad.sum(axis=(0, 2, 3)))
+        if vx is not None:
+            vx._accumulate(grad * scale.reshape(1, c, 1, 1))
 
     return Tensor._make(out, (x, weight, bias), backward)
 

@@ -2,8 +2,11 @@
 
 This module provides :class:`Tensor`, the fundamental value type of the
 ``repro.nn`` substrate.  A :class:`Tensor` wraps a ``numpy.ndarray`` and
-records, for every differentiable operation, a backward closure on a tape.
-Calling :meth:`Tensor.backward` walks the tape in reverse topological order,
+records, for every differentiable operation, a graph vertex on a tape: the
+vertex holds the op's backward closure, its parents' vertices and a gradient
+slot, but not the result's data, which only the caller's :class:`Tensor`
+holds.  Each closure keeps exactly the arrays its backward reads.  Calling
+:meth:`Tensor.backward` walks the vertices in reverse topological order,
 accumulates gradients into the leaves' ``.grad`` and releases the tape as it
 goes.
 
@@ -85,6 +88,18 @@ def _as_array(value: TensorLike, dtype=np.float32) -> np.ndarray:
     return arr
 
 
+def _add_grad(vertex: Union["Tensor", "_Node"], grad: np.ndarray) -> None:
+    """Add ``grad`` into a graph vertex's gradient slot, in its dtype."""
+    if vertex.grad is None:
+        # order="C", not the astype default "K": incoming grads may be
+        # transpose views (e.g. the conv backward's channels-last dX in a
+        # workspace slab), and "K" would preserve that strided layout, making
+        # every later read of .grad strided too.
+        vertex.grad = grad.astype(vertex.dtype, order="C", copy=True)
+    else:
+        vertex.grad += grad
+
+
 def _unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
     """Reduce ``grad`` back to ``shape`` by summing broadcast dimensions."""
     if grad.shape == shape:
@@ -103,6 +118,13 @@ def _unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
 class Tensor:
     """A numpy-backed array with reverse-mode autodiff support.
 
+    A tensor made by the caller is a *leaf*: when it requires grad it is its
+    own graph vertex, and gradients accumulate into its ``.grad``.  A tensor
+    an op records is an op *result*: it holds the data, and a separate
+    :class:`_Node` holds its place in the graph, so the graph keeps the
+    result's data alive only where a backward closure reads it.  Results
+    report ``requires_grad`` True but keep no ``.grad``.
+
     Parameters
     ----------
     data:
@@ -113,16 +135,13 @@ class Tensor:
         ``.grad`` during :meth:`backward`.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_backward_fn", "_parents", "name")
+    __slots__ = ("data", "grad", "requires_grad", "_node", "name")
 
-    def __init__(
-        self,
-        data: TensorLike,
-        requires_grad: bool = False,
-        _parents: Tuple["Tensor", ...] = (),
-        _backward_fn: Optional[Callable[[np.ndarray], None]] = None,
-        name: str = "",
-    ) -> None:
+    # A leaf is a vertex with no closure and no parents.
+    _backward_fn = None
+    _parents: Tuple["_Node", ...] = ()
+
+    def __init__(self, data: TensorLike, requires_grad: bool = False, name: str = "") -> None:
         if isinstance(data, Tensor):
             data = data.data
         if isinstance(data, np.floating):
@@ -135,8 +154,7 @@ class Tensor:
         self.data: np.ndarray = data
         self.grad: Optional[np.ndarray] = None
         self.requires_grad: bool = requires_grad and _GRAD_MODE.enabled
-        self._backward_fn = _backward_fn
-        self._parents = _parents
+        self._node: Optional[_Node] = None
         self.name = name
 
     # ------------------------------------------------------------------
@@ -188,15 +206,33 @@ class Tensor:
     # ------------------------------------------------------------------
     # Autograd machinery
     # ------------------------------------------------------------------
+    @property
+    def _vertex(self) -> Optional[Union["Tensor", "_Node"]]:
+        """Where a backward closure accumulates this tensor's gradient: the
+        leaf itself, an op result's node, or None when no gradient flows."""
+        if not self.requires_grad:
+            return None
+        return self if self._node is None else self._node
+
+    def _keep(self) -> Callable[[], np.ndarray]:
+        """What a backward closure keeps to read this tensor's data.
+
+        An op result's array is kept as it is.  A leaf's data is read
+        through the leaf when the closure runs, so the backward sees what
+        pruning masks, SAM and ANP wrote into parameters since the forward.
+        """
+        if self._node is None:
+            return lambda: self.data
+        data = self.data
+        return lambda: data
+
     def _accumulate(self, grad: np.ndarray) -> None:
-        if self.grad is None:
-            # order="C", not the astype default "K": incoming grads may be
-            # transpose views (e.g. the conv backward's channels-last dX in
-            # a workspace slab), and "K" would preserve that strided layout,
-            # making every later read of .grad strided too.
-            self.grad = grad.astype(self.data.dtype, order="C", copy=True)
-        else:
-            self.grad += grad
+        if self._node is not None:
+            raise RuntimeError(
+                "an op result's gradient goes to its graph vertex: a backward "
+                "closure must capture the parent's _vertex, not the tensor"
+            )
+        _add_grad(self, grad)
 
     def zero_grad(self, set_to_none: bool = True) -> None:
         """Clear the accumulated gradient.
@@ -217,11 +253,13 @@ class Tensor:
 
         Gradients accumulate into the ``.grad`` of the graph's leaves (tensors
         created with ``requires_grad=True``, such as parameters), adding to
-        what earlier calls left there until ``zero_grad()``.  As in torch's
-        default, the walk releases the graph behind it: interior tensors keep
-        no ``.grad``, and a backward that reaches a released tensor (a second
-        ``loss.backward()``, or a new graph built on an old interior tensor)
-        raises ``RuntimeError`` before touching any gradient.
+        what earlier calls left there until ``zero_grad()``.  The walk runs
+        over graph vertices (the leaves and each op result's :class:`_Node`),
+        which hold no op's data.  As in torch's default, it releases the graph
+        behind it: interior tensors keep no ``.grad``, and a backward that
+        reaches a released tensor (a second ``loss.backward()``, or a new
+        graph built on an old interior tensor) raises ``RuntimeError`` before
+        touching any gradient.
 
         Parameters
         ----------
@@ -240,36 +278,37 @@ class Tensor:
         if grad.shape != self.data.shape:
             raise ValueError(f"gradient shape {grad.shape} != tensor shape {self.shape}")
 
-        topo: list[Tensor] = []
+        root = self if self._node is None else self._node
+        topo: list[Union[Tensor, _Node]] = []
         visited: set[int] = set()
-        stack: list[Tuple[Tensor, bool]] = [(self, False)]
+        stack: list[Tuple[Union[Tensor, _Node], bool]] = [(root, False)]
         while stack:
-            node, processed = stack.pop()
+            vertex, processed = stack.pop()
             if processed:
-                topo.append(node)
+                topo.append(vertex)
                 continue
-            if id(node) in visited:
+            if id(vertex) in visited:
                 continue
-            if node._backward_fn is _released:
+            if vertex._backward_fn is _released:
                 _released(grad)  # raises
-            visited.add(id(node))
-            stack.append((node, True))
-            for parent in node._parents:
+            visited.add(id(vertex))
+            stack.append((vertex, True))
+            for parent in vertex._parents:
                 if id(parent) not in visited:
                     stack.append((parent, False))
 
-        self._accumulate(grad)
-        # Release each interior node as the walk reaches it: once its closure
-        # has handed its parents their share, nothing references the node's
-        # gradient, the arrays the closure saved, or (unless the caller holds
-        # the tensor) its output.  Leaves keep accumulating across calls.
+        root._accumulate(grad)
+        # Release each node as the walk reaches it: once its closure has
+        # handed its parents their share, nothing references the node's
+        # gradient or the arrays the closure kept.  Leaves keep accumulating
+        # across calls.
         while topo:
-            node = topo.pop()
-            backward_fn = node._backward_fn
+            vertex = topo.pop()
+            backward_fn = vertex._backward_fn
             if backward_fn is None:
                 continue
-            node_grad, node.grad = node.grad, None
-            node._backward_fn, node._parents = _released, ()
+            node_grad, vertex.grad = vertex.grad, None
+            vertex._backward_fn, vertex._parents = _released, ()
             if node_grad is not None:
                 backward_fn(node_grad)
 
@@ -279,12 +318,20 @@ class Tensor:
         parents: Iterable["Tensor"],
         backward_fn: Callable[[np.ndarray], None],
     ) -> "Tensor":
-        """Create an op-result tensor, recording the tape edge when enabled."""
-        parents = tuple(parents)
-        needs_grad = _GRAD_MODE.enabled and any(p.requires_grad for p in parents)
-        if not needs_grad:
-            return Tensor(data)
-        return Tensor(data, requires_grad=True, _parents=parents, _backward_fn=backward_fn)
+        """Create an op-result tensor, recording its graph vertex when enabled.
+
+        ``backward_fn`` must capture its parents' ``_vertex`` and the arrays
+        it reads (:meth:`_keep`), never a parent ``Tensor``: the vertex
+        records which parents need a gradient, and the result's data stays
+        with the returned tensor alone.
+        """
+        if _GRAD_MODE.enabled:
+            vertices = tuple(v for v in (p._vertex for p in parents) if v is not None)
+            if vertices:
+                out = Tensor(data, requires_grad=True)
+                out._node = _Node(backward_fn, vertices, out.data.dtype)
+                return out
+        return Tensor(data)
 
     # ------------------------------------------------------------------
     # Arithmetic
@@ -292,12 +339,14 @@ class Tensor:
     def __add__(self, other: TensorLike) -> "Tensor":
         other = other if isinstance(other, Tensor) else Tensor(_as_array(other))
         out_data = self.data + other.data
+        va, vb = self._vertex, other._vertex
+        shape_a, shape_b = self.shape, other.shape
 
         def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(_unbroadcast(grad, self.shape))
-            if other.requires_grad:
-                other._accumulate(_unbroadcast(grad, other.shape))
+            if va is not None:
+                va._accumulate(_unbroadcast(grad, shape_a))
+            if vb is not None:
+                vb._accumulate(_unbroadcast(grad, shape_b))
 
         return Tensor._make(out_data, (self, other), backward)
 
@@ -306,12 +355,17 @@ class Tensor:
     def __mul__(self, other: TensorLike) -> "Tensor":
         other = other if isinstance(other, Tensor) else Tensor(_as_array(other))
         out_data = self.data * other.data
+        va, vb = self._vertex, other._vertex
+        shape_a, shape_b = self.shape, other.shape
+        # Each operand is kept only for the other side's gradient.
+        a_data = None if vb is None else self._keep()
+        b_data = None if va is None else other._keep()
 
         def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(_unbroadcast(grad * other.data, self.shape))
-            if other.requires_grad:
-                other._accumulate(_unbroadcast(grad * self.data, other.shape))
+            if va is not None:
+                va._accumulate(_unbroadcast(grad * b_data(), shape_a))
+            if vb is not None:
+                vb._accumulate(_unbroadcast(grad * a_data(), shape_b))
 
         return Tensor._make(out_data, (self, other), backward)
 
@@ -337,10 +391,10 @@ class Tensor:
     def pow(self, exponent: float) -> "Tensor":
         """Elementwise power with a constant exponent."""
         out_data = self.data ** exponent
+        vx, x_data = self._vertex, self._keep()
 
         def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(grad * exponent * self.data ** (exponent - 1.0))
+            vx._accumulate(grad * exponent * x_data() ** (exponent - 1.0))
 
         return Tensor._make(out_data, (self,), backward)
 
@@ -348,19 +402,19 @@ class Tensor:
 
     def exp(self) -> "Tensor":
         out_data = np.exp(self.data)
+        vx = self._vertex
 
         def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(grad * out_data)
+            vx._accumulate(grad * out_data)
 
         return Tensor._make(out_data, (self,), backward)
 
     def log(self) -> "Tensor":
         out_data = np.log(self.data)
+        vx, x_data = self._vertex, self._keep()
 
         def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(grad / self.data)
+            vx._accumulate(grad / x_data())
 
         return Tensor._make(out_data, (self,), backward)
 
@@ -369,25 +423,26 @@ class Tensor:
 
     def abs(self) -> "Tensor":
         out_data = np.abs(self.data)
+        vx, x_data = self._vertex, self._keep()
 
         def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(grad * np.sign(self.data))
+            vx._accumulate(grad * np.sign(x_data()))
 
         return Tensor._make(out_data, (self,), backward)
 
     def clamp(self, min_value: Optional[float] = None, max_value: Optional[float] = None) -> "Tensor":
         """Clip values to ``[min_value, max_value]``; gradient is a pass-through mask."""
         out_data = np.clip(self.data, min_value, max_value)
+        vx, x_data = self._vertex, self._keep()
 
         def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                mask = np.ones_like(self.data)
-                if min_value is not None:
-                    mask = mask * (self.data >= min_value)
-                if max_value is not None:
-                    mask = mask * (self.data <= max_value)
-                self._accumulate(grad * mask)
+            x = x_data()
+            mask = np.ones_like(x)
+            if min_value is not None:
+                mask = mask * (x >= min_value)
+            if max_value is not None:
+                mask = mask * (x <= max_value)
+            vx._accumulate(grad * mask)
 
         return Tensor._make(out_data, (self,), backward)
 
@@ -397,12 +452,17 @@ class Tensor:
     def matmul(self, other: "Tensor") -> "Tensor":
         other = other if isinstance(other, Tensor) else Tensor(_as_array(other))
         out_data = self.data @ other.data
+        va, vb = self._vertex, other._vertex
+        shape_a, shape_b = self.shape, other.shape
+        # Each operand is kept only for the other side's gradient.
+        a_data = None if vb is None else self._keep()
+        b_data = None if va is None else other._keep()
 
         def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(_unbroadcast(grad @ np.swapaxes(other.data, -1, -2), self.shape))
-            if other.requires_grad:
-                other._accumulate(_unbroadcast(np.swapaxes(self.data, -1, -2) @ grad, other.shape))
+            if va is not None:
+                va._accumulate(_unbroadcast(grad @ np.swapaxes(b_data(), -1, -2), shape_a))
+            if vb is not None:
+                vb._accumulate(_unbroadcast(np.swapaxes(a_data(), -1, -2) @ grad, shape_b))
 
         return Tensor._make(out_data, (self, other), backward)
 
@@ -413,14 +473,13 @@ class Tensor:
     # ------------------------------------------------------------------
     def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
         out_data = self.data.sum(axis=axis, keepdims=keepdims)
+        vx, shape, dtype = self._vertex, self.shape, self.dtype
 
         def backward(grad: np.ndarray) -> None:
-            if not self.requires_grad:
-                return
             g = grad
             if axis is not None and not keepdims:
                 g = np.expand_dims(g, axis=axis)
-            self._accumulate(np.broadcast_to(g, self.shape).astype(self.data.dtype))
+            vx._accumulate(np.broadcast_to(g, shape).astype(dtype))
 
         return Tensor._make(np.asarray(out_data), (self,), backward)
 
@@ -441,19 +500,19 @@ class Tensor:
 
     def max(self, axis=None, keepdims: bool = False) -> "Tensor":
         out_data = self.data.max(axis=axis, keepdims=keepdims)
+        vx, x_data = self._vertex, self._keep()
 
         def backward(grad: np.ndarray) -> None:
-            if not self.requires_grad:
-                return
+            x = x_data()
             g = grad
             expanded = out_data
             if axis is not None and not keepdims:
                 g = np.expand_dims(g, axis=axis)
                 expanded = np.expand_dims(out_data, axis=axis)
-            mask = (self.data == expanded).astype(self.data.dtype)
+            mask = (x == expanded).astype(x.dtype)
             # Split gradient evenly across ties to keep the op well-defined.
             counts = mask.sum(axis=axis, keepdims=True) if axis is not None else mask.sum()
-            self._accumulate(mask * g / counts)
+            vx._accumulate(mask * g / counts)
 
         return Tensor._make(np.asarray(out_data), (self,), backward)
 
@@ -464,11 +523,10 @@ class Tensor:
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
         out_data = self.data.reshape(shape)
-        original_shape = self.shape
+        vx, original_shape = self._vertex, self.shape
 
         def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(grad.reshape(original_shape))
+            vx._accumulate(grad.reshape(original_shape))
 
         return Tensor._make(out_data, (self,), backward)
 
@@ -478,11 +536,10 @@ class Tensor:
         if not axes:
             axes = tuple(reversed(range(self.ndim)))
         out_data = self.data.transpose(axes)
-        inverse = np.argsort(axes)
+        vx, inverse = self._vertex, np.argsort(axes)
 
         def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(grad.transpose(inverse))
+            vx._accumulate(grad.transpose(inverse))
 
         return Tensor._make(out_data, (self,), backward)
 
@@ -493,12 +550,12 @@ class Tensor:
 
     def __getitem__(self, index) -> "Tensor":
         out_data = self.data[index]
+        vx, shape, dtype = self._vertex, self.shape, self.dtype
 
         def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                full = np.zeros_like(self.data)
-                np.add.at(full, index, grad)
-                self._accumulate(full)
+            full = np.zeros(shape, dtype)
+            np.add.at(full, index, grad)
+            vx._accumulate(full)
 
         return Tensor._make(np.ascontiguousarray(out_data), (self,), backward)
 
@@ -509,13 +566,14 @@ class Tensor:
         out_data = np.concatenate([t.data for t in tensors], axis=axis)
         sizes = [t.data.shape[axis] for t in tensors]
         offsets = np.cumsum([0] + sizes)
+        vertices = [t._vertex for t in tensors]
 
         def backward(grad: np.ndarray) -> None:
-            for tensor, start, stop in zip(tensors, offsets[:-1], offsets[1:]):
-                if tensor.requires_grad:
+            for vertex, start, stop in zip(vertices, offsets[:-1], offsets[1:]):
+                if vertex is not None:
                     slicer = [slice(None)] * grad.ndim
                     slicer[axis] = slice(start, stop)
-                    tensor._accumulate(grad[tuple(slicer)])
+                    vertex._accumulate(grad[tuple(slicer)])
 
         return Tensor._make(out_data, tensors, backward)
 
@@ -523,13 +581,14 @@ class Tensor:
     # Nonlinearities (kept here because they are single-input elementwise)
     # ------------------------------------------------------------------
     def relu(self) -> "Tensor":
-        # The backward mask is derived lazily from ``self.data`` so no-grad
-        # inference pays for exactly one allocation (the output).
+        # The backward mask comes from the output, which the next op usually
+        # keeps anyway: ``out > 0`` is bitwise ``x > 0`` for ``max(x, 0)``.
+        # No-grad inference pays for exactly one allocation (the output).
         out_data = np.maximum(self.data, 0.0)
+        vx = self._vertex
 
         def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(grad * (self.data > 0.0))
+            vx._accumulate(grad * (out_data > 0.0))
 
         return Tensor._make(out_data, (self,), backward)
 
@@ -541,30 +600,31 @@ class Tensor:
             1.0 / (1.0 + np.exp(-np.abs(x))),
             np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))),
         ).astype(x.dtype)
+        vx = self._vertex
 
         def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(grad * out_data * (1.0 - out_data))
+            vx._accumulate(grad * out_data * (1.0 - out_data))
 
         return Tensor._make(out_data, (self,), backward)
 
     def tanh(self) -> "Tensor":
         out_data = np.tanh(self.data)
+        vx = self._vertex
 
         def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(grad * (1.0 - out_data * out_data))
+            vx._accumulate(grad * (1.0 - out_data * out_data))
 
         return Tensor._make(out_data, (self,), backward)
 
     def hard_sigmoid(self) -> "Tensor":
         """ReLU6(x + 3) / 6 — MobileNetV3's h-sigmoid."""
         out_data = np.clip(self.data + 3.0, 0.0, 6.0) / 6.0
+        vx, x_data = self._vertex, self._keep()
 
         def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                mask = ((self.data > -3.0) & (self.data < 3.0)).astype(self.data.dtype) / 6.0
-                self._accumulate(grad * mask)
+            x = x_data()
+            mask = ((x > -3.0) & (x < 3.0)).astype(x.dtype) / 6.0
+            vx._accumulate(grad * mask)
 
         return Tensor._make(out_data, (self,), backward)
 
@@ -572,12 +632,13 @@ class Tensor:
         """x * h-sigmoid(x) — MobileNetV3's h-swish."""
         hsig = np.clip(self.data + 3.0, 0.0, 6.0) / 6.0
         out_data = self.data * hsig
+        vx, x_data = self._vertex, self._keep()
 
         def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                inner = ((self.data > -3.0) & (self.data < 3.0)).astype(self.data.dtype) / 6.0
-                local = hsig + self.data * inner
-                self._accumulate(grad * local)
+            x = x_data()
+            inner = ((x > -3.0) & (x < 3.0)).astype(x.dtype) / 6.0
+            local = hsig + x * inner
+            vx._accumulate(grad * local)
 
         return Tensor._make(out_data, (self,), backward)
 
@@ -585,11 +646,11 @@ class Tensor:
         """x * sigmoid(x) — the swish used by EfficientNet."""
         sig = 1.0 / (1.0 + np.exp(-self.data))
         out_data = self.data * sig
+        vx, x_data = self._vertex, self._keep()
 
         def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                local = sig * (1.0 + self.data * (1.0 - sig))
-                self._accumulate(grad * local)
+            local = sig * (1.0 + x_data() * (1.0 - sig))
+            vx._accumulate(grad * local)
 
         return Tensor._make(out_data, (self,), backward)
 
@@ -597,11 +658,11 @@ class Tensor:
         shifted = self.data - self.data.max(axis=axis, keepdims=True)
         log_sum = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
         out_data = shifted - log_sum
+        vx = self._vertex
 
         def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                softmax = np.exp(out_data)
-                self._accumulate(grad - softmax * grad.sum(axis=axis, keepdims=True))
+            softmax = np.exp(out_data)
+            vx._accumulate(grad - softmax * grad.sum(axis=axis, keepdims=True))
 
         return Tensor._make(out_data, (self,), backward)
 
@@ -613,3 +674,28 @@ class Tensor:
     # ------------------------------------------------------------------
     def argmax(self, axis=None) -> np.ndarray:
         return self.data.argmax(axis=axis)
+
+
+class _Node:
+    """The graph vertex of one op result.
+
+    It holds what :meth:`Tensor.backward` walks — the gradient slot, the
+    backward closure and the parents' vertices — and the dtype its gradient
+    accumulates in, but none of the result's data.  So the graph keeps an
+    op's output alive only where a closure kept it for its backward.
+    """
+
+    __slots__ = ("grad", "_backward_fn", "_parents", "dtype")
+
+    _accumulate = _add_grad
+
+    def __init__(
+        self,
+        backward_fn: Callable[[np.ndarray], None],
+        parents: Tuple[Union[Tensor, "_Node"], ...],
+        dtype: np.dtype,
+    ) -> None:
+        self.grad: Optional[np.ndarray] = None
+        self._backward_fn = backward_fn
+        self._parents = parents
+        self.dtype = dtype

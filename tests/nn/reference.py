@@ -145,32 +145,37 @@ def conv2d(
     if bias is not None:
         out = out + bias.data.reshape(1, c_out, 1, 1)
 
-    x_shape = x.shape
+    x_shape, w_shape = x.shape, weight.shape
     parents = (x, weight) if bias is None else (x, weight, bias)
+    # The closure captures vertices and the arrays it reads, as the runtime
+    # kernels do; the weight is read through ``_keep`` at backward time.
+    vx, vw = x._vertex, weight._vertex
+    vb = None if bias is None else bias._vertex
+    w_data = weight._keep()
 
     def backward(grad: np.ndarray) -> None:
         grad_flat = grad.reshape(n, c_out, length)
-        if bias is not None and bias.requires_grad:
-            bias._accumulate(grad_flat.sum(axis=(0, 2)))
+        if vb is not None:
+            vb._accumulate(grad_flat.sum(axis=(0, 2)))
         if groups == 1:
-            if weight.requires_grad:
+            if vw is not None:
                 grad_w = np.matmul(grad_flat, cols.transpose(0, 2, 1)).sum(axis=0)
-                weight._accumulate(grad_w.reshape(weight.shape))
-            if x.requires_grad:
-                w_mat_local = weight.data.reshape(c_out, -1)
+                vw._accumulate(grad_w.reshape(w_shape))
+            if vx is not None:
+                w_mat_local = w_data().reshape(c_out, -1)
                 grad_cols = np.matmul(w_mat_local.T[None], grad_flat)
-                x._accumulate(col2im(grad_cols, x_shape, (kh, kw), stride, padding))
+                vx._accumulate(col2im(grad_cols, x_shape, (kh, kw), stride, padding))
         else:
             grad_g = grad_flat.reshape(n, groups, c_out_per_group, length)
             cols_g_local = cols.reshape(n, groups, c_in_per_group * kh * kw, length)
-            if weight.requires_grad:
+            if vw is not None:
                 grad_w = np.einsum("ngol,ngkl->gok", grad_g, cols_g_local, optimize=True)
-                weight._accumulate(grad_w.reshape(weight.shape))
-            if x.requires_grad:
-                w_mat_local = weight.data.reshape(groups, c_out_per_group, -1)
+                vw._accumulate(grad_w.reshape(w_shape))
+            if vx is not None:
+                w_mat_local = w_data().reshape(groups, c_out_per_group, -1)
                 grad_cols = np.einsum("gok,ngol->ngkl", w_mat_local, grad_g, optimize=True)
                 grad_cols = grad_cols.reshape(n, c_in_per_group * groups * kh * kw, length)
-                x._accumulate(col2im(grad_cols, x_shape, (kh, kw), stride, padding))
+                vx._accumulate(col2im(grad_cols, x_shape, (kh, kw), stride, padding))
 
     return Tensor._make(out, parents, backward)
 
@@ -204,16 +209,20 @@ def conv_transpose2d(
     if bias is not None:
         out = out + bias.data.reshape(1, c_out, 1, 1)
 
+    w_shape = weight.shape
+    vx, vw = x._vertex, weight._vertex
+    vb = None if bias is None else bias._vertex
+
     def backward(grad: np.ndarray) -> None:
-        if bias is not None and bias.requires_grad:
-            bias._accumulate(grad.sum(axis=(0, 2, 3)))
+        if vb is not None:
+            vb._accumulate(grad.sum(axis=(0, 2, 3)))
         grad_cols = im2col(grad, (kh, kw), stride, padding)  # (N, C_out*kh*kw, L)
-        if weight.requires_grad:
+        if vw is not None:
             grad_w = np.matmul(x_flat, grad_cols.transpose(0, 2, 1)).sum(axis=0)
-            weight._accumulate(grad_w.reshape(weight.shape))
-        if x.requires_grad:
+            vw._accumulate(grad_w.reshape(w_shape))
+        if vx is not None:
             grad_x = np.matmul(w_mat[None], grad_cols)  # (N, C_in, L)
-            x._accumulate(grad_x.reshape(n, c_in, h, w))
+            vx._accumulate(grad_x.reshape(n, c_in, h, w))
 
     parents = (x, weight) if bias is None else (x, weight, bias)
     return Tensor._make(out.astype(x.data.dtype), parents, backward)

@@ -182,6 +182,18 @@ class TestGraphRelease:
         assert w.grad[0] == 3.0
         assert b.grad is None  # raised before any gradient moved
 
+    def test_closure_must_accumulate_into_the_vertex(self):
+        # A closure that captured an op-result parent tensor, not its vertex,
+        # fails loudly instead of dropping that parent's gradient.
+        w = Tensor([2.0], requires_grad=True)
+        h = w * 3.0
+
+        def backward(grad):
+            h._accumulate(grad)
+
+        with pytest.raises(RuntimeError, match="_vertex"):
+            Tensor._make(h.data * 2.0, (h,), backward).sum().backward()
+
     def test_leaf_root_accumulates_across_calls(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
         x.backward(np.ones(2, dtype=np.float32))

@@ -100,7 +100,7 @@ class TestExperimentFlagForwarding:
 
             return _Result()
 
-        monkeypatch.setattr("repro.cli.Orchestrator.run", fake_run)
+        monkeypatch.setattr("repro.orchestrator.Orchestrator.run", fake_run)
         return calls
 
     def test_defaults_pass_none_filters(self, monkeypatch, capsys):
@@ -165,7 +165,7 @@ class TestOrchestrateCommand:
         def unreachable(*args, **kwargs):
             raise AssertionError("the grid must not start")
 
-        monkeypatch.setattr("repro.cli.Orchestrator.run", unreachable)
+        monkeypatch.setattr("repro.orchestrator.Orchestrator.run", unreachable)
         for command in ("orchestrate", "experiment"):
             with pytest.raises(SystemExit) as exit_info:
                 main([command, "table2", "--attacks", "badnets", "--task-timeout", "900"])
@@ -195,7 +195,7 @@ class TestOrchestrateCommand:
 
                 return _Result()
 
-        monkeypatch.setattr("repro.cli.Orchestrator", FakeOrchestrator)
+        monkeypatch.setattr("repro.orchestrator.Orchestrator", FakeOrchestrator)
         exit_code = main([
             "orchestrate", "table1", "--workers", "3", "--resume",
             "--attacks", "badnets", "--seed", "5",
@@ -228,7 +228,7 @@ class TestOrchestrateCommand:
 
                 return _Result()
 
-        monkeypatch.setattr("repro.cli.Orchestrator", FakeOrchestrator)
+        monkeypatch.setattr("repro.orchestrator.Orchestrator", FakeOrchestrator)
         assert main(["orchestrate", "table1"]) == 1
 
 

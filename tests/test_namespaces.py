@@ -270,3 +270,21 @@ def test_every_package_exports_at_least_what_it_did():
     for package, names, submodules in EXPORTS:
         declared = set(importlib.import_module(package).__all__)
         assert set(names) | set(submodules) <= declared, package
+
+
+def test_importing_the_cli_loads_no_orchestrator_run_machinery():
+    # Only the commands that run a grid or a runner import them: ``repro
+    # list`` needs the registries and the experiment ids alone.
+    loaded = _loaded_after("import repro.cli")
+    unneeded = sorted(
+        loaded
+        & {
+            "repro.orchestrator.orchestrator",
+            "repro.orchestrator.pool",
+            "repro.orchestrator.runtime",
+            "repro.orchestrator.ledger",
+            "repro.orchestrator.dag",
+            "repro.telemetry.sinks",
+        }
+    )
+    assert unneeded == [], f"importing repro.cli loaded {unneeded}"
