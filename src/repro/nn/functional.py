@@ -3,12 +3,14 @@
 Every op has one runtime kernel.  :func:`conv2d` picks one of two by the
 weight shape, for no-grad and gradient calls alike:
 
-- ``groups == 1``: a channels-last single-GEMM conv.  The unfold is written
-  in ``(N*L, kh*kw*C_in)`` layout so one large BLAS GEMM replaces N small
-  batched matmuls, and it runs through :mod:`repro.nn.engine` as one inline
-  BLAS call, with the conv bias (post-folding: the BN affine) added in
-  place on its output.  The gradient path re-unfolds the input for the dW
-  GEMM, and computes a stride-1 dX as a gather: the conv of the padded
+- ``groups == 1``: a channels-last GEMM conv.  The unfold is written in
+  ``(N*L, kh*kw*C_in)`` layout so one large BLAS GEMM replaces N small
+  batched matmuls, run through :mod:`repro.nn.engine` as an inline BLAS
+  call with the conv bias (post-folding: the BN affine) added in place on
+  its output.  No-grad convs unfold one block of images at a time, each
+  within a 2 MiB bound (a per-core L2), and run a GEMM per block.  The
+  gradient path keeps one whole-batch GEMM, re-unfolds the input for the
+  dW GEMM, and computes a stride-1 dX as a gather: the conv of the padded
   upstream gradient with the flipped weight.
 - ``groups == C_in`` (depthwise, with any channel multiplier
   ``C_out = m * C_in``): a direct tap loop over the zero-padded input, one
@@ -69,7 +71,9 @@ class Workspace:
     their own cold-by-next-round buffer (keying slabs by shape was
     measurably slower than plain malloc recycling due to cache/TLB
     pressure).  A slab only grows, so after one pass at the largest batch
-    every smaller batch runs from the same bytes.
+    every smaller batch runs from the same bytes.  No-grad convs unfold in
+    blocks of at most ``_BLOCK_BYTES``, so an inference-only process keeps
+    ``"pad"`` and ``"cols_gemm"`` slabs within that bound at any batch size.
 
     Buffers are only handed out for intermediates that are fully consumed
     before the op (or the backward closure) returns — results that escape
@@ -285,7 +289,7 @@ def _col2im_gemm(
     return core.transpose(0, 3, 1, 2)
 
 
-def _conv2d_infer(
+def _conv2d_gemm(
     x: np.ndarray,
     weight: np.ndarray,
     bias: Optional[np.ndarray],
@@ -293,27 +297,26 @@ def _conv2d_infer(
     padding: Tuple[int, int],
     out_h: int,
     out_w: int,
+    block: int,
 ) -> np.ndarray:
-    """No-grad ``groups == 1`` conv forward: workspace-backed unfold + one GEMM.
+    """``groups == 1`` conv forward: workspace-backed unfolds + GEMMs.
 
-    The GEMM computes ``(N*L, K) @ (K, C_out)`` and its result is *kept* in
-    channels-last (NHWC) storage: the returned array is a logically-``(N,
-    C_out, H, W)`` transpose view of the freshly written ``(N*L, C_out)``
-    buffer, so no un-transpose pass is ever paid.  Numpy ufuncs preserve
-    that layout through the BN/activation/residual ops that follow, and the
-    next conv's unfold reads it back for free, so the layout is
-    self-sustaining across a whole eval forward.  All intermediates (padded
-    input, unfolded columns, transposed weights) live in the workspace;
-    only the GEMM result, which escapes into the caller's graph, is freshly
-    allocated.  The GEMM plus its bias epilogue runs through the engine
-    (:mod:`repro.nn.engine`) as one inline BLAS call.
+    Each block of ``block`` images runs one unfold and one ``(B*L, K) @ (K,
+    C_out)`` GEMM into its rows of one fresh ``(N*L, C_out)`` result, which
+    is *kept* in channels-last (NHWC) storage: the returned array is a
+    logically-``(N, C_out, H, W)`` transpose view of it, so no un-transpose
+    pass is ever paid.  Numpy ufuncs preserve that layout through the
+    BN/activation/residual ops that follow, and the next conv's unfold reads
+    it back for free, so the layout is self-sustaining across a whole eval
+    forward.  All intermediates (padded input, unfolded columns, transposed
+    weights) live in the workspace; only the GEMM result, which escapes into
+    the caller's graph, is freshly allocated.
     """
     from .engine.gemm import engine as _engine
 
     n, c_in = x.shape[0], x.shape[1]
     c_out, _, kh, kw = weight.shape
 
-    cols = _im2col_gemm(x, (kh, kw), stride, padding)  # (N*L, K)
     if kh == 1 and kw == 1:
         # Pointwise conv: BLAS handles the weight transpose without a copy.
         w_mat = weight.reshape(c_out, c_in).transpose()
@@ -328,8 +331,52 @@ def _conv2d_infer(
         else:
             w_mat = workspace().get("wmat", (k_flat, c_out), weight.dtype)
             np.copyto(w_mat.reshape(kh, kw, c_in, c_out), wt)
-    gemm = _engine().execute(cols, w_mat, bias=bias)
-    return gemm.reshape(n, out_h, out_w, c_out).transpose(0, 3, 1, 2)
+    length = out_h * out_w
+    out = np.empty((n * length, c_out), x.dtype)
+    for start in range(0, n, block):
+        cols = _im2col_gemm(x[start : start + block], (kh, kw), stride, padding)  # (B*L, K)
+        _engine().execute(cols, w_mat, bias=bias, out=out[start * length : (start + block) * length])
+    return out.reshape(n, out_h, out_w, c_out).transpose(0, 3, 1, 2)
+
+
+# Byte bound on one block of a no-grad conv's unfold (and padded input): the
+# 2 MiB per-core L2 of the 2-core host the benches run on.  DESIGN §8 has the
+# sweep that chose it.
+_BLOCK_BYTES = 2 << 20
+
+
+def _conv2d_infer(
+    x: np.ndarray,
+    weight: np.ndarray,
+    bias: Optional[np.ndarray],
+    stride: Tuple[int, int],
+    padding: Tuple[int, int],
+    out_h: int,
+    out_w: int,
+) -> np.ndarray:
+    """No-grad ``groups == 1`` conv: :func:`_conv2d_gemm` in cache-sized blocks.
+
+    A block's unfolded columns and padded input fit :data:`_BLOCK_BYTES` (a
+    block holds at least one image), so each GEMM reads its columns from L2,
+    and the ``"pad"`` and ``"cols_gemm"`` slabs stay within the bound at any
+    batch size.  A stride-1 pointwise conv whose channels-last input already
+    is the column matrix copies nothing, so it stays one GEMM.
+
+    The gradient path keeps one whole-batch GEMM.  Its dW re-unfolds the
+    whole batch's columns anyway, so blocks would save no scratch there; and
+    OpenBLAS's per-row sums depend on a GEMM's row count, so blocks would
+    move the training bits the golden tests pin.
+    """
+    n, c_in, h, w = x.shape
+    kh, kw = weight.shape[2:]
+    ph, pw = padding
+    padded = (h + 2 * ph) * (w + 2 * pw) * c_in if ph or pw else 0
+    per_image = max(out_h * out_w * kh * kw * c_in, padded) * x.dtype.itemsize
+    block = max(1, _BLOCK_BYTES // per_image)
+    pointwise = (kh, kw, *stride) == (1, 1, 1, 1) and not padded
+    if pointwise and x.transpose(0, 2, 3, 1).flags.c_contiguous:
+        block = n
+    return _conv2d_gemm(x, weight, bias, stride, padding, out_h, out_w, block)
 
 
 def _conv2d_train(
@@ -341,9 +388,10 @@ def _conv2d_train(
     out_h: int,
     out_w: int,
 ) -> Tensor:
-    """Gradient-path conv: the no-grad forward plus a two-GEMM backward.
+    """Gradient-path conv: a one-GEMM forward plus a two-GEMM backward.
 
-    The forward is :func:`_conv2d_infer` with its output copied to
+    The forward is :func:`_conv2d_gemm` over the whole batch, in one block
+    (see :func:`_conv2d_infer` for why), with its output copied to
     contiguous NCHW: training-mode consumers (BatchNorm batch statistics,
     ReLU masks, residual adds) reduce over this output many times, and on
     the channels-last view every one of those reductions is strided.  The
@@ -380,7 +428,7 @@ def _conv2d_train(
     dtype = x.data.dtype
     bias_data = None if bias is None else bias.data
     out = np.ascontiguousarray(
-        _conv2d_infer(x.data, weight.data, bias_data, stride, padding, out_h, out_w)
+        _conv2d_gemm(x.data, weight.data, bias_data, stride, padding, out_h, out_w, n)
     )
     parents = (x, weight) if bias is None else (x, weight, bias)
     vx, vw = x._vertex, weight._vertex
@@ -677,7 +725,7 @@ def conv_transpose2d(
     channels-last input rows ``(N*H*W, C_in)`` with the weight packed as
     ``(C_in, kh*kw*C_out)``, folded by :func:`_col2im_gemm`.  The backward
     runs the conv kernels the other way round: dX is the conv of the
-    upstream gradient with the same weight (:func:`_conv2d_infer`), and dW
+    upstream gradient with the same weight (:func:`_conv2d_gemm`), and dW
     is one ``execute_tn`` of the input rows with the gradient's unfold.
     Used by decoder networks (e.g. the LIRA-style trigger generator).
 
@@ -744,7 +792,7 @@ def conv_transpose2d(
             vw._accumulate(dw.reshape(c_in, kh, kw, c_out).transpose(0, 3, 1, 2))
         if vx is not None:
             # Weights are read at backward time, as in _conv2d_train.
-            vx._accumulate(_conv2d_infer(grad, w_data(), None, stride, padding, h, w))
+            vx._accumulate(_conv2d_gemm(grad, w_data(), None, stride, padding, h, w, n))
 
     parents = (x, weight) if bias is None else (x, weight, bias)
     return Tensor._make(out, parents, backward)

@@ -128,6 +128,87 @@ class TestPlanSharingAcrossBatchSizes:
 
 
 # ---------------------------------------------------------------------------
+# No-grad convs in cache-sized blocks of images; the gradient path whole
+# ---------------------------------------------------------------------------
+# A 3x3 stride-1 unfold of an (8, 32, 32) image is 288 KiB, so 7 images fill
+# one block; at stride 2 an image is 72 KiB and 28 fill one.  A (64, 32, 32)
+# image unfolds to 2.25 MiB, more than the bound, and runs alone.
+BLOCK_CASES = [
+    pytest.param(7, 8, 1, 1, id="one-block"),
+    pytest.param(28, 8, 1, 4, id="several-blocks"),
+    pytest.param(16, 8, 1, 3, id="partial-last-block"),
+    pytest.param(64, 8, 2, 3, id="stride-2"),
+    pytest.param(1, 64, 1, 1, id="one-image-over-the-bound"),
+    pytest.param(3, 64, 1, 3, id="images-over-the-bound"),
+]
+
+
+class TestNoGradConvBlocks:
+    """A no-grad ``groups == 1`` conv unfolds one block of images at a time,
+    so its scratch stays within ``F._BLOCK_BYTES`` at any batch size."""
+
+    def test_unfold_slabs_stay_within_the_bound(self):
+        conv = Conv2d(8, 8, 3, padding=1, rng=np.random.default_rng(1))
+        x = RNG.standard_normal((64, 8, 32, 32)).astype(np.float32)
+        whole_unfold = 64 * 32 * 32 * 9 * 8 * 4  # 18 MiB
+        assert whole_unfold > F._BLOCK_BYTES
+        F.workspace().clear()
+        with no_grad():
+            conv(Tensor(x))
+        slabs = F.workspace()._slabs
+        assert slabs["cols_gemm"].nbytes <= F._BLOCK_BYTES
+        assert slabs["pad"].nbytes <= F._BLOCK_BYTES
+
+    @pytest.mark.parametrize("n, c_in, stride, gemms", BLOCK_CASES)
+    def test_blocks_match_reference(self, n, c_in, stride, gemms):
+        rng = np.random.default_rng(n + c_in + stride)
+        conv = Conv2d(c_in, 8, 3, stride=stride, padding=1, rng=rng)
+        conv.bias.data[:] = rng.standard_normal(8).astype(np.float32)
+        x = rng.standard_normal((n, c_in, 32, 32)).astype(np.float32)
+        with no_grad():
+            got = conv(Tensor(x)).data
+        assert engine().totals["calls"] == gemms
+        with reference_kernels(), no_grad():
+            expected = conv(Tensor(x)).data
+        np.testing.assert_allclose(got, expected, rtol=1e-4, atol=1e-5)
+
+    def test_compiled_preact_labels_match_reference_at_batch_128(self):
+        from repro.models import build_model
+
+        model = build_model("preact_resnet18", num_classes=10, seed=0).eval()
+        x = RNG.standard_normal((128, 3, 32, 32)).astype(np.float32)
+        compiled = compile_for_inference(model, Tensor(x[:1]))
+        got = compiled(Tensor(x)).data
+        with reference_kernels(), no_grad():
+            expected = model(Tensor(x)).data
+        np.testing.assert_allclose(got, expected, rtol=1e-3, atol=1e-4)
+        np.testing.assert_array_equal(got.argmax(axis=1), expected.argmax(axis=1))
+
+    def test_gradient_path_runs_one_whole_batch_gemm(self):
+        """A conv that builds a graph runs one whole-batch GEMM, bitwise, even
+        when its unfold exceeds the bound.  Blocking it would save no scratch:
+        the backward's dW is one GEMM over the whole batch's re-unfolded
+        columns.  And it would change the training bits, because OpenBLAS's
+        per-row sums depend on the GEMM's row count, so blocked outputs differ
+        in the last float32 bits.  ``TestGoldenGrid`` pins those bits."""
+        rng = np.random.default_rng(2)
+        conv = Conv2d(8, 8, 3, padding=1, rng=rng)
+        conv.bias.data[:] = rng.standard_normal(8).astype(np.float32)
+        x = rng.standard_normal((64, 8, 32, 32)).astype(np.float32)
+        got = conv(Tensor(x, requires_grad=True)).data
+        assert engine().totals["calls"] == 1
+
+        cols = F._im2col_gemm(x, (3, 3), (1, 1), (1, 1))
+        assert cols.nbytes > F._BLOCK_BYTES
+        w_mat = conv.weight.data.transpose(2, 3, 1, 0).reshape(72, 8)
+        gemm = np.matmul(cols, w_mat)
+        gemm += conv.bias.data
+        expected = gemm.reshape(64, 32, 32, 8).transpose(0, 3, 1, 2)
+        assert got.dtype == expected.dtype
+        assert np.array_equal(got, expected)
+
+
+# ---------------------------------------------------------------------------
 # groups == 1 conv backward: gather and scatter dX, re-unfolded dW
 # ---------------------------------------------------------------------------
 CONV_GRID = [
